@@ -55,7 +55,7 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float, help="exponential claim intensity (inline model)")
     p.add_argument("--c", type=float, nargs=2, metavar=("C1", "C2"), help="premium rates")
     p.add_argument(
-        "--delta", type=float, nargs=2, metavar=("D1", "D2"), default=[1.0, 1.0],
+        "--delta", type=float, nargs=2, metavar=("D1", "D2"),
         help="claim proportions (default 1 1)",
     )
 
@@ -73,7 +73,7 @@ def _build_model(args) -> RiskModel:
             "lambda": args.lam,
             "claim": {"type": "exponential", "mu": args.mu},
             "c": list(args.c),
-            "delta": list(args.delta),
+            "delta": list(args.delta or (1.0, 1.0)),
         }
     )
 
@@ -81,8 +81,11 @@ def _build_model(args) -> RiskModel:
 def _validated_model(args):
     model = _build_model(args)
     report = validate(model)
+    # the inline default delta = (1, 1) is the CLI's own choice, not the user's
+    default_delta = not args.model and args.delta is None
     for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+        if not (default_delta and w.startswith("delta1 + delta2")):
+            print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
         for v in report.violations:
             print(f"invalid model: {v}", file=sys.stderr)
@@ -226,6 +229,10 @@ def cmd_simulate(args) -> int:
     model = _validated_model(args)
     u1, u2 = args.u
     try:
+        if args.s is not None and args.method != "naive":
+            raise UnsupportedClaimLaw(
+                f"--s (ruin-time discount) needs --method naive, not {args.method}"
+            )
         if args.method == "conditional":
             x1, x2 = normalize(model, u1, u2)
             if x2 < x1:
@@ -237,7 +244,9 @@ def cmd_simulate(args) -> int:
             )
             kind = "survival"
         elif args.method == "fluid":
-            est = mc.simulate_joint_ruin_fluid(model, u1, u2, args.horizon, args.paths, args.seed)
+            est = mc.simulate_joint_ruin_fluid(
+                model, u1, u2, args.horizon, args.paths, args.seed, threads=args.threads
+            )
             kind = "ruin_by_horizon"
         elif args.s is not None:
             est = mc.ruin_time_lt(

@@ -3,10 +3,11 @@ estimator, the fluid embedding, and ruin-time transform estimation.
 
 Randomness contract: paths are generated in fixed-size chunks and chunk ``k``
 draws from a counter-based Philox stream that is a pure function of
-``(seed, stream_offset + k)``.  Reductions accumulate per-chunk partial sums in
-chunk order (numpy's pairwise summation inside each chunk), so every estimate
-is bit-reproducible for a fixed ``(seed, n)`` and parallel fan-out over chunks
-cannot change the result.
+``(seed, stream_offset + k)``.  Each chunk is reduced to ``(n, mean, M2)`` and
+the chunks are merged in chunk order, so every estimate is bit-reproducible
+for a fixed ``(seed, n)`` and parallel fan-out over chunks cannot change the
+result.  How a chunk turns its stream into paths is versioned by
+:data:`STREAM_VERSION`, which every estimate records in ``meta``.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
 claims, so the running minimum over continuous time is attained immediately
@@ -27,7 +28,6 @@ from .model import Empirical, Exponential, PhaseType, RiskModel
 from .onedim import survival_one_company
 
 __all__ = [
-    "PathEvent",
     "PathRecord",
     "MCEstimate",
     "FluidPath",
@@ -42,13 +42,8 @@ __all__ = [
 ]
 
 CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class PathEvent:
-    time: float
-    kind: str  # "claim" | "horizon"
-    claim_size: Optional[float] = None
+# 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings.
+STREAM_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -71,15 +66,6 @@ class PathRecord:
     @property
     def epochs(self) -> np.ndarray:
         return np.cumsum(self.interarrivals)
-
-    @property
-    def events(self) -> list[PathEvent]:
-        out = [
-            PathEvent(time=float(t), kind="claim", claim_size=float(c))
-            for t, c in zip(self.epochs, self.claim_sizes)
-        ]
-        out.append(PathEvent(time=self.horizon, kind="horizon"))
-        return out
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
@@ -150,8 +136,12 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
     Shared by direct simulation and the fluid embedding so the two agree
     bit-for-bit (same operations in the same order).
     """
-    U1 = u1 + model.c1 * cum_up - model.delta1 * cum_claims
-    U2 = u2 + model.c2 * cum_up - model.delta2 * cum_claims
+    U1 = model.c1 * cum_up
+    U1 += u1
+    U1 -= model.delta1 * cum_claims
+    U2 = model.c2 * cum_up
+    U2 += u2
+    U2 -= model.delta2 * cum_claims
     return U1, U2
 
 
@@ -162,28 +152,48 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
 def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
     """Flat arrays of sorted claim epochs and within-path claim cumsums.
 
-    ``horizons`` is scalar or per-path.  Returns ``(starts, has, t, s_within,
-    totals)`` where ``starts[has]`` index the first epoch of each nonempty
-    path, ``t`` are epochs sorted within paths, ``s_within`` the running claim
-    totals at those epochs and ``totals`` the per-path total claim amounts.
+    ``horizons`` is scalar or per-path.  Given its Poisson count ``k``, path
+    ``i`` draws ``k + 1`` standard exponential spacings; their normalized
+    partial sums are the order statistics of ``k`` uniforms (Devroye 1986,
+    ch. V), so the epochs come out sorted without a sort.  Claim sizes are
+    i.i.d., so they are used in draw order.
+
+    Returns ``(starts, has, t, s_within, totals)`` where ``starts[has]`` index
+    the first epoch of each nonempty path, ``t`` are epochs sorted within
+    paths, ``s_within`` the running claim totals at those epochs and
+    ``totals`` the per-path total claim amounts.
     """
-    horizons = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
-    counts = rng.poisson(model.lam * horizons)
+    if np.ndim(horizons) == 0:
+        counts = rng.poisson(model.lam * horizons, size=n)
+    else:
+        horizons = np.asarray(horizons, dtype=float)
+        counts = rng.poisson(model.lam * horizons)
     tot = int(counts.sum())
-    starts = np.concatenate(([0], np.cumsum(counts)))[:-1]
+    ends = np.cumsum(counts)
+    starts = ends - counts
     has = counts > 0
-    u = rng.random(tot)
+    # segmented cumsums: a global cumsum (after a leading zero) minus its
+    # value at the path's start, computed in place
+    cg = np.empty(tot + 1)
+    cg[0] = 0.0
+    rng.standard_exponential(out=cg[1:])
+    closing = rng.standard_exponential(n)
     sizes = sample_claims(model.claim, rng, tot)
-    pid = np.repeat(np.arange(n), counts)
-    order = np.argsort(pid + u, kind="stable")  # u < 1 keeps path blocks intact
-    t = u[order] * np.repeat(horizons, counts)
-    s = sizes[order]
-    cs = np.cumsum(s)
-    base = np.concatenate(([0.0], cs))[starts]
-    s_within = cs - np.repeat(base, counts)
-    totals = np.zeros(n)
-    if tot:
-        totals[has] = np.add.reduceat(s, starts[has])
+    np.cumsum(cg[1:], out=cg[1:])
+    cs = np.empty(tot + 1)
+    cs[0] = 0.0
+    np.cumsum(sizes, out=cs[1:])
+    g0 = cg[starts]
+    span = cg[ends] - g0 + closing
+    # partial <= span, so partial / span <= 1 and the epochs stay in [0, horizon]
+    t = cg[1:]
+    t -= np.repeat(g0, counts)
+    t /= np.repeat(span, counts)
+    t *= np.repeat(horizons, counts) if np.ndim(horizons) else horizons
+    s0 = cs[starts]
+    totals = cs[ends] - s0
+    s_within = cs[1:]
+    s_within -= np.repeat(s0, counts)
     return starts, has, t, s_within, totals
 
 
@@ -192,9 +202,8 @@ def _joint_tau_chunk(model, u1, u2, horizon, rng, n):
     starts, has, t, s_within, _ = _epoch_panel(model, horizon, rng, n)
     tau = np.full(n, np.inf)
     if t.size:
-        U1 = u1 + model.c1 * t - model.delta1 * s_within
-        U2 = u2 + model.c2 * t - model.delta2 * s_within
-        hit = np.minimum(U1, U2) < 0.0
+        U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
+        hit = np.minimum(U1, U2, out=U1) < 0.0
         tau[has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
     return tau
 
@@ -222,19 +231,31 @@ def _chunk_sizes(n: int) -> Iterable[tuple[int, int]]:
         k += 1
 
 
-def _accumulate(chunks: Iterable[np.ndarray], n: int, seed: int, meta: dict) -> MCEstimate:
-    total = 0.0
-    total_sq = 0.0
+def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstimate:
+    """Mean and standard error of the concatenated chunk values.
+
+    Each chunk contributes ``(n, mean, M2)`` and the parts are merged in
+    chunk order (Chan, Golub & LeVeque 1979), which avoids the cancellation
+    of ``sum(x**2) - n * mean**2`` when the variance is small against the mean.
+    """
+    n = 0
+    mean = 0.0
+    m2 = 0.0
     for vals in chunks:
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return MCEstimate(mean=mean, std_error=se, n=n, seed=seed, meta=meta)
+        k = vals.size
+        mean_k = float(np.mean(vals))
+        dev = vals - mean_k
+        m2_k = float(np.sum(dev * dev))
+        delta = mean_k - mean
+        total = n + k
+        mean += delta * (k / total)
+        m2 += m2_k + delta * delta * (n * k / total)
+        n = total
+    if n == 0:
+        raise DomainError("no paths to average")
+    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return MCEstimate(mean=mean, std_error=se, n=n, seed=seed,
+                      meta={**meta, "stream_version": STREAM_VERSION})
 
 
 def _map_chunks(worker, n: int, threads: int):
@@ -276,7 +297,7 @@ def ruin_time_lt(
         return np.where(finite, np.exp(-s * np.where(finite, tau, 0.0)), 0.0)
 
     meta = {"horizon": horizon, "s": s, "bias_bound": math.exp(-s * horizon) if s > 0 else 1.0}
-    return _accumulate(_map_chunks(worker, n, threads), n, seed, meta)
+    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
 
 
 def _lundberg_tail(model: RiskModel, u2: float, horizon: float) -> Optional[float]:
@@ -303,7 +324,8 @@ def simulate_joint_ruin(
     est = ruin_time_lt(
         model, u1, u2, 0.0, horizon, n, seed, stream_offset=stream_offset, threads=threads
     )
-    meta = {"horizon": horizon, "lundberg_tail": _lundberg_tail(model, u2, horizon)}
+    meta = {"horizon": horizon, "lundberg_tail": _lundberg_tail(model, u2, horizon),
+            "stream_version": STREAM_VERSION}
     return MCEstimate(est.mean, est.std_error, est.n, est.seed, meta)
 
 
@@ -336,7 +358,8 @@ def conditional_survival(
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
-        return MCEstimate(mean=exact, std_error=0.0, n=n, seed=seed, meta=meta)
+        return MCEstimate(mean=exact, std_error=0.0, n=n, seed=seed,
+                          meta={**meta, "stream_version": STREAM_VERSION})
 
     def worker(k, size):
         rng = stream(seed, stream_offset + k)
@@ -344,7 +367,7 @@ def conditional_survival(
         vals = survival_one_company(model, np.maximum(x_T, 0.0))
         return np.where(alive, vals, 0.0)
 
-    return _accumulate(_map_chunks(worker, n, threads), n, seed, meta)
+    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
 
 
 def killed_position_frequencies(
@@ -508,6 +531,39 @@ def path_ruin_time(path: PathRecord, u1: float, u2: float, model: RiskModel) -> 
     return float(cum_tau[int(np.argmax(low))])
 
 
+def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
+    """Ruin-by-horizon indicators of ``n`` paths from their fluid-embedding clocks.
+
+    Unlike :func:`_epoch_panel`, this samples interarrival gaps: each pass
+    draws a (paths x width) panel of gaps and claim sizes, whose row cumsums
+    are the up clock ``I`` and the claim clock at successive down-phase ends.
+    Ruin in original time is the first such end, within ``horizon``, at which
+    a reserve is negative.  Paths neither ruined nor past the horizon draw
+    another panel, so a pass holds about as many draws as the direct kernel.
+    """
+    width = math.ceil(model.lam * horizon) + 1
+    ruined = np.zeros(n, dtype=bool)
+    up = np.zeros(n)
+    claims = np.zeros(n)
+    rows = np.arange(n)
+    while rows.size:
+        m = rows.size
+        up_clock = rng.exponential(1.0 / model.lam, size=(m, width))
+        np.cumsum(up_clock, axis=1, out=up_clock)
+        up_clock += up[rows, None]
+        claim_clock = np.cumsum(sample_claims(model.claim, rng, m * width).reshape(m, width),
+                                axis=1)
+        claim_clock += claims[rows, None]
+        U1, U2 = reserves_at_epochs(model, u1, u2, up_clock, claim_clock)
+        low = (np.minimum(U1, U2, out=U1) < 0.0) & (up_clock <= horizon)
+        hit = low.any(axis=1)
+        ruined[rows] = hit
+        up[rows] = up_clock[:, -1]
+        claims[rows] = claim_clock[:, -1]
+        rows = rows[~hit & (up_clock[:, -1] <= horizon)]
+    return ruined.astype(float)
+
+
 def simulate_joint_ruin_fluid(
     model: RiskModel,
     u1: float,
@@ -515,18 +571,19 @@ def simulate_joint_ruin_fluid(
     horizon: float,
     n: int,
     seed: int,
+    stream_offset: int = 0,
+    threads: int = 1,
 ) -> MCEstimate:
     """Finite-horizon ruin frequency computed through the fluid embedding.
 
-    Per-path reference implementation (one embedding per path); exists to
-    exercise the embedding identities, not for throughput.
+    Samples interarrival gaps rather than the sorted epochs of
+    :func:`simulate_joint_ruin`, so the two estimate the same probability
+    from differently generated paths and cross-check each other.
     """
-    hits = np.empty(n)
-    rng = stream(seed, 0)
-    for i in range(n):
-        path = sample_path(model, horizon, rng)
-        fp = fluid_embed(path, u1, u2, model)
-        hits[i] = 1.0 if fp.ruin_time_original() <= horizon else 0.0
-    mean = float(np.mean(hits))
-    se = float(np.std(hits, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(mean, se, n, seed, {"horizon": horizon, "method": "fluid"})
+
+    def worker(k, size):
+        rng = stream(seed, stream_offset + k)
+        return _fluid_ruin_chunk(model, u1, u2, horizon, rng, size)
+
+    meta = {"horizon": horizon, "method": "fluid"}
+    return _accumulate(_map_chunks(worker, n, threads), seed, meta)

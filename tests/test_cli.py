@@ -229,6 +229,40 @@ def test_simulate_csv_parses(p0_file, capsys):
         assert meta["estimand"] == rows[1][0]
 
 
+@pytest.mark.parametrize("method", ["conditional", "fluid"])
+def test_simulate_refuses_discount_outside_naive(p0_file, capsys, method):
+    code, out, err = run_cli(
+        [
+            "simulate", "--model", p0_file, "--u", "1", "2",
+            "--method", method, "--s", "0.5", "--paths", "200",
+        ],
+        capsys,
+    )
+    assert code == 3
+    assert out == ""
+    assert "capability error" in err and "--s" in err
+
+
+def test_simulate_fluid_threads_identical(p0_file, capsys):
+    base = ["simulate", "--model", p0_file, "--u", "1", "2", "--method", "fluid",
+            "--paths", "4e4", "--seed", "6", "--horizon", "10"]
+    _, out1, _ = run_cli(base + ["--threads", "1"], capsys)
+    _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
+    assert out1 == out2
+    meta = json.loads(list(csv.reader(io.StringIO(out1)))[1][5])
+    assert meta["stream_version"] == 2
+
+
+def test_delta_warning_only_when_chosen(p0_file, capsys):
+    inline = ["derive", "--lam", "1", "--mu", "1", "--c", "3", "2"]
+    code, _, err = run_cli(inline, capsys)
+    assert code == 0 and "delta1 + delta2" not in err
+    code, _, err = run_cli(inline + ["--delta", "1", "1"], capsys)
+    assert code == 0 and "delta1 + delta2 != 1" in err
+    code, _, err = run_cli(["derive", "--model", p0_file], capsys)
+    assert code == 0 and "delta1 + delta2 != 1" in err
+
+
 def test_ruin_pde_method(p0_file, capsys):
     code, out, _ = run_cli(
         [

@@ -1,13 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import kstest
 
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import (
+    CHUNK,
+    STREAM_VERSION,
     MCEstimate,
+    _accumulate,
+    _epoch_panel,
     conditional_survival,
     fluid_embed,
     killed_position_frequencies,
@@ -43,6 +49,75 @@ def test_threaded_fanout_matches_serial(p0):
     a = conditional_survival(p0, 1.0, 2.0, 60_000, seed=3, threads=1)
     b = conditional_survival(p0, 1.0, 2.0, 60_000, seed=3, threads=4)
     assert a.mean == b.mean and a.std_error == b.std_error
+
+
+@pytest.mark.parametrize("estimator", [
+    lambda p0, threads: simulate_joint_ruin(p0, 1.0, 2.0, 10.0, 3 * CHUNK + 17, seed=3,
+                                            threads=threads),
+    lambda p0, threads: ruin_time_lt(p0, 1.0, 2.0, 0.5, 10.0, 3 * CHUNK + 17, seed=3,
+                                     threads=threads),
+    lambda p0, threads: simulate_joint_ruin_fluid(p0, 1.0, 2.0, 10.0, 3 * CHUNK + 17, seed=3,
+                                                  threads=threads),
+], ids=["direct", "ruin_time_lt", "fluid"])
+def test_threads_bitwise_equal(p0, estimator):
+    a = estimator(p0, 1)
+    b = estimator(p0, 2)
+    assert a == b
+
+
+def test_accumulate_merges_near_constant_chunks():
+    # values 1 - 1e-9 U: sum(x^2) - n mean^2 cancels to noise here
+    rng = np.random.default_rng(8)
+    chunks = [1.0 - 1e-9 * rng.random(size) for size in (CHUNK, CHUNK, 5_000, 1)]
+    est = _accumulate(chunks, seed=0, meta={})
+    flat = np.concatenate(chunks)
+    assert est.n == flat.size
+    assert est.mean == pytest.approx(flat.mean(), rel=1e-15, abs=0.0)
+    assert est.std_error**2 * est.n == pytest.approx(np.var(flat, ddof=1), rel=1e-6, abs=0.0)
+
+
+def test_every_estimate_records_stream_version(p0):
+    ests = [
+        simulate_joint_ruin(p0, 1.0, 2.0, 5.0, 100, seed=1),
+        ruin_time_lt(p0, 1.0, 2.0, 0.5, 5.0, 100, seed=1),
+        conditional_survival(p0, 1.0, 2.0, 100, seed=1),
+        conditional_survival(p0, 1.0, 1.0, 100, seed=1),
+        simulate_joint_ruin_fluid(p0, 1.0, 2.0, 5.0, 100, seed=1),
+    ]
+    assert STREAM_VERSION == 2
+    assert all(e.meta["stream_version"] == STREAM_VERSION for e in ests)
+
+
+@pytest.mark.parametrize("horizons", [
+    7.5,
+    0.0,
+    np.array([0.0, 3.0, 0.0, 12.0, 0.25] * 400),
+], ids=["scalar", "zero", "per-path"])
+def test_epoch_panel_sorted_within_horizon(p0, horizons):
+    n = 2_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        starts, has, t, s_within, totals = _epoch_panel(p0, horizons, stream(4, 0), n)
+    h = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
+    counts = np.diff(np.append(starts, t.size))
+    assert np.array_equal(has, counts > 0)
+    pid = np.repeat(np.arange(n), counts)
+    assert np.all(t >= 0.0) and np.all(t <= h[pid])
+    same_path = pid[1:] == pid[:-1]
+    assert np.all(np.diff(t)[same_path] >= 0.0)
+    assert np.all(np.diff(s_within)[same_path] > 0.0)
+    assert np.all(counts[h == 0.0] == 0) and np.all(totals[counts == 0] == 0.0)
+
+
+def test_epoch_panel_uniform_order_statistics(p0):
+    # given k claims on [0, H], the epochs are the sorted values of k uniforms
+    n, horizon = 20_000, 4.0
+    starts, has, t, _, _ = _epoch_panel(p0, horizon, stream(6, 0), n)
+    counts = np.diff(np.append(starts, t.size))
+    assert kstest(t / horizon, "uniform").pvalue > 1e-3
+    three = starts[counts == 3]
+    assert kstest(t[three] / horizon, "beta", args=(1, 3)).pvalue > 1e-3
+    assert kstest(t[three + 2] / horizon, "beta", args=(3, 1)).pvalue > 1e-3
 
 
 def test_stream_independence_overlap(p0):
