@@ -24,6 +24,7 @@ import numpy as np
 from . import closedform, mc, pde, transform
 from .errors import Ruin2dError, ToleranceNotMet, UnsupportedClaimLaw
 from .model import (
+    UNNORMALIZED_DELTA_WARNING,
     Exponential,
     RiskModel,
     derive,
@@ -84,7 +85,7 @@ def _validated_model(args):
     # the inline default delta = (1, 1) is the CLI's own choice, not the user's
     default_delta = not args.model and args.delta is None
     for w in report.warnings:
-        if not (default_delta and w.startswith("delta1 + delta2")):
+        if not (default_delta and w == UNNORMALIZED_DELTA_WARNING):
             print(f"warning: {w}", file=sys.stderr)
     if not report.ok:
         for v in report.violations:

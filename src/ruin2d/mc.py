@@ -254,6 +254,11 @@ def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstima
     if n == 0:
         raise DomainError("no paths to average")
     se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    return _estimate(mean, se, n, seed, meta)
+
+
+def _estimate(mean: float, se: float, n: int, seed: int, meta: dict) -> MCEstimate:
+    """The one place an estimate is built, so every ``meta`` carries the stream version."""
     return MCEstimate(mean=mean, std_error=se, n=n, seed=seed,
                       meta={**meta, "stream_version": STREAM_VERSION})
 
@@ -324,9 +329,8 @@ def simulate_joint_ruin(
     est = ruin_time_lt(
         model, u1, u2, 0.0, horizon, n, seed, stream_offset=stream_offset, threads=threads
     )
-    meta = {"horizon": horizon, "lundberg_tail": _lundberg_tail(model, u2, horizon),
-            "stream_version": STREAM_VERSION}
-    return MCEstimate(est.mean, est.std_error, est.n, est.seed, meta)
+    meta = {"horizon": horizon, "lundberg_tail": _lundberg_tail(model, u2, horizon)}
+    return _estimate(est.mean, est.std_error, est.n, est.seed, meta)
 
 
 def conditional_survival(
@@ -358,8 +362,7 @@ def conditional_survival(
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
-        return MCEstimate(mean=exact, std_error=0.0, n=n, seed=seed,
-                          meta={**meta, "stream_version": STREAM_VERSION})
+        return _estimate(exact, 0.0, n, seed, meta)
 
     def worker(k, size):
         rng = stream(seed, stream_offset + k)
@@ -571,7 +574,6 @@ def simulate_joint_ruin_fluid(
     horizon: float,
     n: int,
     seed: int,
-    stream_offset: int = 0,
     threads: int = 1,
 ) -> MCEstimate:
     """Finite-horizon ruin frequency computed through the fluid embedding.
@@ -582,7 +584,7 @@ def simulate_joint_ruin_fluid(
     """
 
     def worker(k, size):
-        rng = stream(seed, stream_offset + k)
+        rng = stream(seed, k)
         return _fluid_ruin_chunk(model, u1, u2, horizon, rng, size)
 
     meta = {"horizon": horizon, "method": "fluid"}

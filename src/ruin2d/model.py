@@ -33,7 +33,10 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "load_model",
+    "UNNORMALIZED_DELTA_WARNING",
 ]
+
+UNNORMALIZED_DELTA_WARNING = "delta1 + delta2 != 1; proportions are used unnormalized"
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ def validate(model: RiskModel) -> ValidationReport:
             "positive safety loading violated: requires p2 > rho = lambda * E[claim]"
         )
     if abs(model.delta1 + model.delta2 - 1.0) > 1e-12:
-        warnings.append("delta1 + delta2 != 1; proportions are used unnormalized")
+        warnings.append(UNNORMALIZED_DELTA_WARNING)
     return ValidationReport(not violations, tuple(violations), tuple(warnings))
 
 
