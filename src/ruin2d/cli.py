@@ -5,9 +5,10 @@ Subcommands: ``derive``, ``ruin``, ``transform``, ``invert``, ``simulate``,
 and are normalized internally; ``table`` sweeps normalized coordinates, which
 coincide with raw reserves whenever ``delta = (1, 1)``.
 
-Exit codes: 0 success, 2 model validation failure, 3 capability mismatch
-(method does not support the claim law or discount), 4 numerical tolerance
-failure.
+Exit codes: 0 success, 2 model validation failure or invalid argument (a
+negative reserve or discount, ``--steps < 2``, ``--rmax <= 0``), 3 capability
+mismatch (method does not support the claim law or discount), 4 numerical
+tolerance failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -46,8 +48,32 @@ def _fmt(x) -> str:
     return _FMT % float(x)
 
 
+@contextmanager
+def _output(path):
+    """The file at ``path`` opened for LF-terminated text, or stdout without a path."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        yield out
+
+
 def _default_threads() -> int:
     return int(os.environ.get("RUIN2D_THREADS", "1"))
+
+
+def _at_least(bound, kind=float, strict=False):
+    """argparse ``type=`` that rejects values below ``bound`` (or equal, if strict)."""
+
+    def parse(text):
+        value = kind(text)
+        if not (value > bound if strict else value >= bound):
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"must be {op} {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid <name> value" message
+    return parse
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -264,16 +290,10 @@ def cmd_simulate(args) -> int:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
-    out = args.output or sys.stdout
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", encoding="utf-8", newline="\n")
-        close = True
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["quantity", "estimate", "stderr", "n", "seed", "meta"])
-    writer.writerow([kind, _fmt(est.mean), _fmt(est.std_error), est.n, est.seed, meta])
-    if close:
-        out.close()
+    with _output(args.output) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["quantity", "estimate", "stderr", "n", "seed", "meta"])
+        writer.writerow([kind, _fmt(est.mean), _fmt(est.std_error), est.n, est.seed, meta])
     return EXIT_OK
 
 
@@ -297,35 +317,19 @@ def cmd_pde(args) -> int:
         print(f"psi({_fmt(u1)},{_fmt(u2)};s={_fmt(args.s)}) = {_fmt(val)}  "
               f"error<={_fmt(grid.error_estimate)}")
         return EXIT_OK
-    out = args.output or sys.stdout
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", encoding="utf-8", newline="\n")
-        close = True
-    out.write("r,w,u1,u2,chi,xi,h\n")
-    h = grid.h
-    stride = args.dump_stride if args.dump_stride > 0 else 1
-    for i in range(0, grid.n + 1, stride):
-        r = i * grid.r_step
-        for j in range(0, i + 1, stride):
-            w = -j * grid.w_step
-            u1 = model.delta1 * r + model.c1 * w
-            u2 = model.delta2 * r + model.c2 * w
-            out.write(
-                ",".join(
-                    _fmt(v) for v in (r, w, u1, u2, grid.chi[i, j], grid.xi[i, j], h[i, j])
-                )
-                + "\n"
-            )
-    if close:
-        out.close()
+    with _output(args.output) as out:
+        out.write("r,w,u1,u2,chi,xi,h\n")
+        h = grid.h
+        stride = args.dump_stride if args.dump_stride > 0 else 1
+        for i in range(0, grid.n + 1, stride):
+            r = i * grid.r_step
+            for j in range(0, i + 1, stride):
+                w = -j * grid.w_step
+                u1 = model.delta1 * r + model.c1 * w
+                u2 = model.delta2 * r + model.c2 * w
+                row = (r, w, u1, u2, grid.chi[i, j], grid.xi[i, j], h[i, j])
+                out.write(",".join(_fmt(v) for v in row) + "\n")
     return EXIT_OK
-
-
-def _table_rows(model, xs1, xs2, tol):
-    for x1 in xs1:
-        for x2 in xs2:
-            yield x1, x2
 
 
 def cmd_table(args) -> int:
@@ -353,34 +357,16 @@ def cmd_table(args) -> int:
     else:
         results = [one(p) for p in pairs]
 
-    out = args.output or sys.stdout
-    close = False
-    if isinstance(out, str):
-        out = open(out, "w", encoding="utf-8", newline="\n")
-        close = True
-    out.write("x1,x2,survival,ruin,omega,quadratureError,regime\n")
-    failed = False
-    for x1, x2, res, err in results:
-        if res is None:
-            failed = True
-            out.write(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
-            continue
-        out.write(
-            ",".join(
-                (
-                    _fmt(x1),
-                    _fmt(x2),
-                    _fmt(res.value),
-                    _fmt(1.0 - res.value),
-                    _fmt(res.omega),
-                    _fmt(res.quadrature_error),
-                    res.regime,
-                )
-            )
-            + "\n"
-        )
-    if close:
-        out.close()
+    with _output(args.output) as out:
+        out.write("x1,x2,survival,ruin,omega,quadratureError,regime\n")
+        failed = False
+        for x1, x2, res, err in results:
+            if res is None:
+                failed = True
+                out.write(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
+                continue
+            row = (x1, x2, res.value, 1.0 - res.value, res.omega, res.quadrature_error)
+            out.write(",".join([*(_fmt(v) for v in row), res.regime]) + "\n")
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
@@ -398,14 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ruin", help="joint ruin probability at raw reserves")
     _add_model_args(p)
-    p.add_argument("--u", type=float, nargs=2, required=True, metavar=("U1", "U2"))
-    p.add_argument("--s", type=float, default=0.0, help="ruin-time discount rate")
+    p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
+    p.add_argument("--s", type=_at_least(0), default=0.0, help="ruin-time discount rate")
     p.add_argument("--method", choices=["exact", "pde", "mc", "invert"])
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--paths", type=float, default=1e5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--ultimate", action="store_true",
                    help="with --method mc: use the unbiased conditional estimator")
     p.add_argument("--threads", type=int, default=_default_threads())
@@ -424,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimators (CSV output)")
     _add_model_args(p)
-    p.add_argument("--u", type=float, nargs=2, required=True, metavar=("U1", "U2"))
+    p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
     p.add_argument("--paths", type=float, default=1e5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=float, default=100.0)
-    p.add_argument("--s", type=float, default=None)
+    p.add_argument("--s", type=_at_least(0), default=None)
     p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
     p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--output", help="CSV file (default stdout)")
@@ -436,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pde", help="solve the transform system on the cone")
     _add_model_args(p)
-    p.add_argument("--s", type=float, default=0.0)
-    p.add_argument("--rmax", type=float, default=10.0)
-    p.add_argument("--steps", type=int, default=400)
+    p.add_argument("--s", type=_at_least(0), default=0.0)
+    p.add_argument("--rmax", type=_at_least(0, strict=True), default=10.0)
+    p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--point", type=float, nargs=2, metavar=("U1", "U2"))
     p.add_argument("--dump-stride", type=int, default=0,

@@ -14,12 +14,15 @@ the problem is one-dimensional) and ``xi = 1`` on the oblique edge
 Choosing ``dw = (delta1/c1) dr`` puts the oblique edge exactly on grid nodes,
 so the domain is the lower-triangular index set ``{j <= i}``.  Both update
 formulas are trapezoidal (second order); interior nodes couple one unknown of
-each family and are solved pairwise along anti-diagonal wavefronts, which
-vectorizes the march.
+each family and are solved pairwise along anti-diagonal wavefronts.  Each
+wavefront is read and written through basic strided slices of the flat grid
+arrays, with no index arrays or masks, and the march reproduces the bits of
+the earlier index-array kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,12 +31,12 @@ import numpy as np
 from .errors import GridTooCoarse, LowerCone, OutOfFootprint, UnsupportedClaimLaw
 from .model import Exponential, RiskModel
 from .onedim import ruin_transform_exp
+from .transform import kappa_roots
 
 __all__ = [
     "GoursatCoefficients",
     "CharacteristicGrid",
     "march_triangle",
-    "march_rectangle",
     "solve",
     "evaluate",
 ]
@@ -65,55 +68,61 @@ def _step_factors(coeffs: GoursatCoefficients, dr: float, dw: float):
     )
 
 
+def _axpby(a, x, b, y, out, tmp):
+    """``a x + b y`` into ``out`` (``tmp`` is scratch), rounded as ``(a x) + (b y)``."""
+    return np.add(np.multiply(x, a, out=out), np.multiply(y, b, out=tmp), out=out)
+
+
 def _march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_values):
     """Wavefront march of the coupled trapezoidal updates.
 
     ``top_values[i]`` prescribes ``A`` on row ``j = 0``; ``start_index(j)``
-    gives the column where row ``j`` begins, carrying prescribed
-    ``X = start_values[j]``.  Nodes left of ``start_index`` stay NaN.
+    (nondecreasing in ``j``) gives the column where row ``j`` begins, carrying
+    prescribed ``X = start_values[j]``.  Nodes left of ``start_index`` stay NaN.
+
+    Node ``(i, j)`` of wavefront ``i + j = s`` sits at flat offset
+    ``i W + j = s + i n_w`` (``W = n_w + 1``), so a run of interior nodes is
+    one strided slice of the flat arrays; its left neighbours are that slice
+    shifted by ``-1`` and its upper neighbours by ``-W``.
     """
     ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = _step_factors(
         coeffs, dr, dw
     )
     A = np.full((n_r + 1, n_w + 1), np.nan)
     X = np.full((n_r + 1, n_w + 1), np.nan)
-    ii_all = np.arange(n_r + 1)
     jj_all = np.arange(n_w + 1)
     starts = np.array([start_index(j) for j in jj_all])
     A[:, 0] = top_values
     X[starts, jj_all] = start_values
     det = ca_new * xb_new - cx_new * xa_new
+    Af, Xf = A.reshape(-1), X.reshape(-1)
+    W = n_w + 1
+    # wavefront s holds the nodes j <= last[s]; row j starts on wavefront key[j]
+    key = jj_all + starts
+    last = (np.searchsorted(key, np.arange(n_r + n_w + 1), side="right") - 1).tolist()
+    key = key.tolist()
+    buffers = np.empty((4, n_w + 1))
     for s in range(1, n_r + n_w + 1):
-        i = np.arange(max(0, s - n_w), min(n_r, s) + 1)
-        j = s - i
-        keep = (j <= n_w) & (i >= starts[j])
-        i, j = i[keep], j[keep]
-        if not i.size:
+        lo, hi = max(0, s - n_r), last[s]
+        if hi >= lo and key[hi] == s:
+            if hi > 0:  # row start: X given, A from the vertical update alone
+                k = s + (s - hi) * n_w
+                Af[k] = (ca_old * Af[k - 1] + cx_old * Xf[k - 1] + cx_new * Xf[k]) / ca_new
+            hi -= 1
+        if lo == 0 and hi >= 0:  # top row: A given, X from the horizontal update alone
+            k = s * W
+            Xf[k] = (xb_old * Xf[k - W] + xa_old * Af[k - W] + xa_new * Af[k]) / xb_new
+            lo = 1
+        if hi < lo:
             continue
-        on_start = i == starts[j]
-        top = (j == 0) & ~on_start
-        # row start: X given, A from the vertical update alone
-        si, sj = i[on_start], j[on_start]
-        vert = on_start & (j > 0)
-        vi, vj = i[vert], j[vert]
-        if vi.size:
-            A[vi, vj] = (
-                ca_old * A[vi, vj - 1] + cx_old * X[vi, vj - 1] + cx_new * X[vi, vj]
-            ) / ca_new
-        # top row: A given, X from the horizontal update alone
-        ti = i[top]
-        if ti.size:
-            X[ti, 0] = (
-                xb_old * X[ti - 1, 0] + xa_old * A[ti - 1, 0] + xa_new * A[ti, 0]
-            ) / xb_new
-        # interior: solve the 2x2 pair
-        inner = ~on_start & (j > 0)
-        pi, pj = i[inner], j[inner]
-        if pi.size:
-            r1 = ca_old * A[pi, pj - 1] + cx_old * X[pi, pj - 1]
-            r2 = xb_old * X[pi - 1, pj] + xa_old * A[pi - 1, pj]
-            A[pi, pj] = (r1 * xb_new + cx_new * r2) / det
-            X[pi, pj] = (ca_new * r2 + xa_new * r1) / det
+        # interior: solve the 2x2 pair on rows i = s - hi .. s - lo
+        a, b, m = s + (s - hi) * n_w, s + (s - lo) * n_w + 1, hi - lo + 1
+        here, left, up = slice(a, b, n_w), slice(a - 1, b - 1, n_w), slice(a - W, b - W, n_w)
+        r1, r2, t1, t2 = buffers[:, :m]
+        _axpby(ca_old, Af[left], cx_old, Xf[left], r1, t1)
+        _axpby(xb_old, Xf[up], xa_old, Af[up], r2, t1)
+        np.divide(_axpby(xb_new, r1, cx_new, r2, t1, t2), det, out=Af[here])
+        np.divide(_axpby(ca_new, r2, xa_new, r1, t2, t1), det, out=Xf[here])
     return A, X
 
 
@@ -123,15 +132,6 @@ def march_triangle(coeffs, n, dr, dw, top_values, diag_value=1.0):
         coeffs, n, n, dr, dw, top_values,
         start_index=lambda j: j,
         start_values=np.full(n + 1, diag_value),
-    )
-
-
-def march_rectangle(coeffs, n_r, n_w, dr, dw, top_values, left_values):
-    """March on the rectangle with X given on the left edge ``i = 0``."""
-    return _march(
-        coeffs, n_r, n_w, dr, dw, top_values,
-        start_index=lambda j: 0,
-        start_values=np.asarray(left_values, dtype=float),
     )
 
 
@@ -183,9 +183,12 @@ def _boundary_row(model: RiskModel, s: float, r: np.ndarray) -> np.ndarray:
 
     At ``s = 0`` this is ``C2 exp(-gamma2 r)``; for ``s > 0`` the discounted
     analogue is used so the datum stays consistent with the ruin-time law on
-    the boundary.
+    the boundary.  The root ``theta_minus(s)`` is solved once for the row, and
+    each node evaluates :func:`ruin_transform_exp`'s expression with the same bits.
     """
-    return np.array([ruin_transform_exp(model, float(rr), s) for rr in r])
+    theta, _ = kappa_roots(model, s, i=2)
+    factor = ruin_transform_exp(model, 0.0, s)  # (mu + theta) / mu, with its checks
+    return np.array([factor * math.exp(theta * rr) for rr in r.tolist()])
 
 
 def _solve_once(model: RiskModel, s: float, r_max: float, n: int):
@@ -223,7 +226,7 @@ def solve(
     err = float(np.nanmax(diff)) / 3.0
     if tol is not None and err > tol:
         raise GridTooCoarse(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
-    corner_gap = abs(float(chi_f[0, 0]) - float(_boundary_row(model, s, np.zeros(1))[0]))
+    corner_gap = abs(float(chi_f[0, 0]) - ruin_transform_exp(model, 0.0, s))
     return CharacteristicGrid(
         model=model,
         s=s,

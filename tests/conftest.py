@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ruin2d import pde
 from ruin2d.model import Exponential, PhaseType, RiskModel
 
 # Canonical fixtures: P0 sits in the regime rho < p2^2/p1 ("case1"),
@@ -28,3 +29,12 @@ def z_score(value: float, est) -> float:
     if est.std_error == 0.0:
         return 0.0 if value == est.mean else np.inf
     return (value - est.mean) / est.std_error
+
+
+def march_rectangle(coeffs, n_r, n_w, dr, dw, top_values, left_values):
+    """March on the rectangle with X given on the left edge ``i = 0``."""
+    return pde._march(
+        coeffs, n_r, n_w, dr, dw, top_values,
+        start_index=lambda j: 0,
+        start_values=np.asarray(left_values, dtype=float),
+    )

@@ -25,8 +25,10 @@ from ruin2d.mc import (
 )
 from ruin2d.model import derive
 from ruin2d.onedim import ScaleFunction, resolvent_density
-from ruin2d.pde import GoursatCoefficients, evaluate, march_rectangle, solve, to_grid_coords
+from ruin2d.pde import GoursatCoefficients, evaluate, solve, to_grid_coords
 from ruin2d.transform import ab, g, invert_2d, kappa, q_plus, z_roots
+
+from conftest import march_rectangle
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:

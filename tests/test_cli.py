@@ -339,3 +339,35 @@ def test_inline_model(capsys):
     )
     assert code == 0
     assert "0.303265" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pde", "--steps", "1"], "argument --steps: must be >= 2"),
+        (["pde", "--s", "-1"], "argument --s: must be >= 0"),
+        (["pde", "--rmax", "0"], "argument --rmax: must be > 0"),
+        (["ruin", "--u", "1", "3", "--method", "pde", "--s", "-0.5"], "argument --s"),
+        (["ruin", "--u", "1", "3", "--method", "pde", "--steps", "1"], "argument --steps"),
+        (["ruin", "--u", "-1", "3"], "argument --u: must be >= 0"),
+        (["ruin", "--u", "-1", "3", "--method", "pde"], "argument --u"),
+        (["ruin", "--u", "-1", "3", "--method", "mc", "--paths", "100"], "argument --u"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--s", "-0.5"], "argument --s"),
+        (["simulate", "--u", "1", "-3", "--paths", "100"], "argument --u"),
+        (["simulate", "--u", "1", "3", "--s", "-0.5", "--paths", "100"], "argument --s"),
+        (["simulate", "--u", "1", "3", "--s", "nan", "--paths", "100"], "argument --s"),
+    ],
+)
+def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
+    code, out, err = run_cli([argv[0], "--model", p0_file, *argv[1:]], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_argument_bounds_are_inclusive(p0_file, capsys):
+    code, out, _ = run_cli(["ruin", "--model", p0_file, "--u", "0", "0"], capsys)
+    assert code == 0 and out.startswith("ruin = ")
+    argv = ["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"]
+    code, out, _ = run_cli([*argv, "--point", "0", "0"], capsys)
+    assert code == 0 and out.startswith("psi(0,0;s=0) = ")

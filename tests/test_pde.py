@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
+from ruin2d import pde
 from ruin2d.closedform import ruin
 from ruin2d.errors import GridTooCoarse, LowerCone, OutOfFootprint, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt
 from ruin2d.model import Exponential, RiskModel
 from ruin2d.onedim import ruin_transform_exp
-from ruin2d.pde import (
-    GoursatCoefficients,
-    evaluate,
-    march_rectangle,
-    solve,
-    to_grid_coords,
-)
+from ruin2d.pde import GoursatCoefficients, evaluate, solve, to_grid_coords
+
+from conftest import march_rectangle
 
 
 def bessel_series(mu_lam: float, r: float, w: float) -> float:
@@ -179,3 +176,97 @@ def test_evaluate_domain_errors(p0):
 def test_phasetype_rejected(erlang2_model):
     with pytest.raises(UnsupportedClaimLaw):
         solve(erlang2_model, s=0.0, r_max=4.0, steps=40)
+
+
+def reference_march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_values):
+    """The index-array wavefront march that ``pde._march`` must match bit for bit."""
+    ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = pde._step_factors(
+        coeffs, dr, dw
+    )
+    A = np.full((n_r + 1, n_w + 1), np.nan)
+    X = np.full((n_r + 1, n_w + 1), np.nan)
+    jj_all = np.arange(n_w + 1)
+    starts = np.array([start_index(j) for j in jj_all])
+    A[:, 0] = top_values
+    X[starts, jj_all] = start_values
+    det = ca_new * xb_new - cx_new * xa_new
+    for s in range(1, n_r + n_w + 1):
+        i = np.arange(max(0, s - n_w), min(n_r, s) + 1)
+        j = s - i
+        keep = (j <= n_w) & (i >= starts[j])
+        i, j = i[keep], j[keep]
+        if not i.size:
+            continue
+        on_start = i == starts[j]
+        top = (j == 0) & ~on_start
+        vert = on_start & (j > 0)
+        vi, vj = i[vert], j[vert]
+        if vi.size:
+            A[vi, vj] = (
+                ca_old * A[vi, vj - 1] + cx_old * X[vi, vj - 1] + cx_new * X[vi, vj]
+            ) / ca_new
+        ti = i[top]
+        if ti.size:
+            X[ti, 0] = (
+                xb_old * X[ti - 1, 0] + xa_old * A[ti - 1, 0] + xa_new * A[ti, 0]
+            ) / xb_new
+        inner = ~on_start & (j > 0)
+        pi, pj = i[inner], j[inner]
+        if pi.size:
+            r1 = ca_old * A[pi, pj - 1] + cx_old * X[pi, pj - 1]
+            r2 = xb_old * X[pi - 1, pj] + xa_old * A[pi - 1, pj]
+            A[pi, pj] = (r1 * xb_new + cx_new * r2) / det
+            X[pi, pj] = (ca_new * r2 + xa_new * r1) / det
+    return A, X
+
+
+def assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 400])
+@pytest.mark.parametrize("s", [0.0, 0.5])
+@pytest.mark.parametrize("name", ["p0", "p1"])
+def test_triangle_march_matches_reference_bits(request, name, s, n):
+    model = request.getfixturevalue(name)
+    dr = 6.0 / n
+    dw = model.delta1 / model.c1 * dr
+    coeffs = pde._chi_system(model, s)
+    top = pde._boundary_row(model, s, np.arange(n + 1) * dr)
+    got = pde.march_triangle(coeffs, n, dr, dw, top, diag_value=1.0)
+    want = reference_march(coeffs, n, n, dr, dw, top, lambda j: j, np.ones(n + 1))
+    assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n_r, n_w", [(50, 80), (80, 50), (300, 300)])
+def test_rectangle_march_matches_reference_bits(p1, n_r, n_w):
+    coeffs = pde._chi_system(p1, 0.25)
+    dr, dw = 0.03, 0.02
+    top = np.exp(-0.1 * np.arange(n_r + 1))
+    left = 1.0 + np.sin(0.3 * np.arange(n_w + 1))
+    got = march_rectangle(coeffs, n_r, n_w, dr, dw, top, left)
+    want = reference_march(coeffs, n_r, n_w, dr, dw, top, lambda j: 0, left)
+    assert_same_bits(got, want)
+
+
+def test_solve_matches_reference_kernel(p1, monkeypatch):
+    got = solve(p1, s=0.5, r_max=4.0, steps=60)
+    monkeypatch.setattr(pde, "_march", reference_march)
+    want = solve(p1, s=0.5, r_max=4.0, steps=60)
+    assert_same_bits((got.chi, got.xi), (want.chi, want.xi))
+    assert got.error_estimate == want.error_estimate
+    assert got.corner_gap == want.corner_gap
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the step-halving estimate sees node error only, not evaluate's interpolation error",
+)
+def test_error_estimate_bounds_true_error_at_cli_default(p0, p1):
+    u1, u2 = 0.3, 4.0
+    for model in (p0, p1):
+        r_needed, _ = to_grid_coords(model, u1, u2)
+        grid = solve(model, s=0.0, r_max=max(1.0, 1.05 * r_needed), steps=400)
+        assert abs(evaluate(grid, u1, u2) - ruin(model, u1, u2)) <= grid.error_estimate
