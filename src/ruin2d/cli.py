@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -56,10 +57,6 @@ def _output(path):
         return
     with open(path, "w", encoding="utf-8", newline="\n") as out:
         yield out
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("RUIN2D_THREADS", "1"))
 
 
 def _at_least(bound, kind=float, strict=False):
@@ -370,7 +367,9 @@ def cmd_table(args) -> int:
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="ruin2d",
         description="Joint ruin probabilities for two proportionally coupled companies",
@@ -394,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--ultimate", action="store_true",
                    help="with --method mc: use the unbiased conditional estimator")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.set_defaults(func=lambda a: cmd_ruin(_coerce_paths(a)))
 
     p = sub.add_parser("transform", help="evaluate the double transform psi_tilde(p,q)")
@@ -416,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--s", type=_at_least(0), default=None)
     p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=lambda a: cmd_simulate(_coerce_paths(a)))
 
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x1", type=float, nargs=3, required=True, metavar=("LO", "HI", "N"))
     p.add_argument("--x2", type=float, nargs=3, required=True, metavar=("LO", "HI", "N"))
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int)
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_table)
 
@@ -451,6 +450,9 @@ def _coerce_paths(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "threads", 1) is None:
+        # RUIN2D_THREADS is read per call: the cached parser outlives the environment
+        args.threads = int(os.environ.get("RUIN2D_THREADS", "1"))
     return args.func(args)
 
 

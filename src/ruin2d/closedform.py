@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import InvalidReserve, ToleranceNotMet, UnsupportedClaimLaw
-from .model import DerivedConstants, Exponential, RiskModel, derive
-from .transform import ab
+from .errors import InvalidReserve, ToleranceNotMet
+from .model import DerivedConstants, RiskModel, derive
+from .transform import _require_exponential, ab
 
 __all__ = ["SurvivalResult", "omega", "survival", "ruin", "residue_terms"]
 
@@ -42,11 +42,6 @@ class SurvivalResult:
     terms: dict = field(default_factory=dict)
     quadrature_error: float = 0.0
     saturated: bool = False
-
-
-def _require_exponential(model: RiskModel) -> None:
-    if not isinstance(model.claim, Exponential):
-        raise UnsupportedClaimLaw("the spectral representation needs exponential claims")
 
 
 def _cut_exponent_max(model: RiskModel, dc: DerivedConstants, x1: float, x2: float) -> float:

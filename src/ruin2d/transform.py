@@ -18,7 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .errors import (
 from .model import DerivedConstants, Exponential, RiskModel, derive
 
 __all__ = [
-    "LaplaceExponent",
     "RootPair",
     "CutPoint",
     "kappa",
@@ -43,12 +42,12 @@ __all__ = [
     "g",
     "ab",
     "psi_tilde",
-    "psi_tilde_general",
     "invert_2d",
 ]
 
 
 def _require_exponential(model: RiskModel) -> float:
+    """Claim intensity ``mu``; the transform and spectral layers need exponential claims."""
     if not isinstance(model.claim, Exponential):
         raise UnsupportedClaimLaw("transform layer is instantiated for exponential claims only")
     return model.claim.mu
@@ -103,30 +102,6 @@ def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class LaplaceExponent:
-    """Abstract Laplace exponent with its derivative at the origin.
-
-    The general transform path accepts any spectrally negative exponent, but
-    only the compound-Poisson-exponential case ships tested end to end; treat
-    other inputs as experimental.
-    """
-
-    kappa: Callable[[complex], complex]
-    derivative_origin: float
-    params: dict | None = None
-
-    @classmethod
-    def compound_poisson_exponential(cls, model: RiskModel, i: int = 1) -> "LaplaceExponent":
-        mu = _require_exponential(model)
-        p = _p(model, i)
-        return cls(
-            kappa=lambda theta: p * theta - model.lam * theta / (mu + theta),
-            derivative_origin=p - model.rho,
-            params={"p": p, "lam": model.lam, "mu": mu},
-        )
-
-
-@dataclass(frozen=True)
 class RootPair:
     """The two branches ``z1`` (minus the square root) and ``z2`` (plus)."""
 
@@ -135,11 +110,14 @@ class RootPair:
     q: complex
 
 
-def _sqrt_principal(z: complex) -> complex:
+def _sqrt_principal(z):
     """Principal square root, cut along the negative half-line.
 
-    Every branch-sensitive computation in the package funnels through here.
+    Every branch-sensitive computation in the package funnels through here:
+    ``cmath.sqrt`` for scalars, ``np.sqrt`` elementwise for arrays.
     """
+    if isinstance(z, np.ndarray):
+        return np.sqrt(z.astype(complex, copy=False))
     return cmath.sqrt(complex(z))
 
 
@@ -153,7 +131,8 @@ def _root_quadratic_parts(dc: DerivedConstants, q):
 def z_roots(model: RiskModel, q, dc: DerivedConstants | None = None) -> RootPair:
     """Roots of ``kappa_1(z + q) = q (p1 - p2)`` for complex or real ``q``.
 
-    Real ``q`` outside the cut yields two real values with ``z1 <= z2``.
+    Real ``q`` outside the cut yields two real values with ``z1 <= z2``.  A
+    complex array ``q`` gives elementwise roots of the same shape.
     """
     dc = dc or derive(model)
     beta, disc = _root_quadratic_parts(dc, q)
@@ -228,6 +207,7 @@ def psi_tilde(model: RiskModel, p, q, dc: DerivedConstants | None = None):
     """Double Laplace transform of the survival probability, exponential claims.
 
     ``(mu + p + q)(p2 - rho) / (p p1 (z1(q) - p) z2(q))`` for ``Re p, Re q > 0``.
+    Complex arrays ``p`` and ``q`` broadcast against each other.
     """
     dc = dc or derive(model)
     roots = z_roots(model, q, dc)
@@ -235,36 +215,6 @@ def psi_tilde(model: RiskModel, p, q, dc: DerivedConstants | None = None):
     if not any(isinstance(v, complex) or np.iscomplexobj(v) for v in (p, q)):
         return val.real if isinstance(val, complex) else val
     return val
-
-
-def psi_tilde_general(
-    exponent1: LaplaceExponent,
-    p1: float,
-    p2: float,
-    p: float,
-    q: float,
-    q_plus_fn: Callable[[float], float],
-    form: str = "simplified",
-):
-    """General-exponent double transform on real ``p, q > 0`` (experimental).
-
-    ``form="simplified"`` evaluates
-    ``kappa_2'(0+) / (p (kappa_1(p+q) - q(p1-p2))) * [1 + p/(q - q_plus(q(p1-p2)))]``
-    with ``kappa_2'(0+) = kappa_1'(0+) + (p2 - p1)``; ``form="first"`` keeps the
-    unsimplified arrangement of the same quantity for cross-checking.
-    """
-    s = p + q
-    r = (p1 - p2) * q
-    k1s = exponent1.kappa(s)
-    qp = q_plus_fn(r)
-    k2_prime0 = exponent1.derivative_origin + (p2 - p1)
-    if form == "simplified":
-        return k2_prime0 / (p * (k1s - r)) * (1.0 + p / (q - qp))
-    if form == "first":
-        num = k2_prime0 * (r + (p1 - p2) * (p - qp))
-        den = p * (r + (p2 - p1) * qp) * (k1s - r)
-        return num / den
-    raise ValueError("form must be 'simplified' or 'first'")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +231,10 @@ def _invert_real(fhat, t: float, m: int, a: float) -> float:
 
     Alternating-series discretization of the Bromwich integral at abscissa
     ``a/(2t)`` with binomial (Euler) acceleration of the partial sums
-    ``s_m .. s_2m``; conjugate symmetry halves the evaluations.
+    ``s_m .. s_2m``; conjugate symmetry halves the evaluations.  ``fhat`` is
+    called once, on the vector of all ``2m + 1`` abscissas, so an ``fhat``
+    that is itself an inversion (the outer sum of :func:`invert_2d`) can
+    evaluate its whole grid in one call.
     """
     base = a / (2.0 * t)
     step = math.pi / t
@@ -294,36 +247,32 @@ def _invert_real(fhat, t: float, m: int, a: float) -> float:
     return math.exp(a / 2.0) / t * est
 
 
-def _invert_complex(fhat, t: float, m: int, a: float) -> complex:
-    """As :func:`_invert_real` but without conjugate symmetry.
+def _invert_complex(fhat, t: float, m: int, a: float):
+    """As :func:`_invert_real` but without conjugate symmetry, along the last axis.
 
     Needed for the inner inversion, whose target (a transform slice in the
-    other variable) is complex-valued; sums ``k = -2m .. 2m`` symmetrically.
+    other variable) is complex-valued; sums ``k = -2m .. 2m`` symmetrically,
+    adding the pair ``k = -n, n`` to the partial sum in order of ``n``.
+    ``fhat`` maps the ``4m + 1`` abscissas to an array whose last axis runs
+    over them; every leading index is inverted at once.
     """
     base = a / (2.0 * t)
     step = math.pi / t
     k = np.arange(-2 * m, 2 * m + 1)
-    values = fhat(base + 1j * k * step)
-    signed = values * (-1.0) ** np.abs(k)
+    signed = fhat(base + 1j * k * step) * (-1.0) ** np.abs(k)
     center = 2 * m
-    partial = np.empty(2 * m + 1, dtype=complex)
-    partial[0] = signed[center]
-    acc = partial[0]
-    for n in range(1, 2 * m + 1):
-        acc += signed[center - n] + signed[center + n]
-        partial[n] = acc
-    est = complex(np.dot(_euler_weights(m), partial[m:]))
-    return cmath.exp(a / 2.0) / (2.0 * t) * est
+    pairs = np.empty(signed.shape[:-1] + (center + 1,), dtype=complex)
+    pairs[..., 0] = signed[..., center]
+    pairs[..., 1:] = signed[..., :center][..., ::-1] + signed[..., center + 1:]
+    partial = np.cumsum(pairs, axis=-1)
+    return cmath.exp(a / 2.0) / (2.0 * t) * (partial[..., m:] @ _euler_weights(m))
 
 
 def _invert_2d_once(model, dc, x1, x2, m, a_inner, a_outer):
     def inner(q_vec):
-        out = np.empty(len(q_vec), dtype=complex)
-        for idx, qv in enumerate(q_vec):
-            out[idx] = _invert_complex(
-                lambda p_vec: psi_tilde(model, p_vec, qv, dc), x1, m, a_inner
-            )
-        return out
+        return _invert_complex(
+            lambda p_vec: psi_tilde(model, p_vec, q_vec[:, None], dc), x1, m, a_inner
+        )
 
     return _invert_real(inner, x2, m, a_outer)
 
@@ -341,8 +290,12 @@ def invert_2d(
 
     Nested one-dimensional inversions (inner in the first variable, outer in
     the second); the abscissas default to alias errors far below the 1e-3
-    accuracy this cross-check targets.  Emits :class:`ConvergenceWarning` when
-    estimates at ``m`` and ``m + 5`` terms disagree beyond ``check_tol``.
+    accuracy this cross-check targets.  Each estimate evaluates
+    :func:`psi_tilde` once, on the ``(2m+1) x (4m+1)`` grid of outer
+    abscissas ``q`` against inner abscissas ``p``, and reduces it with one
+    cumulative sum and one Euler-weighted product per axis.  Emits
+    :class:`ConvergenceWarning` when estimates at ``m`` and ``m + 5`` terms
+    disagree beyond ``check_tol``.
     """
     if not (x2 > x1 > 0):
         raise DomainError("invert_2d requires x2 > x1 > 0")

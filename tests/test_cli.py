@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ruin2d.cli import main
+from ruin2d import mc
+from ruin2d.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -371,3 +372,112 @@ def test_argument_bounds_are_inclusive(p0_file, capsys):
     argv = ["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"]
     code, out, _ = run_cli([*argv, "--point", "0", "0"], capsys)
     assert code == 0 and out.startswith("psi(0,0;s=0) = ")
+
+
+def test_threads_environment_is_read_on_every_call(p0_file, capsys, monkeypatch):
+    seen = []
+    map_chunks = mc._map_chunks
+
+    def spy(worker, n, threads):
+        seen.append(threads)
+        return map_chunks(worker, n, threads)
+
+    monkeypatch.setattr(mc, "_map_chunks", spy)
+    ruin = ["ruin", "--model", p0_file, "--u", "1", "3", "--method", "mc",
+            "--paths", "2e3", "--ultimate"]
+    simulate = ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "2e3",
+                "--horizon", "5"]
+    for threads in ("2", "1"):
+        monkeypatch.setenv("RUIN2D_THREADS", threads)
+        assert run_cli(ruin, capsys)[0] == 0
+        assert run_cli(simulate, capsys)[0] == 0
+    assert run_cli([*ruin, "--threads", "2"], capsys)[0] == 0
+    monkeypatch.delenv("RUIN2D_THREADS")
+    assert run_cli(simulate, capsys)[0] == 0
+    assert seen == [2, 2, 1, 1, 2, 1]
+
+
+ROOT_HELP = """\
+usage: ruin2d [-h] {derive,ruin,transform,invert,simulate,pde,table} ...
+
+Joint ruin probabilities for two proportionally coupled companies
+
+positional arguments:
+  {derive,ruin,transform,invert,simulate,pde,table}
+    derive              print derived model constants
+    ruin                joint ruin probability at raw reserves
+    transform           evaluate the double transform psi_tilde(p,q)
+    invert              numeric double inversion at normalized (x1,x2)
+    simulate            Monte Carlo estimators (CSV output)
+    pde                 solve the transform system on the cone
+    table               closed-form survival sweep to CSV
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+RUIN_HELP = """\
+usage: ruin2d ruin [-h] [--model MODEL] [--lam LAM] [--mu MU] [--c C1 C2]
+                   [--delta D1 D2] --u U1 U2 [--s S]
+                   [--method {exact,pde,mc,invert}] [--tol TOL]
+                   [--paths PATHS] [--seed SEED] [--horizon HORIZON]
+                   [--steps STEPS] [--ultimate] [--threads THREADS]
+
+options:
+  -h, --help            show this help message and exit
+  --model MODEL         path to a JSON model file
+  --lam LAM             claim arrival intensity (inline model)
+  --mu MU               exponential claim intensity (inline model)
+  --c C1 C2             premium rates
+  --delta D1 D2         claim proportions (default 1 1)
+  --u U1 U2
+  --s S                 ruin-time discount rate
+  --method {exact,pde,mc,invert}
+  --tol TOL
+  --paths PATHS
+  --seed SEED
+  --horizon HORIZON
+  --steps STEPS
+  --ultimate            with --method mc: use the unbiased conditional
+                        estimator
+  --threads THREADS
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [(["--help"], ROOT_HELP), (["ruin", "--help"], RUIN_HELP)])
+def test_help_text_unchanged(capsys, monkeypatch, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        assert run_cli(argv, capsys) == (0, expected, "")
+
+
+def test_repeated_calls_print_the_same_bytes(p0_file, capsys):
+    commands = [
+        ["derive", "--model", p0_file],
+        ["ruin", "--model", p0_file, "--u", "2", "1", "--s", "0.5", "--method", "pde"],
+        ["ruin", "--model", p0_file, "--u", "1", "3"],
+        ["transform", "--model", p0_file, "--p", "1", "--q", "1"],
+        ["table", "--model", p0_file, "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"],
+        ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "2e3", "--horizon", "5"],
+        ["pde", "--model", p0_file, "--rmax", "2", "--steps", "10", "--point", "0.5", "1"],
+    ]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    for _ in range(2):
+        assert [run_cli(argv, capsys) for argv in commands] == fresh
+
+
+def test_usage_error_does_not_affect_next_call(p0_file, capsys):
+    argv = ["ruin", "--model", p0_file, "--u", "1", "3"]
+    before = run_cli(argv, capsys)
+    for bad in (
+        ["ruin", "--model", p0_file, "--u", "-1", "3"],
+        ["ruin", "--model", p0_file, "--u", "1", "3", "--method", "bogus"],
+        ["ruin", "--model", p0_file],
+        ["nosuch"],
+    ):
+        code, out, err = run_cli(bad, capsys)
+        assert code == 2 and out == "" and "usage:" in err
+    assert run_cli(argv, capsys) == before

@@ -174,3 +174,51 @@ def test_ruin_clips_with_warning(p0, monkeypatch):
         val = cf.ruin(p0, 1.0, 2.0)
     assert val == 0.0
     assert rec and "outside" in str(rec[0].message)
+
+
+def mp_omega(model, x1, x2, dps=30):
+    """``omega`` from an mpmath integral in ``q = c + h cos(theta)`` over the cut.
+
+    The substitution removes the square-root behaviour of ``b`` at the cut
+    ends; the panels crowd towards ``theta = 0`` (``q_minus_end``), next to
+    which a near-degenerate model puts the pole ``-gamma2``.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam, mu = mp.mpf(model.lam), mp.mpf(model.claim.mu)
+        p1, p2 = mp.mpf(model.p1), mp.mpf(model.p2)
+        x1, x2 = mp.mpf(x1), mp.mpf(x2)
+        # the radicand a2 q^2 + a1 q + a0 of b(q) vanishes at both cut ends
+        a2 = 4 * p1 * p2 - (p1 + p2) ** 2
+        a1 = 4 * p1 * (p2 * mu - lam) - 2 * (p1 + p2) * (p1 * mu - lam)
+        a0 = -((p1 * mu - lam) ** 2)
+        c = -a1 / (2 * a2)
+        h = mp.sqrt(a1 * a1 - 4 * a2 * a0) / (2 * abs(a2))
+
+        def integrand(theta):
+            q = c + h * mp.cos(theta)
+            a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
+            b = mp.sqrt(max(a2 * q * q + a1 * q + a0, 0)) / (2 * p1)
+            osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
+            return mp.exp(x1 * a + x2 * q) * osc / (q * (q * p2 + mu * p2 - lam)) * h * mp.sin(theta)
+
+        edges = [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [mp.pi]
+        return float(-(p2 - lam / mu) / mp.pi * mp.quad(integrand, edges))
+
+
+def test_mp_omega_reference_matches_omega_on_p0(p0):
+    assert mp_omega(p0, 1.0, 2.0) == pytest.approx(omega(p0, 1.0, 2.0, tol=1e-12)[0], abs=1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="quad's error estimate misses the pole -gamma2 just past the cut end",
+)
+def test_omega_error_bound_near_degenerate():
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
+        value, err = omega(model, 0.5, 1.0, tol=1e-8)
+    assert abs(value - mp_omega(model, 0.5, 1.0)) <= err

@@ -1,5 +1,8 @@
+import cmath
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -7,20 +10,109 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruin2d.closedform import survival
-from ruin2d.errors import CutError, DomainError, NoRealRoot, PoleError
-from ruin2d.model import derive
+from ruin2d.errors import ConvergenceWarning, CutError, DomainError, NoRealRoot, PoleError
+from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import (
-    LaplaceExponent,
+    _euler_weights,
     _invert_real,
+    _root_quadratic_parts,
+    _sqrt_principal,
     ab,
     g,
     invert_2d,
     kappa,
     psi_tilde,
-    psi_tilde_general,
     q_plus,
     z_roots,
 )
+
+# near-degenerate model: p1 -> p2 -> rho
+ND = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001)
+
+
+@dataclass(frozen=True)
+class LaplaceExponent:
+    """Abstract Laplace exponent with its derivative at the origin.
+
+    The general transform path accepts any spectrally negative exponent, but
+    only the compound-Poisson-exponential case is tested; treat other inputs
+    as experimental.
+    """
+
+    kappa: Callable[[complex], complex]
+    derivative_origin: float
+    params: dict | None = None
+
+    @classmethod
+    def compound_poisson_exponential(cls, model: RiskModel, i: int = 1) -> "LaplaceExponent":
+        mu = model.claim.mu
+        p = model.p1 if i == 1 else model.p2
+        return cls(
+            kappa=lambda theta: p * theta - model.lam * theta / (mu + theta),
+            derivative_origin=p - model.rho,
+            params={"p": p, "lam": model.lam, "mu": mu},
+        )
+
+
+def psi_tilde_general(
+    exponent1: LaplaceExponent,
+    p1: float,
+    p2: float,
+    p: float,
+    q: float,
+    q_plus_fn: Callable[[float], float],
+    form: str = "simplified",
+):
+    """General-exponent double transform on real ``p, q > 0`` (experimental).
+
+    ``form="simplified"`` evaluates
+    ``kappa_2'(0+) / (p (kappa_1(p+q) - q(p1-p2))) * [1 + p/(q - q_plus(q(p1-p2)))]``
+    with ``kappa_2'(0+) = kappa_1'(0+) + (p2 - p1)``; ``form="first"`` keeps the
+    unsimplified arrangement of the same quantity for cross-checking.
+    """
+    s = p + q
+    r = (p1 - p2) * q
+    k1s = exponent1.kappa(s)
+    qp = q_plus_fn(r)
+    k2_prime0 = exponent1.derivative_origin + (p2 - p1)
+    if form == "simplified":
+        return k2_prime0 / (p * (k1s - r)) * (1.0 + p / (q - qp))
+    if form == "first":
+        num = k2_prime0 * (r + (p1 - p2) * (p - qp))
+        den = p * (r + (p2 - p1) * qp) * (k1s - r)
+        return num / den
+    raise ValueError("form must be 'simplified' or 'first'")
+
+
+def reference_invert_complex(fhat, t, m, a):
+    """The scalar inner inversion the grid kernel replaced, kept as its oracle."""
+    base = a / (2.0 * t)
+    step = math.pi / t
+    k = np.arange(-2 * m, 2 * m + 1)
+    values = fhat(base + 1j * k * step)
+    signed = values * (-1.0) ** np.abs(k)
+    center = 2 * m
+    partial = np.empty(2 * m + 1, dtype=complex)
+    partial[0] = signed[center]
+    acc = partial[0]
+    for n in range(1, 2 * m + 1):
+        acc += signed[center - n] + signed[center + n]
+        partial[n] = acc
+    est = complex(np.dot(_euler_weights(m), partial[m:]))
+    return cmath.exp(a / 2.0) / (2.0 * t) * est
+
+
+def reference_invert_2d_once(model, dc, x1, x2, m, a_inner, a_outer):
+    """One inner inversion per outer abscissa ``q``, each on its own ``p`` vector."""
+    def inner(q_vec):
+        out = np.empty(len(q_vec), dtype=complex)
+        for idx, qv in enumerate(q_vec):
+            out[idx] = reference_invert_complex(
+                lambda p_vec: psi_tilde(model, p_vec, qv, dc), x1, m, a_inner
+            )
+        return out
+
+    return _invert_real(inner, x2, m, a_outer)
 
 
 def test_kappa_values(p0):
@@ -259,3 +351,55 @@ def test_invert_2d_domain(p0):
         invert_2d(p0, 2.0, 1.0)
     with pytest.raises(DomainError):
         invert_2d(p0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
+def test_invert_2d_matches_scalar_reference(model_name, request):
+    m = ND if model_name == "nd" else request.getfixturevalue(model_name)
+    dc = derive(m)
+    rng = np.random.default_rng(17)
+    x1s = rng.uniform(0.1, 3.0, size=4)
+    for x1, x2 in zip(x1s, x1s + rng.uniform(0.05, 4.0, size=4)):
+        got = invert_2d(m, x1, x2)
+        ref = reference_invert_2d_once(m, dc, x1, x2, 25, 30.0, 18.4)
+        assert got == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
+def test_psi_tilde_grid_matches_scalar_calls(model_name, request):
+    m = ND if model_name == "nd" else request.getfixturevalue(model_name)
+    dc = derive(m)
+    q = 9.2 / 2.0 + 1j * np.arange(11) * 1.7
+    p = 15.0 + 1j * np.arange(-10, 11) * 2.3
+    grid = psi_tilde(m, p[None, :], q[:, None], dc)
+    assert grid.shape == (q.size, p.size)
+    # On ND the discriminant beta^2 - 4 p1 p2 q (q + gamma2) cancels by
+    # |beta|^2 / |disc| (up to ~2e4 here), which magnifies the last-bit
+    # difference between numpy's and Python's complex products.
+    beta, disc = _root_quadratic_parts(dc, q)
+    cancel = np.abs(beta) ** 2 / np.abs(disc) if m is ND else np.ones(q.size)
+    for i, qv in enumerate(q):
+        for j, pv in enumerate(p):
+            scalar = psi_tilde(m, complex(pv), complex(qv), dc)
+            assert abs(grid[i, j] - scalar) <= 1e-15 * cancel[i] * abs(scalar)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [4.0, -4.0, 0.0, complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-0.0, -0.0),
+     np.complex128(complex(-2.5, -0.0)), complex(3.0, -1e-300), complex(-1e-12, 7.0)],
+)
+def test_sqrt_principal_scalar_is_cmath(z):
+    got = _sqrt_principal(z)
+    want = cmath.sqrt(complex(z))
+    assert type(got) is complex
+    assert (got.real, got.imag) == (want.real, want.imag)
+    assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
+    assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
+
+
+@pytest.mark.parametrize("kwargs", [{"m": 2}, {"a_inner": 80.0}])
+def test_invert_2d_warns_when_terms_disagree(p0, kwargs):
+    # m = 2 truncates the Euler sums; a_inner = 80 scales rounding by e^40
+    with pytest.warns(ConvergenceWarning, match="double inversion at"):
+        invert_2d(p0, 1.0, 2.0, **kwargs)
