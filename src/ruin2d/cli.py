@@ -5,10 +5,14 @@ Subcommands: ``derive``, ``ruin``, ``transform``, ``invert``, ``simulate``,
 and are normalized internally; ``table`` sweeps normalized coordinates, which
 coincide with raw reserves whenever ``delta = (1, 1)``.
 
-Exit codes: 0 success, 2 model validation failure or invalid argument (a
-negative reserve or discount, ``--steps < 2``, ``--rmax <= 0``), 3 capability
-mismatch (method does not support the claim law or discount), 4 numerical
-tolerance failure.
+Exit codes: 0 success; 2 invalid argument (a negative reserve, discount,
+horizon, seed or sweep bound, ``--tol <= 0``, ``--paths < 1``,
+``--p``/``--q <= 0``, ``--steps < 2``, ``--rmax <= 0``) or invalid model
+(unreadable or malformed input, or failed validation); 3 capability mismatch
+(the method does not support the claim law, discount or reserves) or any
+other refusal of the library; 4 numerical tolerance failure.  Commands raise,
+and :func:`main` alone turns a :class:`~ruin2d.errors.Ruin2dError` into exit
+code 3 or 4.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import closedform, mc, pde, transform
-from .errors import Ruin2dError, ToleranceNotMet, UnsupportedClaimLaw
+from . import closedform, mc, onedim, pde, transform
+from .errors import GridTooCoarse, Ruin2dError, ToleranceNotMet, UnsupportedClaimLaw
 from .model import (
     UNNORMALIZED_DELTA_WARNING,
     Exponential,
@@ -43,6 +47,16 @@ EXIT_CAPABILITY = 3
 EXIT_TOLERANCE = 4
 
 _FMT = "%.12g"
+
+# ruin's methods: name -> (needs exponential claims, takes s > 0).  Without
+# --method, ruin uses the first one that applies; mc always applies, so
+# invert is never the default.
+METHODS = {
+    "exact": (True, False),
+    "pde": (True, True),
+    "mc": (False, True),
+    "invert": (True, False),
+}
 
 
 def _fmt(x) -> str:
@@ -69,8 +83,16 @@ def _at_least(bound, kind=float, strict=False):
             raise argparse.ArgumentTypeError(f"must be {op} {bound}, got {text}")
         return value
 
-    parse.__name__ = kind.__name__  # argparse's "invalid <name> value" message
+    parse.__name__ = kind.__name__.lstrip("_")  # argparse's "invalid <name> value" message
     return parse
+
+
+def _count(text) -> int:
+    """A whole number, also written as a float such as ``2e4``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text}")
+    return int(value)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -85,21 +107,29 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_model(args) -> RiskModel:
+    """The model of ``--model FILE`` or of the inline parameters; exit 2 if there is none."""
     inline = args.lam is not None or args.mu is not None or args.c is not None
-    if args.model and inline:
-        raise SystemExit("specify either --model or inline parameters, not both")
-    if args.model:
-        return load_model(args.model)
-    if not (args.lam is not None and args.mu is not None and args.c is not None):
-        raise SystemExit("inline model needs --lam, --mu and --c (or use --model FILE)")
-    return model_from_dict(
-        {
-            "lambda": args.lam,
-            "claim": {"type": "exponential", "mu": args.mu},
-            "c": list(args.c),
-            "delta": list(args.delta or (1.0, 1.0)),
-        }
-    )
+    try:
+        if args.model and inline:
+            raise ValueError("specify either --model or inline parameters, not both")
+        if args.model:
+            return load_model(args.model)
+        if not (args.lam is not None and args.mu is not None and args.c is not None):
+            raise ValueError("inline model needs --lam, --mu and --c (or use --model FILE)")
+        return model_from_dict(
+            {
+                "lambda": args.lam,
+                "claim": {"type": "exponential", "mu": args.mu},
+                "c": list(args.c),
+                "delta": list(args.delta or (1.0, 1.0)),
+            }
+        )
+    except KeyError as exc:
+        problem = f"missing key {exc}"
+    except (OSError, ValueError, TypeError, IndexError, UnsupportedClaimLaw) as exc:
+        problem = str(exc)
+    print(f"invalid model: {problem}", file=sys.stderr)
+    raise SystemExit(EXIT_VALIDATION)
 
 
 def _validated_model(args):
@@ -115,6 +145,53 @@ def _validated_model(args):
             print(f"invalid model: {v}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
     return model
+
+
+def _ruin_method(model: RiskModel, s: float, method) -> str:
+    """The method ``ruin`` runs: ``method``, else the default; raises if it does not apply."""
+    exponential = isinstance(model.claim, Exponential)
+
+    def applies(name):
+        needs_exponential, takes_s = METHODS[name]
+        return (exponential or not needs_exponential) and (takes_s or s == 0.0)
+
+    if method is None:
+        return next(name for name in METHODS if applies(name))
+    if not applies(method):
+        takes_s = METHODS[method][1]
+        raise UnsupportedClaimLaw(
+            f"{method} method needs exponential claims{'' if takes_s else ' and s=0'}"
+        )
+    return method
+
+
+def _mc_estimate(model: RiskModel, args, method: str, s):
+    """``(estimand, MCEstimate)`` of one MC estimator at the raw reserves ``args.u``.
+
+    ``method`` is ``naive``, ``conditional`` or ``fluid``; ``s`` is the
+    ruin-time discount or None, and only the naive estimator takes one.
+    """
+    u1, u2 = args.u
+    if s is not None and method != "naive":
+        raise UnsupportedClaimLaw(f"--s (ruin-time discount) needs --method naive, not {method}")
+    n, seed, threads = args.paths, args.seed, args.threads
+    if method == "conditional":
+        x1, x2 = normalize(model, u1, u2)
+        # a lower-cone point reduces to the one-dimensional problem at x2
+        return "survival", mc.conditional_survival(
+            model, min(x1, x2), x2, n, seed, threads=threads
+        )
+    if method == "fluid":
+        return "ruin_by_horizon", mc.simulate_joint_ruin_fluid(
+            model, u1, u2, args.horizon, n, seed, threads=threads
+        )
+    if s is not None:
+        return "ruin_time_lt", mc.ruin_time_lt(
+            model, u1, u2, s, args.horizon, n, seed, threads=threads
+        )
+    return "ruin_by_horizon", mc.simulate_joint_ruin(
+        model, u1, u2, args.horizon, n, seed, threads=threads
+    )
 
 
 def cmd_derive(args) -> int:
@@ -151,88 +228,52 @@ def cmd_ruin(args) -> int:
     u1, u2 = args.u
     x1, x2 = normalize(model, u1, u2)
     s = args.s
-    method = args.method
-    exponential = isinstance(model.claim, Exponential)
-    if method is None:
-        method = "exact" if exponential and s == 0.0 else ("pde" if exponential else "mc")
-    try:
-        if method == "exact":
-            if not exponential or s != 0.0:
-                raise UnsupportedClaimLaw("exact method needs exponential claims and s=0")
-            res = closedform.survival(model, x1, x2, tol=args.tol)
-            print(f"ruin = {_fmt(1.0 - res.value)}  method=exact  "
-                  f"error<={_fmt(res.quadrature_error)}  regime={res.regime}")
-        elif method == "invert":
-            if not exponential or s != 0.0:
-                raise UnsupportedClaimLaw("invert method needs exponential claims and s=0")
-            if not (x2 > x1 > 0):
-                raise UnsupportedClaimLaw("invert method needs upper-cone reserves x2 > x1 > 0")
-            val = transform.invert_2d(model, x1, x2)
-            print(f"ruin = {_fmt(1.0 - val)}  method=invert  error<=1e-3 (cross-check grade)")
-        elif method == "pde":
-            if not exponential:
-                raise UnsupportedClaimLaw("pde method needs exponential claims")
-            label = "ruin" if s == 0.0 else "ruin_lt"
-            r_needed, w = pde.to_grid_coords(model, u1, u2)
-            if w > 0:
-                # lower cone: the transform is company 2's discounted value
-                from .onedim import ruin_transform_exp
-
-                val = ruin_transform_exp(model, x2, s)
-                print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
-                return EXIT_OK
-            grid = pde.solve(model, s=s, r_max=max(1.0, 1.05 * r_needed), steps=args.steps)
-            val = pde.evaluate(grid, u1, u2)
-            print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
-        elif method == "mc":
-            if s > 0.0:
-                est = mc.ruin_time_lt(
-                    model, u1, u2, s, args.horizon, args.paths, args.seed,
-                    threads=args.threads,
-                )
-                print(
-                    f"ruin_lt = {_fmt(est.mean)}  stderr={_fmt(est.std_error)}  "
-                    f"bias<={_fmt(est.meta['bias_bound'])}  method=mc  n={est.n}  seed={est.seed}"
-                )
-            elif args.ultimate:
-                # lower-cone points reduce to the one-dimensional problem at x2
-                xa, xb = (x1, x2) if x2 >= x1 else (x2, x2)
-                est = mc.conditional_survival(
-                    model, xa, xb, args.paths, args.seed, threads=args.threads
-                )
-                print(
-                    f"ruin = {_fmt(1.0 - est.mean)}  stderr={_fmt(est.std_error)}  "
-                    f"method=mc(conditional)  n={est.n}  seed={est.seed}"
-                )
-            else:
-                est = mc.simulate_joint_ruin(
-                    model, u1, u2, args.horizon, args.paths, args.seed,
-                    threads=args.threads,
-                )
-                tail = est.meta.get("lundberg_tail")
-                extra = f"  tail<={_fmt(tail)}" if tail is not None else ""
-                print(
-                    f"ruin(T={_fmt(args.horizon)}) = {_fmt(est.mean)}  "
-                    f"stderr={_fmt(est.std_error)}  method=mc  n={est.n}  seed={est.seed}{extra}"
-                )
+    method = _ruin_method(model, s, args.method)
+    if method == "exact":
+        res = closedform.survival(model, x1, x2, tol=args.tol)
+        print(f"ruin = {_fmt(1.0 - res.value)}  method=exact  "
+              f"error<={_fmt(res.quadrature_error)}  regime={res.regime}")
+    elif method == "invert":
+        if not (x2 > x1 > 0):
+            raise UnsupportedClaimLaw("invert method needs upper-cone reserves x2 > x1 > 0")
+        val = transform.invert_2d(model, x1, x2)
+        print(f"ruin = {_fmt(1.0 - val)}  method=invert  error<=1e-3 (cross-check grade)")
+    elif method == "pde":
+        label = "ruin" if s == 0.0 else "ruin_lt"
+        r_needed, w = pde.to_grid_coords(model, u1, u2)
+        if w > 0:
+            # lower cone: the transform is company 2's discounted value
+            val = onedim.ruin_transform_exp(model, x2, s)
+            print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
+            return EXIT_OK
+        grid = pde.solve(model, s=s, r_max=max(1.0, 1.05 * r_needed), steps=args.steps)
+        val = pde.evaluate(grid, u1, u2)
+        print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
+    else:
+        kind, est = _mc_estimate(model, args, "conditional" if args.ultimate else "naive", s or None)
+        if kind == "survival":
+            print(
+                f"ruin = {_fmt(1.0 - est.mean)}  stderr={_fmt(est.std_error)}  "
+                f"method=mc(conditional)  n={est.n}  seed={est.seed}"
+            )
+        elif kind == "ruin_time_lt":
+            print(
+                f"ruin_lt = {_fmt(est.mean)}  stderr={_fmt(est.std_error)}  "
+                f"bias<={_fmt(est.meta['bias_bound'])}  method=mc  n={est.n}  seed={est.seed}"
+            )
         else:
-            raise UnsupportedClaimLaw(f"unknown method {method}")
-    except UnsupportedClaimLaw as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except ToleranceNotMet as exc:
-        print(f"tolerance error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+            tail = est.meta.get("lundberg_tail")
+            extra = f"  tail<={_fmt(tail)}" if tail is not None else ""
+            print(
+                f"ruin(T={_fmt(args.horizon)}) = {_fmt(est.mean)}  "
+                f"stderr={_fmt(est.std_error)}  method=mc  n={est.n}  seed={est.seed}{extra}"
+            )
     return EXIT_OK
 
 
 def cmd_transform(args) -> int:
     model = _validated_model(args)
-    try:
-        val = transform.psi_tilde(model, args.p, args.q)
-    except UnsupportedClaimLaw as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    val = transform.psi_tilde(model, args.p, args.q)
     print(f"psi_tilde({_fmt(args.p)},{_fmt(args.q)}) = {_fmt(val)}")
     return EXIT_OK
 
@@ -240,52 +281,14 @@ def cmd_transform(args) -> int:
 def cmd_invert(args) -> int:
     model = _validated_model(args)
     x1, x2 = args.x
-    try:
-        val = transform.invert_2d(model, x1, x2)
-    except (UnsupportedClaimLaw, Ruin2dError) as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    val = transform.invert_2d(model, x1, x2)
     print(f"survival({_fmt(x1)},{_fmt(x2)}) = {_fmt(val)}  method=invert")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     model = _validated_model(args)
-    u1, u2 = args.u
-    try:
-        if args.s is not None and args.method != "naive":
-            raise UnsupportedClaimLaw(
-                f"--s (ruin-time discount) needs --method naive, not {args.method}"
-            )
-        if args.method == "conditional":
-            x1, x2 = normalize(model, u1, u2)
-            if x2 < x1:
-                print("capability error: conditional estimator needs the upper cone",
-                      file=sys.stderr)
-                return EXIT_CAPABILITY
-            est = mc.conditional_survival(
-                model, x1, x2, args.paths, args.seed, threads=args.threads
-            )
-            kind = "survival"
-        elif args.method == "fluid":
-            est = mc.simulate_joint_ruin_fluid(
-                model, u1, u2, args.horizon, args.paths, args.seed, threads=args.threads
-            )
-            kind = "ruin_by_horizon"
-        elif args.s is not None:
-            est = mc.ruin_time_lt(
-                model, u1, u2, args.s, args.horizon, args.paths, args.seed,
-                threads=args.threads,
-            )
-            kind = "ruin_time_lt"
-        else:
-            est = mc.simulate_joint_ruin(
-                model, u1, u2, args.horizon, args.paths, args.seed, threads=args.threads
-            )
-            kind = "ruin_by_horizon"
-    except (UnsupportedClaimLaw, Ruin2dError) as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
+    kind, est = _mc_estimate(model, args, args.method, args.s)
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -296,21 +299,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_pde(args) -> int:
     model = _validated_model(args)
-    try:
-        grid = pde.solve(model, s=args.s, r_max=args.rmax, steps=args.steps, tol=args.tol)
-    except UnsupportedClaimLaw as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except Ruin2dError as exc:
-        print(f"tolerance error: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
+    grid = pde.solve(model, s=args.s, r_max=args.rmax, steps=args.steps, tol=args.tol)
     if args.point is not None:
         u1, u2 = args.point
-        try:
-            val = pde.evaluate(grid, u1, u2)
-        except Ruin2dError as exc:
-            print(f"capability error: {exc}", file=sys.stderr)
-            return EXIT_CAPABILITY
+        val = pde.evaluate(grid, u1, u2)
         print(f"psi({_fmt(u1)},{_fmt(u2)};s={_fmt(args.s)}) = {_fmt(val)}  "
               f"error<={_fmt(grid.error_estimate)}")
         return EXIT_OK
@@ -332,38 +324,24 @@ def cmd_pde(args) -> int:
 def cmd_table(args) -> int:
     model = _validated_model(args)
     if not isinstance(model.claim, Exponential):
-        print("capability error: table uses the exponential closed form", file=sys.stderr)
-        return EXIT_CAPABILITY
+        raise UnsupportedClaimLaw("table uses the exponential closed form")
     lo1, hi1, n1 = args.x1
     lo2, hi2, n2 = args.x2
-    xs1 = np.linspace(lo1, hi1, int(n1))
-    xs2 = np.linspace(lo2, hi2, int(n2))
-    pairs = [(x1, x2) for x1 in xs1 for x2 in xs2]
-
-    def one(pair):
-        x1, x2 = pair
-        try:
-            res = closedform.survival(model, x1, x2, tol=args.tol)
-            return (x1, x2, res, None)
-        except ToleranceNotMet as exc:
-            return (x1, x2, None, str(exc))
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
-
+    rows = []
+    failed = False
+    for x1 in np.linspace(lo1, hi1, int(n1)):
+        for x2 in np.linspace(lo2, hi2, int(n2)):
+            try:
+                res = closedform.survival(model, x1, x2, tol=args.tol)
+            except ToleranceNotMet:
+                failed = True
+                rows.append(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
+                continue
+            values = (x1, x2, res.value, 1.0 - res.value, res.omega, res.quadrature_error)
+            rows.append(",".join([*(_fmt(v) for v in values), res.regime]) + "\n")
     with _output(args.output) as out:
         out.write("x1,x2,survival,ruin,omega,quadratureError,regime\n")
-        failed = False
-        for x1, x2, res, err in results:
-            if res is None:
-                failed = True
-                out.write(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
-                continue
-            row = (x1, x2, res.value, 1.0 - res.value, res.omega, res.quadrature_error)
-            out.write(",".join([*(_fmt(v) for v in row), res.regime]) + "\n")
+        out.writelines(rows)
     return EXIT_TOLERANCE if failed else EXIT_OK
 
 
@@ -385,21 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
     p.add_argument("--s", type=_at_least(0), default=0.0, help="ruin-time discount rate")
-    p.add_argument("--method", choices=["exact", "pde", "mc", "invert"])
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--paths", type=float, default=1e5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=200.0)
+    p.add_argument("--method", choices=list(METHODS))
+    p.add_argument("--tol", type=_at_least(0, strict=True), default=1e-8)
+    p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
+    p.add_argument("--horizon", type=_at_least(0), default=200.0)
     p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--ultimate", action="store_true",
                    help="with --method mc: use the unbiased conditional estimator")
     p.add_argument("--threads", type=int)
-    p.set_defaults(func=lambda a: cmd_ruin(_coerce_paths(a)))
+    p.set_defaults(func=cmd_ruin)
 
     p = sub.add_parser("transform", help="evaluate the double transform psi_tilde(p,q)")
     _add_model_args(p)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
+    p.add_argument("--p", type=_at_least(0, strict=True), required=True)
+    p.add_argument("--q", type=_at_least(0, strict=True), required=True)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("invert", help="numeric double inversion at normalized (x1,x2)")
@@ -410,22 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimators (CSV output)")
     _add_model_args(p)
     p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
-    p.add_argument("--paths", type=float, default=1e5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=100.0)
+    p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
+    p.add_argument("--horizon", type=_at_least(0), default=100.0)
     p.add_argument("--s", type=_at_least(0), default=None)
     p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
     p.add_argument("--threads", type=int)
     p.add_argument("--output", help="CSV file (default stdout)")
-    p.set_defaults(func=lambda a: cmd_simulate(_coerce_paths(a)))
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pde", help="solve the transform system on the cone")
     _add_model_args(p)
     p.add_argument("--s", type=_at_least(0), default=0.0)
     p.add_argument("--rmax", type=_at_least(0, strict=True), default=10.0)
     p.add_argument("--steps", type=_at_least(2, int), default=400)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--point", type=float, nargs=2, metavar=("U1", "U2"))
+    p.add_argument("--tol", type=_at_least(0, strict=True), default=None)
+    p.add_argument("--point", type=_at_least(0), nargs=2, metavar=("U1", "U2"))
     p.add_argument("--dump-stride", type=int, default=0,
                    help="emit every k-th node only (0 = all nodes)")
     p.add_argument("--output", help="CSV file (default stdout)")
@@ -433,19 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="closed-form survival sweep to CSV")
     _add_model_args(p)
-    p.add_argument("--x1", type=float, nargs=3, required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--x2", type=float, nargs=3, required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--x1", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"))
+    p.add_argument("--x2", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"))
+    p.add_argument("--tol", type=_at_least(0, strict=True), default=1e-8)
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_table)
 
     return parser
-
-
-def _coerce_paths(args):
-    args.paths = int(args.paths)
-    return args
 
 
 def main(argv=None) -> int:
@@ -453,7 +425,14 @@ def main(argv=None) -> int:
     if getattr(args, "threads", 1) is None:
         # RUIN2D_THREADS is read per call: the cached parser outlives the environment
         args.threads = int(os.environ.get("RUIN2D_THREADS", "1"))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ToleranceNotMet, GridTooCoarse) as exc:
+        print(f"tolerance error: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
+    except Ruin2dError as exc:
+        print(f"capability error: {exc}", file=sys.stderr)
+        return EXIT_CAPABILITY
 
 
 if __name__ == "__main__":

@@ -3,10 +3,9 @@ estimator, the fluid embedding, and ruin-time transform estimation.
 
 Randomness contract: paths are generated in fixed-size chunks and chunk ``k``
 draws from a counter-based Philox stream that is a pure function of
-``(seed, stream_offset + k)``.  Each chunk is reduced to ``(n, mean, M2)`` and
-the chunks are merged in chunk order, so every estimate is bit-reproducible
-for a fixed ``(seed, n)`` and parallel fan-out over chunks cannot change the
-result.  How a chunk turns its stream into paths is versioned by
+``(seed, k)``.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks are
+merged in chunk order, so every estimate is bit-reproducible for a fixed
+``(seed, n)`` and parallel fan-out over chunks cannot change the result.  How a chunk turns its stream into paths is versioned by
 :data:`STREAM_VERSION`, which every estimate records in ``meta``.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
@@ -19,13 +18,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedClaimLaw
 from .model import Empirical, Exponential, PhaseType, RiskModel
-from .onedim import survival_one_company
+from .onedim import ruin_prob_exp, survival_one_company
 
 __all__ = [
     "PathRecord",
@@ -283,7 +282,6 @@ def ruin_time_lt(
     horizon: float,
     n: int,
     seed: int,
-    stream_offset: int = 0,
     threads: int = 1,
 ) -> MCEstimate:
     """Estimate ``E[e^{-s tau} 1{tau <= horizon}]`` from raw reserves.
@@ -296,23 +294,13 @@ def ruin_time_lt(
         raise DomainError("discount rate must be nonnegative")
 
     def worker(k, size):
-        rng = stream(seed, stream_offset + k)
+        rng = stream(seed, k)
         tau = _joint_tau_chunk(model, u1, u2, horizon, rng, size)
         finite = np.isfinite(tau)
         return np.where(finite, np.exp(-s * np.where(finite, tau, 0.0)), 0.0)
 
     meta = {"horizon": horizon, "s": s, "bias_bound": math.exp(-s * horizon) if s > 0 else 1.0}
     return _accumulate(_map_chunks(worker, n, threads), seed, meta)
-
-
-def _lundberg_tail(model: RiskModel, u2: float, horizon: float) -> Optional[float]:
-    """Crude bound on post-horizon ruin mass from the drifted mean reserve."""
-    if not isinstance(model.claim, Exponential):
-        return None
-    gamma2 = model.mu - model.lam / model.p2
-    C2 = model.lam / (model.mu * model.p2)
-    x2_T = u2 / model.delta2 + (model.p2 - model.rho) * horizon
-    return C2 * math.exp(-gamma2 * x2_T)
 
 
 def simulate_joint_ruin(
@@ -322,14 +310,19 @@ def simulate_joint_ruin(
     horizon: float,
     n: int,
     seed: int,
-    stream_offset: int = 0,
     threads: int = 1,
 ) -> MCEstimate:
-    """Frequency of joint ruin by ``horizon`` from raw reserves ``(u1, u2)``."""
-    est = ruin_time_lt(
-        model, u1, u2, 0.0, horizon, n, seed, stream_offset=stream_offset, threads=threads
-    )
-    meta = {"horizon": horizon, "lundberg_tail": _lundberg_tail(model, u2, horizon)}
+    """Frequency of joint ruin by ``horizon`` from raw reserves ``(u1, u2)``.
+
+    ``meta['lundberg_tail']`` is a crude bound on the post-horizon ruin mass:
+    company 2's ruin probability from its drifted mean reserve (exponential
+    claims only, else None).
+    """
+    est = ruin_time_lt(model, u1, u2, 0.0, horizon, n, seed, threads=threads)
+    tail = None
+    if isinstance(model.claim, Exponential):
+        tail = ruin_prob_exp(model, u2 / model.delta2 + (model.p2 - model.rho) * horizon)
+    meta = {"horizon": horizon, "lundberg_tail": tail}
     return _estimate(est.mean, est.std_error, est.n, est.seed, meta)
 
 
@@ -339,7 +332,6 @@ def conditional_survival(
     x2: float,
     n: int,
     seed: int,
-    stream_offset: int = 0,
     threads: int = 1,
 ) -> MCEstimate:
     """Unbiased estimator of the joint survival at normalized ``(x1, x2)``.
@@ -365,7 +357,7 @@ def conditional_survival(
         return _estimate(exact, 0.0, n, seed, meta)
 
     def worker(k, size):
-        rng = stream(seed, stream_offset + k)
+        rng = stream(seed, k)
         alive, x_T = _company1_chunk(model, x1, T, rng, size)
         vals = survival_one_company(model, np.maximum(x_T, 0.0))
         return np.where(alive, vals, 0.0)
@@ -380,7 +372,6 @@ def killed_position_frequencies(
     bin_edges: np.ndarray,
     n: int,
     seed: int,
-    stream_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies of company 1's position at an independent Exp(q) kill time.
 
@@ -392,7 +383,7 @@ def killed_position_frequencies(
     edges = np.asarray(bin_edges, dtype=float)
     hits = np.zeros(len(edges) - 1, dtype=np.int64)
     for k, size in _chunk_sizes(n):
-        rng = stream(seed, stream_offset + k)
+        rng = stream(seed, k)
         kill = rng.exponential(1.0 / q, size=size)
         alive, x_T = _company1_chunk(model, x1, kill, rng, size)
         hist, _ = np.histogram(x_T[alive], bins=edges)

@@ -22,7 +22,7 @@ from .errors import (
     SingularMatrix,
     UnsupportedClaimLaw,
 )
-from .model import Exponential, PhaseType, RiskModel
+from .model import Exponential, PhaseType, RiskModel, derive
 from .transform import kappa_roots
 
 __all__ = [
@@ -38,11 +38,8 @@ __all__ = [
 
 
 def _gamma_C(model: RiskModel, company: int) -> tuple[float, float]:
-    if not isinstance(model.claim, Exponential):
-        raise UnsupportedClaimLaw("closed-form ruin probability needs exponential claims")
-    p = model.p1 if company == 1 else model.p2
-    mu = model.claim.mu
-    return mu - model.lam / p, model.lam / (mu * p)
+    dc = derive(model)
+    return (dc.gamma1, dc.C1) if company == 1 else (dc.gamma2, dc.C2)
 
 
 def ruin_prob_exp(model: RiskModel, x: float, company: int = 2) -> float:
@@ -112,7 +109,7 @@ def _phasetype_ruin_normalized(model: RiskModel, z: np.ndarray) -> np.ndarray:
         left = None
     if left is not None and np.linalg.cond(vecs) < 1e10:
         coeff = (eta @ vecs) * left
-        out = np.real(np.exp(np.outer(z, vals)) @ coeff)
+        out = np.real(np.exp(np.outer(z, vals)) @ coeff).reshape(z.shape)
         return np.clip(out, 0.0, 1.0)
     flat = np.array(
         [eta @ scipy.linalg.expm(gen * zz) @ ones for zz in np.ravel(z)]

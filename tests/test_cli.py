@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from ruin2d import mc
+from ruin2d import closedform, mc
 from ruin2d.cli import build_parser, main
+from ruin2d.errors import ToleranceNotMet
+from ruin2d.model import derive, load_model
 
 
 @pytest.fixture()
@@ -16,6 +19,23 @@ def p0_file(tmp_path):
             {
                 "lambda": 1.0,
                 "claim": {"type": "exponential", "mu": 1.0},
+                "c": [3.0, 2.0],
+                "delta": [1.0, 1.0],
+            }
+        )
+    )
+    return str(path)
+
+
+@pytest.fixture()
+def ph_file(tmp_path):
+    path = tmp_path / "ph.json"
+    path.write_text(
+        json.dumps(
+            {
+                "lambda": 1.0,
+                "claim": {"type": "phase-type", "beta": [1.0, 0.0],
+                          "B": [[-2.0, 2.0], [0.0, -2.0]]},
                 "c": [3.0, 2.0],
                 "delta": [1.0, 1.0],
             }
@@ -91,23 +111,97 @@ def test_ruin_capability_exit3(p0_file, capsys):
     assert "capability" in err
 
 
-def test_phasetype_exact_exit3(tmp_path, capsys):
-    path = tmp_path / "ph.json"
-    path.write_text(
-        json.dumps(
-            {
-                "lambda": 1.0,
-                "claim": {"type": "phase-type", "beta": [1.0, 0.0],
-                          "B": [[-2.0, 2.0], [0.0, -2.0]]},
-                "c": [3.0, 2.0],
-                "delta": [1.0, 1.0],
-            }
-        )
-    )
+def test_phasetype_exact_exit3(ph_file, capsys):
     code, _, err = run_cli(
-        ["ruin", "--model", str(path), "--u", "1", "2", "--method", "exact"], capsys
+        ["ruin", "--model", ph_file, "--u", "1", "2", "--method", "exact"], capsys
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "model, argv, code, message",
+    [
+        ("ph", ["ruin", "--u", "1", "2", "--method", "exact"], 3,
+         "capability error: exact method needs exponential claims and s=0"),
+        ("ph", ["ruin", "--u", "1", "2", "--method", "invert"], 3,
+         "capability error: invert method needs exponential claims and s=0"),
+        ("ph", ["ruin", "--u", "1", "2", "--method", "pde"], 3,
+         "capability error: pde method needs exponential claims"),
+        ("ph", ["transform", "--p", "1", "--q", "1"], 3,
+         "capability error: constant only defined for exponential claim sizes"),
+        ("ph", ["invert", "--x", "1", "2"], 3,
+         "capability error: transform layer is instantiated for exponential claims only"),
+        ("ph", ["pde", "--steps", "10"], 3,
+         "capability error: transform PDE system is exponential-claims specific"),
+        ("ph", ["table", "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"], 3,
+         "capability error: table uses the exponential closed form"),
+        ("p0", ["invert", "--x", "2", "1"], 3,
+         "capability error: invert_2d requires x2 > x1 > 0"),
+        ("p0", ["ruin", "--u", "3", "1", "--method", "invert"], 3,
+         "capability error: invert method needs upper-cone reserves x2 > x1 > 0"),
+        ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--ultimate", "--s", "0.5",
+                "--paths", "100"], 3,
+         "capability error: --s (ruin-time discount) needs --method naive, not conditional"),
+        ("p0", ["pde", "--steps", "4", "--tol", "1e-12"], 4,
+         "tolerance error: step-halving estimate 7.10e-03 exceeds tol 1.00e-12"),
+    ],
+)
+def test_exit_codes(p0_file, ph_file, capsys, model, argv, code, message):
+    path = {"p0": p0_file, "ph": ph_file}[model]
+    got, out, err = run_cli([argv[0], "--model", path, *argv[1:]], capsys)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1] == message
+
+
+def test_ruin_tolerance_failure_exit4(p0_file, capsys, monkeypatch):
+    def explode(*a, **k):
+        raise ToleranceNotMet("forced for the test")
+
+    monkeypatch.setattr(closedform, "survival", explode)
+    code, out, err = run_cli(["ruin", "--model", p0_file, "--u", "1", "3"], capsys)
+    assert (code, out) == (4, "")
+    assert err.splitlines()[-1] == "tolerance error: forced for the test"
+
+
+@pytest.mark.parametrize(
+    "model, s, label",
+    [("p0", "0", "method=exact"), ("p0", "0.5", "method=pde"),
+     ("ph", "0", "method=mc"), ("ph", "0.5", "method=mc")],
+)
+def test_ruin_default_method(p0_file, ph_file, capsys, model, s, label):
+    path = {"p0": p0_file, "ph": ph_file}[model]
+    argv = ["ruin", "--model", path, "--u", "1", "2", "--s", s,
+            "--steps", "20", "--paths", "200", "--horizon", "5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert f"  {label}  " in out
+
+
+@pytest.mark.parametrize("u", [("1", "3"), ("3", "1")])
+def test_ruin_ultimate_matches_simulate_conditional(p0_file, capsys, u):
+    common = ["--model", p0_file, "--u", *u, "--paths", "4e3", "--seed", "9"]
+    code, out, _ = run_cli(["ruin", *common, "--method", "mc", "--ultimate"], capsys)
+    assert code == 0
+    _, _, ruin, stderr, *_ = out.split()
+    code, out, _ = run_cli(["simulate", *common, "--method", "conditional"], capsys)
+    assert code == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    assert row[0] == "survival"
+    assert float(ruin) == pytest.approx(1.0 - float(row[1]), abs=1e-11)
+    assert stderr == f"stderr={row[2]}"
+
+
+def test_simulate_conditional_lower_cone_is_exact(p0_file, capsys):
+    code, out, _ = run_cli(
+        ["simulate", "--model", p0_file, "--u", "3", "1", "--method", "conditional",
+         "--paths", "100"],
+        capsys,
+    )
+    assert code == 0
+    row = list(csv.reader(io.StringIO(out)))[1]
+    dc = derive(load_model(p0_file))
+    assert float(row[1]) == pytest.approx(1.0 - dc.C2 * math.exp(-dc.gamma2 * 1.0), rel=1e-12)
+    assert row[2] == "0"
 
 
 def test_transform_command(p0_file, capsys):
@@ -185,17 +279,6 @@ def test_table_shape_and_determinism(p0_file, capsys, tmp_path):
         parts = row.split(",")
         ruin_val = float(parts[3])
         assert 0.0 <= ruin_val <= 1.0
-    assert fa.read_bytes() == fb.read_bytes()
-
-
-def test_table_threaded_identical(p0_file, capsys, tmp_path):
-    fa, fb = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    base = [
-        "table", "--model", p0_file,
-        "--x1", "0.5", "2.0", "3", "--x2", "1.0", "3.0", "3",
-    ]
-    run_cli(base + ["--output", str(fa), "--threads", "1"], capsys)
-    run_cli(base + ["--output", str(fb), "--threads", "4"], capsys)
     assert fa.read_bytes() == fb.read_bytes()
 
 
@@ -357,12 +440,59 @@ def test_inline_model(capsys):
         (["simulate", "--u", "1", "-3", "--paths", "100"], "argument --u"),
         (["simulate", "--u", "1", "3", "--s", "-0.5", "--paths", "100"], "argument --s"),
         (["simulate", "--u", "1", "3", "--s", "nan", "--paths", "100"], "argument --s"),
+        (["ruin", "--u", "1", "3", "--tol", "0"], "argument --tol: must be > 0"),
+        (["pde", "--tol", "0"], "argument --tol: must be > 0"),
+        (["table", "--x1", "0", "1", "2", "--x2", "0", "1", "2", "--tol", "0"],
+         "argument --tol: must be > 0"),
+        (["table", "--x1", "-1", "1", "2", "--x2", "0", "1", "2"], "argument --x1: must be >= 0"),
+        (["table", "--x1", "0", "1", "2", "--x2", "0", "1", "-2"], "argument --x2: must be >= 0"),
+        (["table", "--x1", "0", "1", "2", "--x2", "0", "1", "2", "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--paths", "0"],
+         "argument --paths: must be >= 1"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--paths", "inf"],
+         "argument --paths: invalid count value: 'inf'"),
+        (["simulate", "--u", "1", "3", "--paths", "0"], "argument --paths: must be >= 1"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--horizon", "-1"],
+         "argument --horizon: must be >= 0"),
+        (["simulate", "--u", "1", "3", "--horizon", "-1", "--paths", "100"],
+         "argument --horizon: must be >= 0"),
+        (["transform", "--p", "0", "--q", "1"], "argument --p: must be > 0"),
+        (["transform", "--p", "-3", "--q", "1"], "argument --p: must be > 0"),
+        (["transform", "--p", "1", "--q", "0"], "argument --q: must be > 0"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--seed", "-1"],
+         "argument --seed: must be >= 0"),
+        (["simulate", "--u", "1", "3", "--seed", "-1"], "argument --seed: must be >= 0"),
+        (["pde", "--point", "-1", "2"], "argument --point: must be >= 0"),
     ],
 )
 def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
     code, out, err = run_cli([argv[0], "--model", p0_file, *argv[1:]], capsys)
     assert code == 2
     assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "content, argv, message",
+    [
+        (None, ["--model", "{path}"], "No such file or directory"),
+        ("{not json", ["--model", "{path}"], "Expecting property name enclosed in double quotes"),
+        ('{"lambda": 1, "c": [3, 2]}', ["--model", "{path}"], "missing key 'claim'"),
+        ('{"lambda": 1, "claim": {"type": "weibull"}, "c": [3, 2]}', ["--model", "{path}"],
+         "cannot build claim law of type 'weibull'"),
+        ("{}", ["--model", "{path}", "--lam", "1"],
+         "specify either --model or inline parameters, not both"),
+        (None, [], "inline model needs --lam, --mu and --c (or use --model FILE)"),
+    ],
+)
+def test_model_input_errors_exit2(tmp_path, capsys, content, argv, message):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(["derive", *(a.format(path=path) for a in argv)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid model: ") and err.count("\n") == 1
     assert message in err
 
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -32,3 +34,28 @@ def test_crosscheck_grid_runs_from_checkout():
     assert (x1, x2) == (0.5, 1.5)
     assert gap <= 1e-3
     assert abs(exact - inverted) <= 1e-3
+
+
+P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["derive", *P0_INLINE], 0),
+        (["ruin", *P0_INLINE, "--u", "1", "3", "--tol", "0"], 2),
+        (["derive", "--model", "no-such-model.json"], 2),
+        (["invert", *P0_INLINE, "--x", "2", "1"], 3),
+        (["pde", *P0_INLINE, "--steps", "4", "--tol", "1e-12"], 4),
+    ],
+)
+def test_cli_entry_point_exit_codes(tmp_path, argv, code):
+    # the process status a shell sees, which in-process tests cannot observe
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ruin2d.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert bool(proc.stdout) == (code == 0)
