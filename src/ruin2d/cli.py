@@ -6,13 +6,14 @@ and are normalized internally; ``table`` sweeps normalized coordinates, which
 coincide with raw reserves whenever ``delta = (1, 1)``.
 
 Exit codes: 0 success; 2 invalid argument (a negative reserve, discount,
-horizon, seed or sweep bound, ``--tol <= 0``, ``--paths < 1``,
-``--p``/``--q <= 0``, ``--steps < 2``, ``--rmax <= 0``) or invalid model
-(unreadable or malformed input, or failed validation); 3 capability mismatch
-(the method does not support the claim law, discount or reserves) or any
-other refusal of the library; 4 numerical tolerance failure.  Commands raise,
-and :func:`main` alone turns a :class:`~ruin2d.errors.Ruin2dError` into exit
-code 3 or 4.
+horizon, seed or sweep bound, a non-finite number, ``--tol <= 0``,
+``--paths < 1``, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
+``--p``/``--q <= 0``, ``--steps < 2``, ``--rmax <= 0``, a negative
+``--dump-stride``) or invalid model (unreadable or malformed input, or
+failed validation); 3 capability mismatch (the method does not support the
+claim law, discount or reserves) or any other refusal of the library; 4
+numerical tolerance failure.  Commands raise, and :func:`main` alone turns a
+:class:`~ruin2d.errors.Ruin2dError` into exit code 3 or 4.
 """
 
 from __future__ import annotations
@@ -74,13 +75,18 @@ def _output(path):
 
 
 def _at_least(bound, kind=float, strict=False):
-    """argparse ``type=`` that rejects values below ``bound`` (or equal, if strict)."""
+    """argparse ``type=`` that rejects values below ``bound`` (or equal, if strict).
+
+    Non-finite values are rejected too: ``inf`` passes every lower bound.
+    """
 
     def parse(text):
         value = kind(text)
         if not (value > bound if strict else value >= bound):
             op = ">" if strict else ">="
             raise argparse.ArgumentTypeError(f"must be {op} {bound}, got {text}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__.lstrip("_")  # argparse's "invalid <name> value" message
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--ultimate", action="store_true",
                    help="with --method mc: use the unbiased conditional estimator")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_at_least(1, int))
     p.set_defaults(func=cmd_ruin)
 
     p = sub.add_parser("transform", help="evaluate the double transform psi_tilde(p,q)")
@@ -382,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invert", help="numeric double inversion at normalized (x1,x2)")
     _add_model_args(p)
-    p.add_argument("--x", type=float, nargs=2, required=True, metavar=("X1", "X2"))
+    p.add_argument("--x", type=_at_least(0), nargs=2, required=True, metavar=("X1", "X2"))
     p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimators (CSV output)")
@@ -393,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_at_least(0), default=100.0)
     p.add_argument("--s", type=_at_least(0), default=None)
     p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_at_least(1, int))
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_simulate)
 
@@ -404,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(2, int), default=400)
     p.add_argument("--tol", type=_at_least(0, strict=True), default=None)
     p.add_argument("--point", type=_at_least(0), nargs=2, metavar=("U1", "U2"))
-    p.add_argument("--dump-stride", type=int, default=0,
+    p.add_argument("--dump-stride", type=_at_least(0, int), default=0,
                    help="emit every k-th node only (0 = all nodes)")
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_pde)
@@ -424,7 +430,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) is None:
         # RUIN2D_THREADS is read per call: the cached parser outlives the environment
-        args.threads = int(os.environ.get("RUIN2D_THREADS", "1"))
+        text = os.environ.get("RUIN2D_THREADS", "1")
+        try:
+            args.threads = _at_least(1, int)(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            print(f"invalid environment: RUIN2D_THREADS must be an integer >= 1, got {text!r}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         return args.func(args)
     except (ToleranceNotMet, GridTooCoarse) as exc:

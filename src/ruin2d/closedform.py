@@ -26,12 +26,12 @@ from .errors import InvalidReserve, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
 from .transform import _require_exponential, ab
 
-__all__ = ["SurvivalResult", "omega", "survival", "ruin", "residue_terms"]
+__all__ = ["SurvivalResult", "omega", "survival", "ruin"]
 
 # e^x underflows to subnormals around x = -745; beyond this the cut integral
 # is exactly zero at double precision.
 _LOG_TINY = -700.0
-_DEFAULT_PANEL_BUDGET = 10_000
+_PANEL_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,6 @@ def omega(
     x2: float,
     tol: float = 1e-10,
     dc: DerivedConstants | None = None,
-    panel_budget: int = _DEFAULT_PANEL_BUDGET,
 ) -> tuple[float, float]:
     """Oscillatory cut integral of the spectral representation.
 
@@ -134,7 +133,7 @@ def omega(
     n_panels = 1
     if x1 > 0 and b_max > 0:
         n_panels = int(math.ceil(span * x1 * b_max / math.pi))
-        n_panels = max(1, min(n_panels, panel_budget))
+        n_panels = max(1, min(n_panels, _PANEL_BUDGET))
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     err = 0.0
@@ -145,7 +144,7 @@ def omega(
             right,
             epsabs=tol / n_panels,
             epsrel=1e-12,
-            limit=max(50, panel_budget // n_panels),
+            limit=max(50, _PANEL_BUDGET // n_panels),
         )
         total += val
         err += abserr
@@ -155,31 +154,6 @@ def omega(
             f"cut integral error {err * abs(prefactor):.2e} exceeds tol {tol:.2e}"
         )
     return -prefactor * total, abs(prefactor) * err
-
-
-def _z1_at_minus_gamma2(dc: DerivedConstants) -> float:
-    """``z1(-gamma2)``: zero in case 1, ``-gamma3`` in case 2."""
-    return (dc.mu / dc.p2) * min(dc.p2 ** 2 / dc.p1 - dc.rho, 0.0)
-
-
-def residue_terms(model: RiskModel, x1: float, x2: float) -> dict[str, float]:
-    """Exponential terms of the assembled survival probability (test helper).
-
-    Keys: ``constant`` (1), ``company1`` (pole at zero), ``company2`` (the
-    one-dimensional transform part) and ``cross`` (pole at ``-gamma2``, with
-    coefficient ``C2 + z1(-gamma2)/mu``).  In case 1 ``cross`` cancels
-    ``company2`` exactly; in case 2 it equals ``(p2/p1) e^{-gamma3 x1 - gamma2 x2}``.
-    """
-    _require_exponential(model)
-    dc = derive(model)
-    z1g2 = _z1_at_minus_gamma2(dc)
-    c2t = dc.C2 + z1g2 / dc.mu
-    return {
-        "constant": 1.0,
-        "company1": -dc.C1 * math.exp(-dc.gamma1 * x1),
-        "company2": -dc.C2 * math.exp(-dc.gamma2 * x2),
-        "cross": c2t * math.exp(z1g2 * x1 - dc.gamma2 * x2),
-    }
 
 
 def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> SurvivalResult:

@@ -13,24 +13,12 @@ class DomainError(Ruin2dError):
     """Argument outside the mathematical domain of the function."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at a pole."""
-
-
-class CutError(DomainError):
-    """Evaluation requested on (or too close to) the branch cut."""
-
-
 class RootNotFound(Ruin2dError):
     """A root bracket failed; indicates an internal inconsistency."""
 
 
 class NoRealRoot(Ruin2dError):
     """The characteristic equation has no real root for this argument."""
-
-
-class DegenerateRoots(Ruin2dError):
-    """Double root at a branch point; the two-exponential form is invalid."""
 
 
 class SingularMatrix(Ruin2dError):

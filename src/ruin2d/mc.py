@@ -1,5 +1,5 @@
 """Monte Carlo oracles: direct path simulation, the unbiased conditional
-estimator, the fluid embedding, and ruin-time transform estimation.
+estimator, the fluid estimator, and ruin-time transform estimation.
 
 Randomness contract: paths are generated in fixed-size chunks and chunk ``k``
 draws from a counter-based Philox stream that is a pure function of
@@ -27,17 +27,12 @@ from .model import Empirical, Exponential, PhaseType, RiskModel
 from .onedim import ruin_prob_exp, survival_one_company
 
 __all__ = [
-    "PathRecord",
     "MCEstimate",
-    "FluidPath",
     "sample_claims",
-    "sample_path",
     "simulate_joint_ruin",
     "simulate_joint_ruin_fluid",
     "conditional_survival",
     "ruin_time_lt",
-    "fluid_embed",
-    "killed_position_frequencies",
 ]
 
 CHUNK = 1 << 14
@@ -52,19 +47,6 @@ class MCEstimate:
     n: int
     seed: int
     meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PathRecord:
-    """A realized compound-Poisson path on ``[0, horizon]``."""
-
-    interarrivals: np.ndarray
-    claim_sizes: np.ndarray
-    horizon: float
-
-    @property
-    def epochs(self) -> np.ndarray:
-        return np.cumsum(self.interarrivals)
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
@@ -114,25 +96,11 @@ def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, size: int) -> 
     return out
 
 
-def sample_path(model: RiskModel, horizon: float, rng: np.random.Generator) -> PathRecord:
-    """Sample one claims path on ``[0, horizon]`` (sequential draws)."""
-    inter = []
-    t = 0.0
-    while True:
-        tau = rng.exponential(1.0 / model.lam)
-        t += tau
-        if t > horizon:
-            break
-        inter.append(tau)
-    sizes = sample_claims(model.claim, rng, len(inter))
-    return PathRecord(np.asarray(inter), sizes, horizon)
-
-
 def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
                        cum_up: np.ndarray, cum_claims: np.ndarray):
     """Post-jump reserves of both companies at the claim epochs.
 
-    Shared by direct simulation and the fluid embedding so the two agree
+    Shared by direct simulation and the fluid estimator so the two agree
     bit-for-bit (same operations in the same order).
     """
     U1 = model.c1 * cum_up
@@ -365,165 +333,9 @@ def conditional_survival(
     return _accumulate(_map_chunks(worker, n, threads), seed, meta)
 
 
-def killed_position_frequencies(
-    model: RiskModel,
-    q: float,
-    x1: float,
-    bin_edges: np.ndarray,
-    n: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies of company 1's position at an independent Exp(q) kill time.
-
-    Runs the normalized company-1 process from ``x1`` to ``e_q ~ Exp(q)`` and
-    bins the terminal position of paths that never went below zero.  Returns
-    ``(freq, std_err)`` per bin; the matching prediction is ``q`` times the
-    killed-resolvent mass of the bin.
-    """
-    edges = np.asarray(bin_edges, dtype=float)
-    hits = np.zeros(len(edges) - 1, dtype=np.int64)
-    for k, size in _chunk_sizes(n):
-        rng = stream(seed, k)
-        kill = rng.exponential(1.0 / q, size=size)
-        alive, x_T = _company1_chunk(model, x1, kill, rng, size)
-        hist, _ = np.histogram(x_T[alive], bins=edges)
-        hits += hist
-    freq = hits / n
-    return freq, np.sqrt(freq * (1.0 - freq) / n)
-
-
 # ---------------------------------------------------------------------------
-# Fluid embedding.
+# Fluid estimator.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FluidPath:
-    """Alternating-phase embedding of a claims path.
-
-    Jumps are unfolded into linear descent in direction
-    ``(-delta1, -delta2)`` of duration equal to the claim size, so the
-    embedded reserves are continuous and share the original path's extrema.
-    Phase ``+1`` (up) intervals reproduce the premium drift; ``up_clock``
-    holds the accumulated up time at each switch epoch.
-    """
-
-    switch_times: np.ndarray      # S_0 = 0 < S_1 < ... (up phase first)
-    phases: np.ndarray            # phase value on [S_k, S_{k+1})
-    up_clock: np.ndarray          # I(S_k)
-    claim_clock: np.ndarray       # unfolded claim amount at S_k
-    u1: float
-    u2: float
-    model: RiskModel
-
-    def up_time(self, t: float) -> float:
-        """Accumulated up time ``I(t)``: 1-Lipschitz, flat on down phases."""
-        k = int(np.searchsorted(self.switch_times, t, side="right")) - 1
-        k = max(0, min(k, len(self.phases) - 1))
-        base = self.up_clock[k]
-        if self.phases[k] == 1:
-            return base + (t - self.switch_times[k])
-        return base
-
-    def reserves(self, t: float) -> tuple[float, float]:
-        up = self.up_time(t)
-        down = t - up
-        m = self.model
-        return (
-            self.u1 + m.c1 * up - m.delta1 * down,
-            self.u2 + m.c2 * up - m.delta2 * down,
-        )
-
-    def _claim_cums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative (up time, claim amount) at each down-phase end.
-
-        Stored directly rather than reconstructed from switch times, so the
-        values are the very cumsums the direct simulation uses.
-        """
-        return self.up_clock[2::2], self.claim_clock[2::2]
-
-    def minimum_reserves(self) -> tuple[float, float]:
-        """Running minima over the whole embedding, one per company."""
-        up, claims = self._claim_cums()
-        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
-        m1 = float(np.min(U1)) if U1.size else self.u1
-        m2 = float(np.min(U2)) if U2.size else self.u2
-        return min(m1, self.u1), min(m2, self.u2)
-
-    def ruin_time_embedded(self) -> float:
-        """First time the embedded pair leaves the positive quadrant (inf if never)."""
-        up, claims = self._claim_cums()
-        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
-        low = np.minimum(U1, U2) < 0.0
-        if not low.any():
-            return math.inf
-        k = int(np.argmax(low))
-        m = self.model
-        # reserves at the start of down phase k (pre-jump values)
-        pre1 = U1[k] + m.delta1 * (claims[k] - (claims[k - 1] if k else 0.0))
-        pre2 = U2[k] + m.delta2 * (claims[k] - (claims[k - 1] if k else 0.0))
-        cross = math.inf
-        if U1[k] < 0:
-            cross = min(cross, pre1 / m.delta1)
-        if U2[k] < 0:
-            cross = min(cross, pre2 / m.delta2)
-        return float(self.switch_times[2 * k + 1] + cross)
-
-    def ruin_time_original(self) -> float:
-        """``I(tau~)``: the original joint ruin time recovered from the embedding."""
-        up, claims = self._claim_cums()
-        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
-        low = np.minimum(U1, U2) < 0.0
-        if not low.any():
-            return math.inf
-        return float(up[int(np.argmax(low))])
-
-
-def fluid_embed(path: PathRecord, u1: float, u2: float, model: RiskModel) -> FluidPath:
-    """Build the alternating up/down embedding of a realized claims path."""
-    taus = np.asarray(path.interarrivals, dtype=float)
-    sigmas = np.asarray(path.claim_sizes, dtype=float)
-    n = len(taus)
-    switch = np.empty(2 * n + 1)
-    phases = np.empty(2 * n + 1, dtype=np.int8)
-    up_clock = np.empty(2 * n + 1)
-    claim_clock = np.empty(2 * n + 1)
-    switch[0] = 0.0
-    up_clock[0] = 0.0
-    claim_clock[0] = 0.0
-    phases[0] = 1
-    cum_tau = np.cumsum(taus)
-    cum_sig = np.cumsum(sigmas)
-    if n:
-        prev_sig = np.concatenate(([0.0], cum_sig[:-1]))
-        switch[1::2] = cum_tau + prev_sig
-        switch[2::2] = cum_tau + cum_sig
-        up_clock[1::2] = cum_tau
-        up_clock[2::2] = cum_tau
-        claim_clock[1::2] = prev_sig
-        claim_clock[2::2] = cum_sig
-        phases[1::2] = -1
-        phases[2::2] = 1
-    return FluidPath(
-        switch_times=switch,
-        phases=phases,
-        up_clock=up_clock,
-        claim_clock=claim_clock,
-        u1=u1,
-        u2=u2,
-        model=model,
-    )
-
-
-def path_ruin_time(path: PathRecord, u1: float, u2: float, model: RiskModel) -> float:
-    """Joint ruin time of the original path, checked at claim epochs."""
-    cum_tau = np.cumsum(path.interarrivals)
-    cum_sig = np.cumsum(path.claim_sizes)
-    U1, U2 = reserves_at_epochs(model, u1, u2, cum_tau, cum_sig)
-    low = np.minimum(U1, U2) < 0.0
-    if not low.any():
-        return math.inf
-    return float(cum_tau[int(np.argmax(low))])
-
 
 def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
     """Ruin-by-horizon indicators of ``n`` paths from their fluid-embedding clocks.

@@ -29,9 +29,7 @@ __all__ = [
     "validate",
     "derive",
     "normalize",
-    "denormalize",
     "model_from_dict",
-    "model_to_dict",
     "load_model",
     "UNNORMALIZED_DELTA_WARNING",
 ]
@@ -286,11 +284,6 @@ def normalize(model: RiskModel, u1: float, u2: float) -> tuple[float, float]:
     return u1 / model.delta1, u2 / model.delta2
 
 
-def denormalize(model: RiskModel, x1: float, x2: float) -> tuple[float, float]:
-    """Inverse of :func:`normalize`."""
-    return x1 * model.delta1, x2 * model.delta2
-
-
 # JSON model files: {"lambda": ..., "claim": {"type": "exponential", "mu": ...},
 #                    "c": [c1, c2], "delta": [d1, d2]}
 # The phase-type variant carries "beta": [...] and "B": [[...]].
@@ -314,25 +307,6 @@ def model_from_dict(data: dict) -> RiskModel:
         delta1=float(delta[0]),
         delta2=float(delta[1]),
     )
-
-
-def model_to_dict(model: RiskModel) -> dict:
-    if isinstance(model.claim, Exponential):
-        claim: dict = {"type": "exponential", "mu": model.claim.mu}
-    elif isinstance(model.claim, PhaseType):
-        claim = {
-            "type": "phase-type",
-            "beta": model.claim.beta.tolist(),
-            "B": model.claim.B.tolist(),
-        }
-    else:
-        raise UnsupportedClaimLaw("empirical claim laws have no file representation")
-    return {
-        "lambda": model.lam,
-        "claim": claim,
-        "c": [model.c1, model.c2],
-        "delta": [model.delta1, model.delta2],
-    }
 
 
 def load_model(path) -> RiskModel:

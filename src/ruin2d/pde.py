@@ -253,10 +253,12 @@ def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
 
     Bilinear in ``(r, w)`` on full cells; barycentric on the half cells along
     the oblique edge.  Raises :class:`LowerCone` below the cone boundary and
-    :class:`OutOfFootprint` beyond ``r_max``.
+    :class:`OutOfFootprint` beyond ``r_max`` or at a non-finite point.
     """
     model = grid.model
     r, w = to_grid_coords(model, u1, u2)
+    if not (math.isfinite(r) and math.isfinite(w)):
+        raise OutOfFootprint(f"(r, w) = ({r}, {w}) is not a finite point")
     tol = 1e-12 * max(1.0, abs(r))
     if w > tol:
         raise LowerCone("point below the cone boundary; use the one-dimensional formula")

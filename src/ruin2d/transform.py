@@ -22,24 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceWarning,
-    CutError,
-    DomainError,
-    NoRealRoot,
-    PoleError,
-    UnsupportedClaimLaw,
-)
+from .errors import ConvergenceWarning, DomainError, NoRealRoot, UnsupportedClaimLaw
 from .model import DerivedConstants, Exponential, RiskModel, derive
 
 __all__ = [
     "RootPair",
     "CutPoint",
-    "kappa",
     "kappa_roots",
     "z_roots",
-    "q_plus",
-    "g",
     "ab",
     "psi_tilde",
     "invert_2d",
@@ -59,29 +49,6 @@ def _p(model: RiskModel, i: int) -> float:
     if i == 2:
         return model.p2
     raise ValueError("company index must be 1 or 2")
-
-
-def kappa(model: RiskModel, i: int, theta):
-    """Laplace exponent ``kappa_i(theta) = p_i theta - lam theta/(mu+theta)``.
-
-    Real arguments must satisfy ``theta > -mu``; complex arguments are
-    evaluated by analytic continuation away from the pole.
-    """
-    mu = _require_exponential(model)
-    p = _p(model, i)
-    if isinstance(theta, complex) or np.iscomplexobj(theta):
-        if theta == -mu:
-            raise DomainError("kappa has a pole at theta = -mu")
-        return p * theta - model.lam * theta / (mu + theta)
-    theta = float(theta)
-    if theta <= -mu:
-        raise DomainError(f"kappa_{i} requires theta > -mu = {-mu}")
-    return p * theta - model.lam * theta / (mu + theta)
-
-
-def kappa_derivative_origin(model: RiskModel, i: int) -> float:
-    """``kappa_i'(0+) = p_i - rho``."""
-    return _p(model, i) - model.rho
 
 
 def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
@@ -141,39 +108,6 @@ def z_roots(model: RiskModel, q, dc: DerivedConstants | None = None) -> RootPair
         return RootPair((-beta - root) / (2 * dc.p1), (-beta + root) / (2 * dc.p1), q)
     root = _sqrt_principal(disc)
     return RootPair((-beta - root) / (2 * dc.p1), (-beta + root) / (2 * dc.p1), q)
-
-
-def q_plus(model: RiskModel, r: float) -> float:
-    """Largest real root of ``kappa_1(alpha) = r``.
-
-    Satisfies the identification ``q_plus((p1 - p2) q) = z2(q) + q`` for real
-    ``q`` to the right of the cut.
-    """
-    _, theta_plus = kappa_roots(model, r, i=1)
-    return theta_plus
-
-
-def g(model: RiskModel, q, dc: DerivedConstants | None = None, cut_margin: float = 1e-9):
-    """Residual factor of the partially inverted transform.
-
-    ``g(q) = (p2 - rho)(mu + z1(q) + q) / (q (mu p2 - lam + p2 q))`` with
-    simple poles at ``0`` and ``-gamma2``; rejected on (and within
-    ``cut_margin`` of) the cut, where :func:`ab` applies instead.
-    """
-    dc = dc or derive(model)
-    mu = dc.mu
-    qc = complex(q)
-    if abs(qc) < 1e-14 or abs(qc + dc.gamma2) < 1e-14:
-        raise PoleError("g has simple poles at q = 0 and q = -gamma2")
-    if abs(qc.imag) <= cut_margin and (
-        dc.q_plus_end - cut_margin <= qc.real <= dc.q_minus_end + cut_margin
-    ):
-        raise CutError("g is not defined on the cut; use ab(q) there")
-    z1 = z_roots(model, q, dc).z1
-    val = (dc.p2 - dc.rho) * (mu + z1 + qc) / (qc * (mu * dc.p2 - model.lam + dc.p2 * qc))
-    if not (isinstance(q, complex) or np.iscomplexobj(q)):
-        return val.real if abs(val.imag) < 1e-13 * max(1.0, abs(val.real)) else val
-    return val
 
 
 class CutPoint(NamedTuple):

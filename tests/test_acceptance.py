@@ -13,22 +13,23 @@ from scipy.integrate import quad
 
 from ruin2d.cli import main as cli_main
 from ruin2d.closedform import survival
-from ruin2d.mc import (
-    conditional_survival,
-    fluid_embed,
-    killed_position_frequencies,
-    path_ruin_time,
-    ruin_time_lt,
-    sample_path,
-    simulate_joint_ruin,
-    stream,
-)
+from ruin2d.mc import conditional_survival, ruin_time_lt, simulate_joint_ruin, stream
 from ruin2d.model import derive
-from ruin2d.onedim import ScaleFunction, resolvent_density
 from ruin2d.pde import GoursatCoefficients, evaluate, solve, to_grid_coords
-from ruin2d.transform import ab, g, invert_2d, kappa, q_plus, z_roots
+from ruin2d.transform import ab, invert_2d, z_roots
 
 from conftest import march_rectangle
+from oracles import (
+    ScaleFunction,
+    fluid_embed,
+    g,
+    kappa,
+    killed_position_frequencies,
+    path_ruin_time,
+    q_plus,
+    resolvent_density,
+    sample_path,
+)
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:

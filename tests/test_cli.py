@@ -464,6 +464,28 @@ def test_inline_model(capsys):
          "argument --seed: must be >= 0"),
         (["simulate", "--u", "1", "3", "--seed", "-1"], "argument --seed: must be >= 0"),
         (["pde", "--point", "-1", "2"], "argument --point: must be >= 0"),
+        (["table", "--x1", "0", "1", "inf", "--x2", "0", "1", "2"],
+         "argument --x1: must be finite, got inf"),
+        (["simulate", "--u", "1", "3", "--horizon", "inf", "--paths", "100"],
+         "argument --horizon: must be finite, got inf"),
+        (["ruin", "--u", "1", "inf", "--method", "mc", "--ultimate", "--paths", "100"],
+         "argument --u: must be finite, got inf"),
+        (["ruin", "--u", "1", "inf", "--method", "pde"], "argument --u: must be finite"),
+        (["ruin", "--u", "1", "inf", "--method", "invert"], "argument --u: must be finite"),
+        (["ruin", "--u", "1", "inf"], "argument --u: must be finite"),
+        (["ruin", "--u", "1", "3", "--method", "pde", "--s", "inf"],
+         "argument --s: must be finite, got inf"),
+        (["ruin", "--u", "1", "3", "--tol", "inf"], "argument --tol: must be finite, got inf"),
+        (["pde", "--rmax", "inf", "--point", "1", "2"], "argument --rmax: must be finite, got inf"),
+        (["pde", "--point", "1", "inf", "--rmax", "1"], "argument --point: must be finite, got inf"),
+        (["invert", "--x", "1", "inf"], "argument --x: must be finite, got inf"),
+        (["invert", "--x", "-1", "2"], "argument --x: must be >= 0"),
+        (["transform", "--p", "inf", "--q", "1"], "argument --p: must be finite, got inf"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--paths", "100", "--threads", "0"],
+         "argument --threads: must be >= 1, got 0"),
+        (["simulate", "--u", "1", "3", "--paths", "100", "--threads", "-3"],
+         "argument --threads: must be >= 1, got -3"),
+        (["pde", "--dump-stride", "-3"], "argument --dump-stride: must be >= 0, got -3"),
     ],
 )
 def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
@@ -502,6 +524,16 @@ def test_argument_bounds_are_inclusive(p0_file, capsys):
     argv = ["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"]
     code, out, _ = run_cli([*argv, "--point", "0", "0"], capsys)
     assert code == 0 and out.startswith("psi(0,0;s=0) = ")
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_threads_environment_invalid_exit2(p0_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("RUIN2D_THREADS", value)
+    argv = ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "100"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == ("invalid environment: RUIN2D_THREADS must be an integer >= 1, "
+                   f"got {value!r}\n")
 
 
 def test_threads_environment_is_read_on_every_call(p0_file, capsys, monkeypatch):

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ruin2d.closedform import omega, residue_terms, ruin, survival
+from ruin2d.closedform import omega, ruin, survival
 from ruin2d.errors import InvalidReserve, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive
-from ruin2d.transform import g, invert_2d
+from ruin2d.transform import invert_2d
 
 from conftest import z_score
+from oracles import g, residue_terms
 
 
 def test_omega_boundary_identity_p0(p0):

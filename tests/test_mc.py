@@ -15,20 +15,23 @@ from ruin2d.mc import (
     _accumulate,
     _epoch_panel,
     conditional_survival,
-    fluid_embed,
-    killed_position_frequencies,
-    path_ruin_time,
     ruin_time_lt,
     sample_claims,
-    sample_path,
     simulate_joint_ruin,
     simulate_joint_ruin_fluid,
     stream,
 )
 from ruin2d.model import Empirical, RiskModel
-from ruin2d.onedim import resolvent_density, ruin_transform_exp
+from ruin2d.onedim import ruin_transform_exp
 
 from conftest import z_score
+from oracles import (
+    fluid_embed,
+    killed_position_frequencies,
+    path_ruin_time,
+    resolvent_density,
+    sample_path,
+)
 
 
 def test_zero_horizon_gives_zero(p0):

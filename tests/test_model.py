@@ -12,15 +12,14 @@ from ruin2d.model import (
     Exponential,
     PhaseType,
     RiskModel,
-    denormalize,
     derive,
     load_model,
     model_from_dict,
-    model_to_dict,
     normalize,
     validate,
 )
-from ruin2d.transform import kappa
+
+from oracles import denormalize, kappa, model_to_dict
 
 
 def test_validate_passes_p0(p0):

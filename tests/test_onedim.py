@@ -6,20 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ruin2d.errors import DegenerateRoots, DomainError, UnsupportedClaimLaw
+from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt, simulate_joint_ruin
 from ruin2d.model import Exponential, PhaseType, RiskModel
-from ruin2d.onedim import (
+from ruin2d.onedim import ruin_prob_exp, ruin_transform_exp, survival_one_company
+
+from oracles import (
+    DegenerateRoots,
     ScaleFunction,
+    kappa,
+    q_plus,
     resolvent_density,
-    ruin_prob_exp,
     ruin_prob_phasetype,
-    ruin_transform_exp,
     scale_w,
     survival_lt_check,
-    survival_one_company,
 )
-from ruin2d.transform import kappa, q_plus
 
 
 

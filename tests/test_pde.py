@@ -173,6 +173,13 @@ def test_evaluate_domain_errors(p0):
         evaluate(grid, 1.0, 50.0)
 
 
+@pytest.mark.parametrize("u1, u2", [(1.0, np.inf), (np.inf, 1.0), (np.inf, np.inf), (1.0, np.nan)])
+def test_evaluate_non_finite_point_out_of_footprint(p0, u1, u2):
+    grid = solve(p0, s=0.0, r_max=4.0, steps=60)
+    with pytest.raises(OutOfFootprint):
+        evaluate(grid, u1, u2)
+
+
 def test_phasetype_rejected(erlang2_model):
     with pytest.raises(UnsupportedClaimLaw):
         solve(erlang2_model, s=0.0, r_max=4.0, steps=40)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruin2d.closedform import survival
-from ruin2d.errors import ConvergenceWarning, CutError, DomainError, NoRealRoot, PoleError
+from ruin2d.errors import ConvergenceWarning, DomainError, NoRealRoot
 from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import (
     _euler_weights,
@@ -18,13 +18,12 @@ from ruin2d.transform import (
     _root_quadratic_parts,
     _sqrt_principal,
     ab,
-    g,
     invert_2d,
-    kappa,
     psi_tilde,
-    q_plus,
     z_roots,
 )
+
+from oracles import CutError, PoleError, g, kappa, q_plus
 
 # near-degenerate model: p1 -> p2 -> rho
 ND = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001)
