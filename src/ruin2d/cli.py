@@ -7,7 +7,8 @@ coincide with raw reserves whenever ``delta = (1, 1)``.
 
 Exit codes: 0 success; 2 invalid argument (a negative reserve, discount,
 horizon, seed or sweep bound, a non-finite number, ``--tol <= 0``,
-``--paths < 1``, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
+``--paths < 1`` or not whole, a ``table`` point count ``N`` below 1 or
+not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
 ``--p``/``--q <= 0``, ``--steps < 2``, ``--rmax <= 0``, a negative
 ``--dump-stride``) or invalid model (unreadable or malformed input, or
 failed validation); 3 capability mismatch (the method does not support the
@@ -96,9 +97,18 @@ def _at_least(bound, kind=float, strict=False):
 def _count(text) -> int:
     """A whole number, also written as a float such as ``2e4``."""
     value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text}")
+    if not value.is_integer():  # also false for inf and nan
+        raise ValueError(f"not a whole number: {text}")
     return int(value)
+
+
+class _Sweep(argparse.Action):
+    """``LO HI N`` of a ``table`` axis, where ``N`` must be a whole number >= 1."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not (values[2] >= 1 and values[2].is_integer()):
+            raise argparse.ArgumentError(self, f"N must be a whole number >= 1, got {values[2]:g}")
+        setattr(namespace, self.dest, values)
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
@@ -417,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="closed-form survival sweep to CSV")
     _add_model_args(p)
-    p.add_argument("--x1", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"))
-    p.add_argument("--x2", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"))
+    p.add_argument("--x1", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"),
+                   action=_Sweep)
+    p.add_argument("--x2", type=_at_least(0), nargs=3, required=True, metavar=("LO", "HI", "N"),
+                   action=_Sweep)
     p.add_argument("--tol", type=_at_least(0, strict=True), default=1e-8)
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_table)

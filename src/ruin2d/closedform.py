@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidReserve, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
@@ -120,6 +119,9 @@ def omega(
     bound = _omega_bound(model, dc, x1, x2)
     if bound < 0.1 * tol:
         return 0.0, bound
+    # imported here so that a process that never integrates starts without scipy;
+    # the fixed-node rule of ROADMAP direction 2 removes quad altogether
+    from scipy.integrate import quad
 
     def integrand(q: float) -> float:
         a, b, f = ab(model, q, dc)

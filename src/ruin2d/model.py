@@ -123,10 +123,17 @@ class ValidationReport:
 def _claim_law_violations(claim: ClaimLaw) -> list[str]:
     out: list[str] = []
     if isinstance(claim, Exponential):
-        if not claim.mu > 0:
+        if not math.isfinite(claim.mu):
+            out.append("mu must be finite")
+        elif not claim.mu > 0:
             out.append("exponential claim intensity mu must be positive")
     elif isinstance(claim, PhaseType):
         beta, B = claim.beta, claim.B
+        for name, entries in (("beta", beta), ("B", B)):
+            if not np.all(np.isfinite(entries)):
+                out.append(f"{name} must be finite")
+        if out:
+            return out
         if B.shape[0] != B.shape[1] or beta.shape[0] != B.shape[0]:
             out.append("phase-type beta and B dimensions disagree")
             return out
@@ -157,7 +164,10 @@ def validate(model: RiskModel) -> ValidationReport:
     warnings: list[str] = []
 
     for name in ("lam", "c1", "c2", "delta1", "delta2"):
-        if not getattr(model, name) > 0:
+        value = getattr(model, name)
+        if not math.isfinite(value):
+            violations.append(f"{name} must be finite")
+        elif not value > 0:
             violations.append(f"{name} must be positive")
     violations.extend(_claim_law_violations(model.claim))
     if violations:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, RootNotFound, SingularMatrix, UnsupportedClaimLaw
 from .model import Exponential, PhaseType, RiskModel, derive
@@ -83,6 +82,8 @@ def _phasetype_ruin_normalized(model: RiskModel, z: np.ndarray) -> np.ndarray:
         coeff = (eta @ vecs) * left
         out = np.real(np.exp(np.outer(z, vals)) @ coeff).reshape(z.shape)
         return np.clip(out, 0.0, 1.0)
+    import scipy.linalg  # here, not at module level: scipy's import dominates a cold start
+
     flat = np.array(
         [eta @ scipy.linalg.expm(gen * zz) @ ones for zz in np.ravel(z)]
     )

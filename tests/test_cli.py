@@ -486,6 +486,16 @@ def test_inline_model(capsys):
         (["simulate", "--u", "1", "3", "--paths", "100", "--threads", "-3"],
          "argument --threads: must be >= 1, got -3"),
         (["pde", "--dump-stride", "-3"], "argument --dump-stride: must be >= 0, got -3"),
+        (["ruin", "--u", "1", "3", "--method", "mc", "--paths", "2.7"],
+         "argument --paths: invalid count value: '2.7'"),
+        (["simulate", "--u", "1", "3", "--paths", "100.5"],
+         "argument --paths: invalid count value: '100.5'"),
+        (["table", "--x1", "0", "1", "2.5", "--x2", "0", "1", "1.9"],
+         "argument --x1: N must be a whole number >= 1, got 2.5"),
+        (["table", "--x1", "0", "1", "2", "--x2", "0", "1", "1.9"],
+         "argument --x2: N must be a whole number >= 1, got 1.9"),
+        (["table", "--x1", "0", "1", "0", "--x2", "0", "1", "2"],
+         "argument --x1: N must be a whole number >= 1, got 0"),
     ],
 )
 def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
@@ -506,6 +516,21 @@ def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
         ("{}", ["--model", "{path}", "--lam", "1"],
          "specify either --model or inline parameters, not both"),
         (None, [], "inline model needs --lam, --mu and --c (or use --model FILE)"),
+        (None, ["--lam", "1", "--mu", "inf", "--c", "3", "2"], "mu must be finite"),
+        (None, ["--lam", "1", "--mu", "1", "--c", "3", "2", "--delta", "nan", "1"],
+         "delta1 must be finite"),
+        (None, ["--lam", "nan", "--mu", "1", "--c", "3", "2"], "lam must be finite"),
+        ('{"lambda": 1, "claim": {"type": "exponential", "mu": 1e999}, "c": [3, 2]}',
+         ["--model", "{path}"], "mu must be finite"),
+        ('{"lambda": 1, "claim": {"type": "exponential", "mu": 1}, "c": [3, Infinity]}',
+         ["--model", "{path}"], "c2 must be finite"),
+        ('{"lambda": 1, "claim": {"type": "exponential", "mu": 1}, "c": [3, 2], '
+         '"delta": [1, NaN]}', ["--model", "{path}"], "delta2 must be finite"),
+        ('{"lambda": 1, "claim": {"type": "phase-type", "beta": [1, 0], '
+         '"B": [[-2, 2], [0, -Infinity]]}, "c": [3, 2]}', ["--model", "{path}"],
+         "B must be finite"),
+        ('{"lambda": 1, "claim": {"type": "phase-type", "beta": [NaN, 0], '
+         '"B": [[-2, 2], [0, -2]]}, "c": [3, 2]}', ["--model", "{path}"], "beta must be finite"),
     ],
 )
 def test_model_input_errors_exit2(tmp_path, capsys, content, argv, message):

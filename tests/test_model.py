@@ -54,6 +54,38 @@ def test_validate_rejects_degenerate_boundaries():
     assert not validate(p2_eq_rho).ok
 
 
+P0_FIELDS = dict(lam=1.0, c1=3.0, c2=2.0, delta1=1.0, delta2=1.0)
+ERLANG2 = dict(beta=[1.0, 0.0], B=[[-2.0, 2.0], [0.0, -2.0]])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["lam", "c1", "c2", "delta1", "delta2", "mu"])
+def test_validate_rejects_non_finite_parameters(name, bad):
+    fields = {**P0_FIELDS, "mu": 1.0, name: bad}
+    report = validate(RiskModel(claim=Exponential(fields.pop("mu")), **fields))
+    # one line per parameter, and no sign or ordering check on top of it
+    assert (report.ok, report.violations) == (False, (f"{name} must be finite",))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name, index", [("beta", (0,)), ("B", (0, 1)), ("B", (1, 1))])
+def test_validate_rejects_non_finite_phasetype_entries(name, index, bad):
+    entries = np.array(ERLANG2[name], dtype=float)
+    entries[index] = bad
+    claim = PhaseType(**{**ERLANG2, name: entries})
+    report = validate(RiskModel(claim=claim, **P0_FIELDS))
+    assert (report.ok, report.violations) == (False, (f"{name} must be finite",))
+
+
+def test_validate_keeps_sign_messages_for_finite_values():
+    report = validate(RiskModel(lam=-1.0, claim=Exponential(0.0), c1=3.0, c2=2.0, delta1=0.0))
+    assert report.violations == (
+        "lam must be positive",
+        "delta1 must be positive",
+        "exponential claim intensity mu must be positive",
+    )
+
+
 def test_derive_p0_constants(p0):
     dc = derive(p0)
     assert dc.gamma1 == pytest.approx(2.0 / 3.0, abs=1e-14)

@@ -108,6 +108,16 @@ def test_phasetype_vectorized_survival_matches_scalar(erlang2_model):
         assert v == pytest.approx(1.0 - ruin_prob_phasetype(erlang2_model, z), abs=1e-10)
 
 
+@pytest.mark.parametrize("z", [0.7, [0.0, 0.3, 1.0, 2.5], [[0.5, 1.5], [3.0, 6.0]]])
+def test_phasetype_expm_fallback_matches_eigen_path(erlang2_model, monkeypatch, z):
+    eigen = survival_one_company(erlang2_model, z)
+    # an ill-conditioned eigenbasis sends the solver to per-value matrix exponentials
+    monkeypatch.setattr(np.linalg, "cond", lambda a: 1e20)
+    fallback = survival_one_company(erlang2_model, z)
+    assert fallback.shape == eigen.shape == np.shape(z)
+    np.testing.assert_allclose(fallback, eigen, rtol=0, atol=1e-12)
+
+
 def test_scale_function_at_zero(p0):
     assert scale_w(p0, 0.0, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-14)
     assert scale_w(p0, 0.7, 0.0) == pytest.approx(1.0 / 3.0, abs=1e-14)

@@ -4,13 +4,21 @@ Every name in a module's ``__all__`` must be referenced somewhere in
 ``src/``, ``scripts/`` or ``perfbench/`` other than by its own definition, its
 ``__all__`` entry or a re-export in ``ruin2d/__init__.py``.  Reference
 implementations that only the tests call live in ``tests/oracles.py``.
+
+A fresh process imports scipy only where it is used: the first cut integral
+of an upper-cone exact answer loads ``scipy.integrate``.
 """
 
 import ast
 import functools
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from ruin2d.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ruin2d"
@@ -55,3 +63,46 @@ def test_every_module_has_exports():
 @pytest.mark.parametrize("module, name", EXPORTS)
 def test_export_has_a_caller(module, name):
     assert name in referenced(), f"ruin2d.{module}.{name} is exported but nothing calls it"
+
+
+STARTUP_CHILD = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from ruin2d.cli import main
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return {"code": code, "out": out.getvalue(),
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+MODEL = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
+WITHOUT_SCIPY = [
+    ["derive", *MODEL],
+    ["ruin", *MODEL, "--u", "3", "1"],
+    ["ruin", *MODEL, "--u", "1", "3", "--method", "pde", "--steps", "20"],
+    ["ruin", *MODEL, "--u", "1", "3", "--method", "mc", "--paths", "200", "--horizon", "5"],
+    ["invert", *MODEL, "--x", "1", "3"],
+    ["transform", *MODEL, "--p", "1", "--q", "2"],
+    ["simulate", *MODEL, "--u", "1", "3", "--paths", "200", "--horizon", "5"],
+]
+UPPER_CONE_EXACT = ["ruin", *MODEL, "--u", "1", "3"]
+
+
+def test_cold_start_loads_scipy_only_for_the_cut_integral(capsys):
+    """A fresh process imports scipy on its first cut integral, and not before."""
+    commands = [*WITHOUT_SCIPY, UPPER_CONE_EXACT]
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_CHILD, str(ROOT / "src"), json.dumps(commands)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    runs = json.loads(proc.stdout)
+    for argv, run in zip(WITHOUT_SCIPY, runs):
+        assert run["code"] == 0, argv
+        assert run["scipy"] == [], f"{argv[0]} loaded {run['scipy'][:3]}"
+    exact = runs[-1]
+    assert "scipy.integrate" in exact["scipy"]
+    assert (exact["code"], exact["out"]) == (main(UPPER_CONE_EXACT), capsys.readouterr().out)
