@@ -78,6 +78,11 @@ def _max_b(model: RiskModel, dc: DerivedConstants) -> float:
     a2 = 4.0 * p1 * p2 - (p1 + p2) ** 2
     a1 = 4.0 * p1 * (p2 * mu - lam) - 2.0 * (p1 + p2) * (p1 * mu - lam)
     a0 = -((p1 * mu - lam) ** 2)
+    # a2 = -(p1 - p2)^2, which rounds to zero once p1 and p2 agree to about 8 digits
+    if not a2 < 0.0:
+        raise ToleranceNotMet(
+            f"p1 - p2 = {p1 - p2:.3g} is below the resolution of the cut integral's bound"
+        )
     q_vertex = -a1 / (2.0 * a2)
     q_vertex = min(max(q_vertex, dc.q_plus_end), dc.q_minus_end)
     rad = a2 * q_vertex * q_vertex + a1 * q_vertex + a0

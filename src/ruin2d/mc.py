@@ -1,12 +1,17 @@
 """Monte Carlo oracles: direct path simulation, the unbiased conditional
 estimator, the fluid estimator, and ruin-time transform estimation.
 
-Randomness contract: paths are generated in fixed-size chunks and chunk ``k``
-draws from a counter-based Philox stream that is a pure function of
-``(seed, k)``.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks are
-merged in chunk order, so every estimate is bit-reproducible for a fixed
-``(seed, n)`` and parallel fan-out over chunks cannot change the result.  How a chunk turns its stream into paths is versioned by
-:data:`STREAM_VERSION`, which every estimate records in ``meta``.
+Randomness contract: paths are generated in fixed-size chunks of
+:data:`CHUNK` paths, and chunk ``k`` draws from an SFC64 stream that is a pure
+function of ``(seed, k)``.  A chunk runs as consecutive path blocks of about
+:data:`BLOCK` claims; each block draws its own Poisson counts, spacings and
+claim sizes from the chunk's stream, in block order, and is reduced before the
+next block is drawn, so memory per thread is bounded independently of the
+horizon.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks are merged
+in chunk order, so every estimate is bit-reproducible for a fixed
+``(seed, n)`` and parallel fan-out over chunks cannot change the result.  How
+a chunk turns its stream into paths is versioned by :data:`STREAM_VERSION`
+(now 3), which every estimate records in ``meta``.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
 claims, so the running minimum over continuous time is attained immediately
@@ -15,7 +20,9 @@ after a jump.  Survival therefore means "no post-jump reserve below zero".
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -36,8 +43,12 @@ __all__ = [
 ]
 
 CHUNK = 1 << 14
-# 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings.
-STREAM_VERSION = 2
+# Claims per path block.  Fixed by the stream contract, as CHUNK is: a block
+# draws its own variates, so another value draws different paths.
+BLOCK = 1 << 16
+# 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings;
+# 3: SFC64 streams, each chunk drawn and reduced in path blocks.
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -50,9 +61,9 @@ class MCEstimate:
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
-    """Counter-based stream ``k`` of master ``seed`` (pure function of both)."""
+    """Stream ``k`` of master ``seed`` (pure function of both)."""
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
     )
 
 
@@ -116,8 +127,19 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
 # Vectorized chunk kernels.
 # ---------------------------------------------------------------------------
 
+def _path_blocks(model: RiskModel, horizons, n: int) -> Iterable[slice]:
+    """Consecutive path ranges of a chunk, each holding about :data:`BLOCK` claims.
+
+    The paths per block follow from the chunk's longest horizon, so that with
+    per-path horizons no block expects more than about :data:`BLOCK` claims.
+    """
+    per_block = max(1, BLOCK // (math.ceil(model.lam * float(np.max(horizons))) + 1))
+    for lo in range(0, n, per_block):
+        yield slice(lo, min(lo + per_block, n))
+
+
 def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
-    """Flat arrays of sorted claim epochs and within-path claim cumsums.
+    """Flat arrays of sorted claim epochs and within-path claim cumsums of one block.
 
     ``horizons`` is scalar or per-path.  Given its Poisson count ``k``, path
     ``i`` draws ``k + 1`` standard exponential spacings; their normalized
@@ -166,25 +188,31 @@ def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
 
 def _joint_tau_chunk(model, u1, u2, horizon, rng, n):
     """First joint-ruin time within ``horizon`` per path (inf if none)."""
-    starts, has, t, s_within, _ = _epoch_panel(model, horizon, rng, n)
     tau = np.full(n, np.inf)
-    if t.size:
-        U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
-        hit = np.minimum(U1, U2, out=U1) < 0.0
-        tau[has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
+    for block in _path_blocks(model, horizon, n):
+        starts, has, t, s_within, _ = _epoch_panel(
+            model, horizon, rng, block.stop - block.start)
+        if t.size:
+            U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
+            hit = np.minimum(U1, U2, out=U1) < 0.0
+            tau[block][has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
     return tau
 
 
 def _company1_chunk(model, x1, horizons, rng, n):
     """Normalized company-1 sweep: (alive flags, terminal values X1(T))."""
     p1 = model.p1
-    starts, has, t, s_within, totals = _epoch_panel(model, horizons, rng, n)
+    horizons = np.asarray(horizons, dtype=float)
     alive = np.ones(n, dtype=bool)
-    if t.size:
-        X = x1 + p1 * t - s_within
-        alive[has] = np.minimum.reduceat(X, starts[has]) >= 0.0
-    horizons = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
-    x_T = x1 + p1 * horizons - totals
+    totals = np.empty(n)
+    for block in _path_blocks(model, horizons, n):
+        h = horizons[block] if horizons.ndim else horizons
+        starts, has, t, s_within, totals[block] = _epoch_panel(
+            model, h, rng, block.stop - block.start)
+        if t.size:
+            X = x1 + p1 * t - s_within
+            alive[block][has] = np.minimum.reduceat(X, starts[has]) >= 0.0
+    x_T = x1 + p1 * np.broadcast_to(horizons, (n,)) - totals
     return alive, x_T
 
 
@@ -230,12 +258,26 @@ def _estimate(mean: float, se: float, n: int, seed: int, meta: dict) -> MCEstima
                       meta={**meta, "stream_version": STREAM_VERSION})
 
 
-def _map_chunks(worker, n: int, threads: int):
-    jobs = list(_chunk_sizes(n))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda kv: worker(*kv), jobs))
-    return [worker(k, size) for k, size in jobs]
+def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
+    """``worker(k, size)`` of every chunk, yielded in chunk order.
+
+    At most ``2 * threads`` chunks are computing or waiting to be read, so the
+    memory held does not grow with the number of chunks.
+    """
+    jobs = _chunk_sizes(n)
+    if threads == 1:
+        for k, size in jobs:
+            yield worker(k, size)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque(pool.submit(worker, k, size)
+                       for k, size in itertools.islice(jobs, 2 * threads))
+        while window:
+            vals = window.popleft().result()
+            job = next(jobs, None)
+            if job is not None:
+                window.append(pool.submit(worker, *job))
+            yield vals
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +387,30 @@ def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
     are the up clock ``I`` and the claim clock at successive down-phase ends.
     Ruin in original time is the first such end, within ``horizon``, at which
     a reserve is negative.  Paths neither ruined nor past the horizon draw
-    another panel, so a pass holds about as many draws as the direct kernel.
+    another panel.  The paths run in the direct kernel's blocks, each finished
+    before the next one draws, so a panel holds at most about :data:`BLOCK` draws.
     """
     width = math.ceil(model.lam * horizon) + 1
     ruined = np.zeros(n, dtype=bool)
     up = np.zeros(n)
     claims = np.zeros(n)
-    rows = np.arange(n)
-    while rows.size:
-        m = rows.size
-        up_clock = rng.exponential(1.0 / model.lam, size=(m, width))
-        np.cumsum(up_clock, axis=1, out=up_clock)
-        up_clock += up[rows, None]
-        claim_clock = np.cumsum(sample_claims(model.claim, rng, m * width).reshape(m, width),
-                                axis=1)
-        claim_clock += claims[rows, None]
-        U1, U2 = reserves_at_epochs(model, u1, u2, up_clock, claim_clock)
-        low = (np.minimum(U1, U2, out=U1) < 0.0) & (up_clock <= horizon)
-        hit = low.any(axis=1)
-        ruined[rows] = hit
-        up[rows] = up_clock[:, -1]
-        claims[rows] = claim_clock[:, -1]
-        rows = rows[~hit & (up_clock[:, -1] <= horizon)]
+    for block in _path_blocks(model, horizon, n):
+        rows = np.arange(block.start, block.stop)
+        while rows.size:
+            m = rows.size
+            up_clock = rng.exponential(1.0 / model.lam, size=(m, width))
+            np.cumsum(up_clock, axis=1, out=up_clock)
+            up_clock += up[rows, None]
+            claim_clock = np.cumsum(
+                sample_claims(model.claim, rng, m * width).reshape(m, width), axis=1)
+            claim_clock += claims[rows, None]
+            U1, U2 = reserves_at_epochs(model, u1, u2, up_clock, claim_clock)
+            low = (np.minimum(U1, U2, out=U1) < 0.0) & (up_clock <= horizon)
+            hit = low.any(axis=1)
+            ruined[rows] = hit
+            up[rows] = up_clock[:, -1]
+            claims[rows] = claim_clock[:, -1]
+            rows = rows[~hit & (up_clock[:, -1] <= horizon)]
     return ruined.astype(float)
 
 

@@ -334,7 +334,35 @@ def test_simulate_fluid_threads_identical(p0_file, capsys):
     _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
     assert out1 == out2
     meta = json.loads(list(csv.reader(io.StringIO(out1)))[1][5])
-    assert meta["stream_version"] == 2
+    assert meta["stream_version"] == 3
+
+
+P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["ruin", "--method", "mc", "--horizon", "20"],
+     "ruin(T=20) = 0.1942  stderr=0.00279726817368  method=mc  n=20000  seed=11  "
+     "tail<=5.06504679932e-06"),
+    (["ruin", "--method", "mc", "--horizon", "20", "--s", "0.5"],
+     "ruin_lt = 0.132746202667  stderr=0.00212119650793  bias<=4.53999297625e-05  "
+     "method=mc  n=20000  seed=11"),
+    (["ruin", "--method", "mc", "--ultimate"],
+     "ruin = 0.192289093657  stderr=0.00248737807654  method=mc(conditional)  n=20000  "
+     "seed=11"),
+    (["simulate", "--method", "fluid", "--horizon", "20"],
+     'ruin_by_horizon,0.1931,0.00279123790646,20000,11,"{""estimand"": ""ruin_by_horizon"", '
+     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 3}"'),
+], ids=["direct", "discounted", "conditional", "fluid"])
+def test_seeded_output_pinned_at_stream_version(capsys, argv, line):
+    # 2e4 paths span two chunks and, at T = 20, several path blocks per chunk
+    code, out, _ = run_cli([*argv, *P0_INLINE, "--u", "1", "3", "--paths", "2e4",
+                            "--seed", "11"], capsys)
+    assert code == 0
+    assert mc.STREAM_VERSION == 3
+    assert out.splitlines()[-1] == line, (
+        "a seeded Monte Carlo output changed: if paths are now drawn differently "
+        "on purpose, bump mc.STREAM_VERSION and pin the new lines")
 
 
 def test_delta_warning_only_when_chosen(p0_file, capsys):

@@ -1,5 +1,8 @@
 import math
+import threading
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,11 +12,18 @@ from scipy.stats import kstest
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import (
+    BLOCK,
     CHUNK,
     STREAM_VERSION,
     MCEstimate,
     _accumulate,
+    _chunk_sizes,
+    _company1_chunk,
     _epoch_panel,
+    _fluid_ruin_chunk,
+    _joint_tau_chunk,
+    _map_chunks,
+    _path_blocks,
     conditional_survival,
     ruin_time_lt,
     sample_claims,
@@ -68,6 +78,34 @@ def test_threads_bitwise_equal(p0, estimator):
     assert a == b
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_chunks_streams_in_chunk_order(threads):
+    # chunk results are merged as they arrive, never listed: the estimate is
+    # the listed one bit for bit, and only O(threads) chunk arrays are alive
+    n = 9 * CHUNK + 5
+    lock = threading.Lock()
+    live = [0, 0]  # alive now, most alive at once
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def worker(k, size):
+        vals = stream(31, k).random(size)
+        with lock:
+            live[0] += 1
+            live[1] = max(live[1], live[0])
+        weakref.finalize(vals, released)
+        return vals
+
+    est = _accumulate(_map_chunks(worker, n, threads), seed=31, meta={})
+    listed = _accumulate([stream(31, k).random(size) for k, size in _chunk_sizes(n)],
+                         seed=31, meta={})
+    assert est == listed
+    assert est.n == n
+    assert live[1] <= 2 * threads + 2
+
+
 def test_accumulate_merges_near_constant_chunks():
     # values 1 - 1e-9 U: sum(x^2) - n mean^2 cancels to noise here
     rng = np.random.default_rng(8)
@@ -87,8 +125,70 @@ def test_every_estimate_records_stream_version(p0):
         conditional_survival(p0, 1.0, 1.0, 100, seed=1),
         simulate_joint_ruin_fluid(p0, 1.0, 2.0, 5.0, 100, seed=1),
     ]
-    assert STREAM_VERSION == 2
+    assert STREAM_VERSION == 3
     assert all(e.meta["stream_version"] == STREAM_VERSION for e in ests)
+
+
+def _direct(model, horizon, n, threads):
+    return simulate_joint_ruin(model, 1.0, 3.0, horizon, n, seed=5, threads=threads)
+
+
+def _discounted(model, horizon, n, threads):
+    return ruin_time_lt(model, 1.0, 3.0, 0.5, horizon, n, seed=5, threads=threads)
+
+
+def _fluid(model, horizon, n, threads):
+    return simulate_joint_ruin_fluid(model, 1.0, 3.0, horizon, n, seed=5, threads=threads)
+
+
+@pytest.mark.parametrize("estimator", [_direct, _discounted, _fluid],
+                         ids=["direct", "ruin_time_lt", "fluid"])
+@pytest.mark.parametrize("horizon, n", [
+    (float(BLOCK), 7),          # ceil(lam T) + 1 > BLOCK: one path per block
+    (50.0, CHUNK + 1285 + 5),   # BLOCK // 51 = 1285 paths: partial last blocks
+], ids=["one-path-blocks", "partial-blocks"])
+def test_block_edges_thread_invariant(p0, estimator, horizon, n):
+    per_block = [b.stop - b.start for b in _path_blocks(p0, horizon, min(n, CHUNK))]
+    if horizon == BLOCK:
+        assert per_block == [1] * n
+    else:
+        assert CHUNK % per_block[0] != 0 and (n - CHUNK) % per_block[0] != 0
+    runs = [estimator(p0, horizon, n, threads) for threads in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0].n == n
+
+
+def test_per_path_horizons_straddle_blocks(p0):
+    # killed sweep with Exp(1/40) horizons: blocks are sized by the longest
+    # horizon of the chunk, and paths of every length share each block
+    x1, n = 1.0, 2 * CHUNK + 11
+
+    def worker(k, size):
+        rng = stream(17, k)
+        kill = rng.exponential(40.0, size=size)
+        blocks.append(len(list(_path_blocks(p0, kill, size))))
+        alive, x_T = _company1_chunk(p0, x1, kill, rng, size)
+        return np.where(alive, x_T, 0.0)
+
+    blocks = []
+    runs = [_accumulate(_map_chunks(worker, n, threads), seed=17, meta={})
+            for threads in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert max(blocks) > 1
+
+
+@pytest.mark.parametrize("kernel", [_joint_tau_chunk, _fluid_ruin_chunk],
+                         ids=["direct", "fluid"])
+def test_chunk_memory_independent_of_horizon(p0, kernel):
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            kernel(p0, 1.0, 3.0, horizon, stream(2, 0), CHUNK)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(800.0) <= 1.5 * peak(200.0)
 
 
 @pytest.mark.parametrize("horizons", [

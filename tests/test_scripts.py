@@ -59,3 +59,18 @@ def test_cli_entry_point_exit_codes(tmp_path, argv, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert bool(proc.stdout) == (code == 0)
+
+
+def test_cut_bound_below_resolution_exits_4(tmp_path):
+    # a2 = -(p1 - p2)^2 rounds to zero in closedform._max_b at p1 - p2 = 2e-8
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["ruin", "--lam", "1", "--mu", "1", "--c", "1.00000003", "1.00000001",
+            "--u", "1", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ruin2d.cli", *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("tolerance error: ")
