@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidReserve, ToleranceNotMet
+from .errors import DomainError, InvalidReserve, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
 from .transform import _require_exponential, ab
 
@@ -89,6 +89,35 @@ def _max_b(model: RiskModel, dc: DerivedConstants) -> float:
     return math.sqrt(max(rad, 0.0)) / (2.0 * p1)
 
 
+def _cut_integrand(model: RiskModel, dc: DerivedConstants, x1: float, x2: float):
+    """The integrand of :func:`omega` at fixed reserves, with the model constants bound once.
+
+    It does :func:`ruin2d.transform.ab`'s arithmetic inline, operation for operation
+    and in the same order, so each value is bit-identical to going through ``ab``.
+    Only leading subexpressions, which Python evaluates first anyway, are hoisted:
+    ``q * p2 + mu * p2 - lam`` must stay as written.  ``quad`` evaluates strictly
+    inside the cut, so ``ab``'s domain check is left out.
+    """
+    mu, lam, p1, p2 = dc.mu, model.lam, dc.p1, dc.p2
+    two_p1, four_p1, lin0 = 2.0 * p1, 4.0 * p1, p1 * mu - lam
+    exp, sin, cos, sqrt = math.exp, math.sin, math.cos, math.sqrt
+
+    def integrand(q: float) -> float:
+        lin = lin0 + p2 * q + p1 * q
+        a = -lin / two_p1
+        radicand = four_p1 * (p2 * q * mu + p2 * q * q - lam * q) - lin * lin
+        if radicand < 0.0:
+            if radicand < -1e-9 * max(1.0, lin * lin):
+                raise DomainError("negative radicand on the cut; inconsistent model constants")
+            radicand = 0.0
+        b = sqrt(radicand) / two_p1
+        f = mu + q + a
+        damp = exp(x1 * a + x2 * q)
+        return damp * (f * sin(b * x1) + b * cos(b * x1)) / (q * (q * p2 + mu * p2 - lam))
+
+    return integrand
+
+
 def omega(
     model: RiskModel,
     x1: float,
@@ -102,17 +131,19 @@ def omega(
     ``[q_plus_end, q_minus_end]``; the interval is pre-split at the oscillation
     scale ``pi / (x1 * max b)`` since ``sin(b(q) x1)`` oscillates for large
     ``x1``.  The integrand is finite at the endpoints because ``b`` vanishes
-    there.  Orientation note: the sign is fixed by the requirement that the
-    assembled survival be continuous across the cone boundary; it is the
-    opposite of the raw left-to-right endpoint integral.
+    there.  The integrand is one closure per call, built by
+    :func:`_cut_integrand`: it does the same operations as
+    :func:`ruin2d.transform.ab`, so its values and the output are bit-identical
+    to the ``ab``-based form.  Orientation note: the sign is fixed by the
+    requirement that the assembled survival be continuous across the cone
+    boundary; it is the opposite of the raw left-to-right endpoint integral.
     """
     _require_exponential(model)
-    if x1 < 0 or x2 < 0:
+    if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
         raise InvalidReserve("reserves must be nonnegative")
     if tol <= 0:
         raise ValueError("tol must be positive")
     dc = dc or derive(model)
-    mu, lam, p2 = dc.mu, model.lam, dc.p2
     lo, hi = dc.q_plus_end, dc.q_minus_end
     # Pole-freedom on the cut: both integrand poles (0 and -gamma2) lie to the
     # right of q_minus_end.  Guaranteed for valid models; refuse otherwise.
@@ -128,13 +159,6 @@ def omega(
     # the fixed-node rule of ROADMAP direction 2 removes quad altogether
     from scipy.integrate import quad
 
-    def integrand(q: float) -> float:
-        a, b, f = ab(model, q, dc)
-        damp = math.exp(x1 * a + x2 * q)
-        return damp * (f * math.sin(b * x1) + b * math.cos(b * x1)) / (
-            q * (q * p2 + mu * p2 - lam)
-        )
-
     b_max = _max_b(model, dc)
     span = hi - lo
     n_panels = 1
@@ -144,6 +168,7 @@ def omega(
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     err = 0.0
+    integrand = _cut_integrand(model, dc, x1, x2)
     for left, right in zip(edges[:-1], edges[1:]):
         val, abserr = quad(
             integrand,
@@ -171,7 +196,7 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     integral, assembled per regime.
     """
     _require_exponential(model)
-    if x1 < 0 or x2 < 0:
+    if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
         raise InvalidReserve("reserves must be nonnegative")
     dc = derive(model)
 

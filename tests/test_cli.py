@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -363,6 +365,84 @@ def test_seeded_output_pinned_at_stream_version(capsys, argv, line):
     assert out.splitlines()[-1] == line, (
         "a seeded Monte Carlo output changed: if paths are now drawn differently "
         "on purpose, bump mc.STREAM_VERSION and pin the new lines")
+
+
+P1_INLINE = ["--lam", "2", "--mu", "1", "--c", "5", "2.2"]
+ND_INLINE = ["--lam", "1", "--mu", "1", "--c", "1.002", "1.001"]
+
+EXACT_OUTPUT_MOVED = (
+    "an exact-path output changed: the closed form prints the same bytes until ROADMAP "
+    "direction 2 (fixed-node cut rule) or direction 7 (ruin assembled from its terms) "
+    "moves them on purpose; record that in CHANGES.md and pin the new outputs")
+
+# sha256 of each sweep's CSV, 16 x 16 points
+TABLE_GOLDEN = {
+    "P0-small": ([*P0_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
+                 "1acbb54433342a87bb8d495634f6ae0c61a0cc921ab0bee5255b4125e8cc2459"),
+    "P0-large": ([*P0_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
+                 "22f504af5c5e5bcfa4bccf391f9a3d580886f957d8c3f9487eebd51ce6329b06"),
+    "P1-small": ([*P1_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
+                 "9deffb146819f6387c7c64fedd2eab7f130ed1a6b44720b2dd69b8443f3e705b"),
+    "P1-large": ([*P1_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
+                 "02d142c98e1cb6e191a0c2038e4afe60c0b85546c6415a47610d448757285b8c"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GOLDEN)
+def test_table_output_pinned(capsys, name):
+    argv, digest = TABLE_GOLDEN[name]
+    code, out, _ = run_cli(["table", *argv], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 16 * 16
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, EXACT_OUTPUT_MOVED
+
+
+RUIN_EXACT_GOLDEN = [
+    ([*P0_INLINE, "--u", "10.5", "12.25"],
+     "ruin = 0.00113980645995  method=exact  error<=1.51299266961e-10  regime=case1"),
+    ([*P0_INLINE, "--u", "17", "23.4"],
+     "ruin = 6.94823273129e-06  method=exact  error<=5.85910843248e-13  regime=case1"),
+    ([*P0_INLINE, "--u", "29.3", "30"],
+     "ruin = 1.52951543098e-07  method=exact  error<=4.06046851371e-14  regime=case1"),
+    ([*P0_INLINE, "--u", "21", "13.5"],
+     "ruin = 0.000585439810396  method=exact  error<=0  regime=case1"),
+    ([*P1_INLINE, "--u", "10.5", "12.25"],
+     "ruin = 0.298520038298  method=exact  error<=3.88899769178e-11  regime=case2"),
+    ([*P1_INLINE, "--u", "17", "23.4"],
+     "ruin = 0.108330449459  method=exact  error<=9.69216599936e-13  regime=case2"),
+    ([*P1_INLINE, "--u", "29.3", "30"],
+     "ruin = 0.0594521847545  method=exact  error<=3.38234727163e-14  regime=case2"),
+    ([*P1_INLINE, "--u", "21", "13.5"],
+     "ruin = 0.266446206622  method=exact  error<=0  regime=case2"),
+    ([*ND_INLINE, "--u", "0.35", "1.2", "--tol", "1e-6"],
+     "ruin = 0.998609239727  method=exact  error<=2.80017939663e-11  regime=case1"),
+    ([*ND_INLINE, "--u", "1.6", "2.9", "--tol", "1e-6"],
+     "ruin = 0.997304310381  method=exact  error<=1.28809641665e-13  regime=case1"),
+    ([*ND_INLINE, "--u", "14", "15.5", "--tol", "1e-6"],
+     "ruin = 0.984590087493  method=exact  error<=7.68522030715e-13  regime=case1"),
+    ([*ND_INLINE, "--u", "12", "4", "--tol", "1e-6"],
+     "ruin = 0.995016952451  method=exact  error<=0  regime=case1"),
+]
+
+
+@pytest.mark.parametrize("argv, line", RUIN_EXACT_GOLDEN,
+                         ids=[f"{i:02d}" for i in range(len(RUIN_EXACT_GOLDEN))])
+def test_ruin_exact_output_pinned(capsys, argv, line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning on ND
+        code, out, _ = run_cli(["ruin", *argv, "--method", "exact"], capsys)
+    assert (code, out) == (0, line + "\n"), EXACT_OUTPUT_MOVED
+
+
+def test_ruin_exact_tolerance_probe_pinned(capsys):
+    # an ND point where quad cannot meet the default --tol
+    argv = ["ruin", *ND_INLINE, "--u", "1.9895316759833197", "2.119459091872955"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (
+        4, "", "tolerance error: cut integral error 4.05e-08 exceeds tol 1.00e-08\n"
+    ), EXACT_OUTPUT_MOVED
 
 
 def test_delta_warning_only_when_chosen(p0_file, capsys):

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+from ruin2d import closedform
 from ruin2d.closedform import omega, ruin, survival
 from ruin2d.errors import InvalidReserve, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive
-from ruin2d.transform import invert_2d
+from ruin2d.transform import ab, invert_2d
 
 from conftest import z_score
 from oracles import g, residue_terms
@@ -150,6 +151,26 @@ def test_errors(p0, erlang2_model):
         survival(erlang2_model, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("x1, x2", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+@pytest.mark.parametrize("call", [survival, ruin, omega], ids=lambda f: f.__name__)
+def test_nan_reserves_rejected(p0, call, x1, x2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before quad could warn
+        with pytest.raises(InvalidReserve):
+            call(p0, x1, x2)
+
+
+def test_infinite_reserves_are_limits(p0):
+    dc = derive(p0)
+    # x2 -> inf leaves company 1 alone; x1 -> inf leaves the lower-cone formula
+    assert survival(p0, 1.0, math.inf).value == pytest.approx(0.8288609603, abs=1e-10)
+    assert survival(p0, 1.0, math.inf).value == 1.0 - dc.C1 * math.exp(-dc.gamma1)
+    assert survival(p0, math.inf, 1.0).value == 1.0 - dc.C2 * math.exp(-dc.gamma2)
+    assert survival(p0, math.inf, math.inf).value == 1.0
+    assert ruin(p0, math.inf, math.inf) == 0.0
+    assert omega(p0, 1.0, math.inf) == (0.0, 0.0)
+
+
 def test_quadrature_error_reported_below_tol(p0):
     res = survival(p0, 1.0, 2.0, tol=1e-8)
     assert 0.0 <= res.quadrature_error <= 1e-8
@@ -175,6 +196,85 @@ def test_ruin_clips_with_warning(p0, monkeypatch):
         val = cf.ruin(p0, 1.0, 2.0)
     assert val == 0.0
     assert rec and "outside" in str(rec[0].message)
+
+
+def reference_integrand(model, dc, x1, x2):
+    """The ``ab``-based cut integrand that ``closedform._cut_integrand`` must match bit for bit."""
+    mu, lam, p2 = dc.mu, model.lam, dc.p2
+
+    def integrand(q):
+        a, b, f = ab(model, q, dc)
+        damp = math.exp(x1 * a + x2 * q)
+        return damp * (f * math.sin(b * x1) + b * math.cos(b * x1)) / (
+            q * (q * p2 + mu * p2 - lam)
+        )
+
+    return integrand
+
+
+# ND is near-degenerate (p1 -> p2 -> rho); E1 has margin e1 = (p1 - p2)/p2 = 1e-5
+INTEGRAND_MODELS = {
+    "P0": RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.0, c2=2.0),
+    "P1": RiskModel(lam=2.0, claim=Exponential(1.0), c1=5.0, c2=2.2),
+    "ND": RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001),
+    "E1": RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.01 * (1.0 + 1e-5), c2=1.01),
+}
+INTEGRAND_RESERVES = [(0.0, 0.5), (0.7, 1.3), (2.5, 2.5), (4.0, 9.5), (25.0, 26.0)]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
+@pytest.mark.parametrize("name", INTEGRAND_MODELS)
+def test_cut_integrand_matches_reference_bits(name, scalar):
+    model = INTEGRAND_MODELS[name]
+    dc = derive(model)
+    lo, hi = dc.q_plus_end, dc.q_minus_end
+    # both cut ends (where the radicand is clamped), a uniform grid, points crowding
+    # towards each end (where the damping is weakest near q_minus_end) and random points
+    crowd = (hi - lo) * np.logspace(-14, 0, 2000)
+    qs = np.linspace(lo, hi, 4001).tolist()
+    qs += (hi - crowd).tolist() + (lo + crowd[:1000]).tolist()
+    qs += np.random.default_rng(7).uniform(lo, hi, 3000).tolist()
+    for x1, x2 in INTEGRAND_RESERVES:
+        x1, x2 = scalar(x1), scalar(x2)
+        got = closedform._cut_integrand(model, dc, x1, x2)
+        want = reference_integrand(model, dc, x1, x2)
+        assert np.array_equal(bits([got(q) for q in qs]), bits([want(q) for q in qs])), (x1, x2)
+
+
+def counting(factory, nodes):
+    def make(*args):
+        integrand = factory(*args)
+
+        def counted(q):
+            nodes.append(q)
+            return integrand(q)
+
+        return counted
+
+    return make
+
+
+@pytest.mark.parametrize("name, x1, x2, tol", [
+    ("P0", 1.0, 2.0, 1e-8), ("P0", 0.0, 1.0, 1e-8), ("P1", 12.0, 14.0, 1e-8),
+    ("ND", 0.5, 1.0, 1e-6), ("E1", 0.5, 1.5, 1e-8),
+])
+def test_omega_quad_nodes_match_reference(monkeypatch, name, x1, x2, tol):
+    model = INTEGRAND_MODELS[name]
+    got_nodes, want_nodes = [], []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning on ND
+        monkeypatch.setattr(closedform, "_cut_integrand",
+                            counting(closedform._cut_integrand, got_nodes))
+        got = omega(model, np.float64(x1), np.float64(x2), tol=tol)
+        monkeypatch.setattr(closedform, "_cut_integrand", counting(reference_integrand, want_nodes))
+        want = omega(model, np.float64(x1), np.float64(x2), tol=tol)
+    assert got == want
+    assert len(got_nodes) == len(want_nodes) > 0
+    assert got_nodes == want_nodes
 
 
 def mp_omega(model, x1, x2, dps=30):
