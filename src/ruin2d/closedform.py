@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,55 +38,7 @@ class SurvivalResult:
     value: float
     regime: str
     omega: float
-    terms: dict = field(default_factory=dict)
     quadrature_error: float = 0.0
-    saturated: bool = False
-
-
-def _cut_exponent_max(model: RiskModel, dc: DerivedConstants, x1: float, x2: float) -> float:
-    """Max over the cut of the damping exponent ``x1 a(q) + x2 q``.
-
-    ``a`` is affine in ``q``, so the maximum sits at a cut endpoint; it is
-    nonpositive whenever ``x2 >= x1``, which rules out overflow.
-    """
-    lo, hi = dc.q_plus_end, dc.q_minus_end
-    return max(x1 * ab(model, lo, dc).a + x2 * lo, x1 * ab(model, hi, dc).a + x2 * hi)
-
-
-def _omega_bound(model: RiskModel, dc: DerivedConstants, x1: float, x2: float) -> float:
-    """Cheap upper bound on |omega|: sup of the integrand times the cut length.
-
-    ``|f|`` is affine (endpoint max), ``q (p2 q + mu p2 - lam) = p2 q (q + gamma2)``
-    is positive on the cut with its minimum at the endpoint nearest ``-gamma2``.
-    """
-    lo, hi = dc.q_plus_end, dc.q_minus_end
-    span = hi - lo
-    f_max = max(abs(ab(model, lo, dc).f), abs(ab(model, hi, dc).f))
-    denom_min = dc.p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(hi + dc.gamma2))
-    if denom_min <= 0.0:
-        return math.inf
-    sup = math.exp(_cut_exponent_max(model, dc, x1, x2))
-    sup *= (f_max + _max_b(model, dc)) / denom_min
-    return abs(dc.p2 - dc.rho) / math.pi * span * sup
-
-
-def _max_b(model: RiskModel, dc: DerivedConstants) -> float:
-    """Maximum of b over the cut (vertex of the radicand quadratic)."""
-    mu, lam, p1, p2 = dc.mu, model.lam, dc.p1, dc.p2
-    # radicand(q) = -(p1-p2)^2 q^2 + 2[2 p1 p2 (mu ...)] q ... expand once:
-    # 4 p1 (p2 mu + p2 q - lam) q - (p1 mu - lam + (p1+p2) q)^2
-    a2 = 4.0 * p1 * p2 - (p1 + p2) ** 2
-    a1 = 4.0 * p1 * (p2 * mu - lam) - 2.0 * (p1 + p2) * (p1 * mu - lam)
-    a0 = -((p1 * mu - lam) ** 2)
-    # a2 = -(p1 - p2)^2, which rounds to zero once p1 and p2 agree to about 8 digits
-    if not a2 < 0.0:
-        raise ToleranceNotMet(
-            f"p1 - p2 = {p1 - p2:.3g} is below the resolution of the cut integral's bound"
-        )
-    q_vertex = -a1 / (2.0 * a2)
-    q_vertex = min(max(q_vertex, dc.q_plus_end), dc.q_minus_end)
-    rad = a2 * q_vertex * q_vertex + a1 * q_vertex + a0
-    return math.sqrt(max(rad, 0.0)) / (2.0 * p1)
 
 
 def _cut_integrand(model: RiskModel, dc: DerivedConstants, x1: float, x2: float):
@@ -127,44 +79,60 @@ def omega(
 ) -> tuple[float, float]:
     """Oscillatory cut integral of the spectral representation.
 
-    Returns ``(value, error_estimate)``.  Adaptive Gauss-Kronrod panels over
-    ``[q_plus_end, q_minus_end]``; the interval is pre-split at the oscillation
-    scale ``pi / (x1 * max b)`` since ``sin(b(q) x1)`` oscillates for large
-    ``x1``.  The integrand is finite at the endpoints because ``b`` vanishes
-    there.  The integrand is one closure per call, built by
-    :func:`_cut_integrand`: it does the same operations as
-    :func:`ruin2d.transform.ab`, so its values and the output are bit-identical
-    to the ``ab``-based form.  Orientation note: the sign is fixed by the
-    requirement that the assembled survival be continuous across the cone
-    boundary; it is the opposite of the raw left-to-right endpoint integral.
+    Returns ``(value, error_estimate)``.  :func:`ruin2d.transform.ab` runs once
+    at each cut end, ``q_plus_end`` and ``q_minus_end``; ``a`` and ``|f|`` are
+    affine in ``q``, so their two end values give the peak damping exponent
+    ``x1 a + x2 q``, the underflow shortcut and the sup-times-length bound.
+    On the cut the radicand of ``b`` is ``-(p1-p2)^2 (q-q_plus_end)(q-q_minus_end)``,
+    whose mid-cut peak ``4 lam p1 mu`` gives ``max b = sqrt(lam mu / p1)``.
+    Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``; the
+    interval is pre-split at the oscillation scale ``pi / (x1 * max b)``
+    since ``sin(b(q) x1)`` oscillates for large ``x1``.  The integrand is
+    finite at the endpoints because ``b`` vanishes there; on the regime seam
+    ``rho = p2^2/p1`` the pole ``-gamma2`` meets ``q_minus_end`` and the
+    integrand grows like ``(q_minus_end - q)^(-1/2)``, which is integrable.
+    The integrand is one closure per call, built by :func:`_cut_integrand`:
+    it does the same operations as ``ab``, so its values and the output are
+    bit-identical to the ``ab``-based form.  Orientation note: the sign is
+    fixed by the requirement that the assembled survival be continuous across
+    the cone boundary; it is the opposite of the raw left-to-right endpoint
+    integral.
     """
     _require_exponential(model)
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
         raise InvalidReserve("reserves must be nonnegative")
+    if x1 == math.inf:
+        raise InvalidReserve("the cut integral needs a finite x1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     dc = dc or derive(model)
+    p1, p2 = dc.p1, dc.p2
     lo, hi = dc.q_plus_end, dc.q_minus_end
-    # Pole-freedom on the cut: both integrand poles (0 and -gamma2) lie to the
-    # right of q_minus_end.  Guaranteed for valid models; refuse otherwise.
-    if not hi < -dc.gamma2:
-        raise ToleranceNotMet("cut endpoint ordering violated; refusing to integrate")
-
-    if _cut_exponent_max(model, dc, x1, x2) < _LOG_TINY:
+    end_lo, end_hi = ab(model, lo, dc), ab(model, hi, dc)
+    # nonpositive whenever x2 >= x1, which rules out overflow
+    exponent = max(x1 * end_lo.a + x2 * lo, x1 * end_hi.a + x2 * hi)
+    if exponent < _LOG_TINY:
         return 0.0, 0.0
-    bound = _omega_bound(model, dc, x1, x2)
-    if bound < 0.1 * tol:
-        return 0.0, bound
+    # -(p1 - p2)^2 rounds to zero once p1 and p2 agree to about 8 digits
+    if not 4.0 * p1 * p2 - (p1 + p2) ** 2 < 0.0:
+        raise ToleranceNotMet(
+            f"p1 - p2 = {p1 - p2:.3g} is below the resolution of the cut integral's bound"
+        )
+    b_max = math.sqrt(model.lam * dc.mu / p1)
+    span = hi - lo
+    # q (p2 q + mu p2 - lam) = p2 q (q + gamma2) is smallest at the cut end nearest -gamma2
+    denom_min = p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(hi + dc.gamma2))
+    if denom_min > 0.0:
+        f_max = max(abs(end_lo.f), abs(end_hi.f))
+        sup = math.exp(exponent) * ((f_max + b_max) / denom_min)
+        bound = abs(p2 - dc.rho) / math.pi * span * sup
+        if bound < 0.1 * tol:
+            return 0.0, bound
     # imported here so that a process that never integrates starts without scipy;
     # the fixed-node rule of ROADMAP direction 2 removes quad altogether
     from scipy.integrate import quad
 
-    b_max = _max_b(model, dc)
-    span = hi - lo
-    n_panels = 1
-    if x1 > 0 and b_max > 0:
-        n_panels = int(math.ceil(span * x1 * b_max / math.pi))
-        n_panels = max(1, min(n_panels, _PANEL_BUDGET))
+    n_panels = max(1, min(math.ceil(span * x1 * b_max / math.pi), _PANEL_BUDGET))
     edges = np.linspace(lo, hi, n_panels + 1)
     total = 0.0
     err = 0.0
@@ -180,7 +148,7 @@ def omega(
         )
         total += val
         err += abserr
-    prefactor = (dc.p2 - dc.rho) / math.pi
+    prefactor = (p2 - dc.rho) / math.pi
     if err * abs(prefactor) > tol:
         raise ToleranceNotMet(
             f"cut integral error {err * abs(prefactor):.2e} exceeds tol {tol:.2e}"
@@ -201,33 +169,16 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     dc = derive(model)
 
     if x2 <= x1:
-        term2 = -dc.C2 * math.exp(-dc.gamma2 * x2)
-        return SurvivalResult(
-            value=1.0 + term2,
-            regime=dc.regime,
-            omega=0.0,
-            terms={"constant": 1.0, "company2": term2},
-            quadrature_error=0.0,
-        )
+        value = 1.0 - dc.C2 * math.exp(-dc.gamma2 * x2)
+        return SurvivalResult(value=value, regime=dc.regime, omega=0.0)
 
     om, om_err = omega(model, x1, x2, tol=tol, dc=dc)
-    saturated = _cut_exponent_max(model, dc, x1, x2) < _LOG_TINY
-    terms: dict[str, float] = {
-        "constant": 1.0,
-        "company1": -dc.C1 * math.exp(-dc.gamma1 * x1),
-    }
+    value = 1.0 - dc.C1 * math.exp(-dc.gamma1 * x1)
     if dc.regime == "case2":
-        terms["company2"] = -dc.C2 * math.exp(-dc.gamma2 * x2)
-        terms["cross"] = (dc.p2 / dc.p1) * math.exp(-dc.gamma3 * x1 - dc.gamma2 * x2)
-    value = sum(terms.values()) + om
-    return SurvivalResult(
-        value=value,
-        regime=dc.regime,
-        omega=om,
-        terms=terms,
-        quadrature_error=om_err,
-        saturated=saturated,
-    )
+        value -= dc.C2 * math.exp(-dc.gamma2 * x2)
+        value += (dc.p2 / dc.p1) * math.exp(-dc.gamma3 * x1 - dc.gamma2 * x2)
+    value += om
+    return SurvivalResult(value=value, regime=dc.regime, omega=om, quadrature_error=om_err)
 
 
 def ruin(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> float:

@@ -39,7 +39,7 @@ def test_omega_underflow_saturation(p0):
     val, err = omega(p0, 3000.0, 3001.0)
     assert val == 0.0 and err == 0.0
     res = survival(p0, 3000.0, 3001.0)
-    assert res.saturated
+    assert res.omega == 0.0 and res.quadrature_error == 0.0
     assert res.value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,6 +171,13 @@ def test_infinite_reserves_are_limits(p0):
     assert omega(p0, 1.0, math.inf) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("x2", [1.0, math.inf])
+def test_omega_refuses_infinite_x1(p0, x2):
+    # the panel count grows with x1; survival never asks, since x2 <= x1 = inf is the lower cone
+    with pytest.raises(InvalidReserve):
+        omega(p0, math.inf, x2)
+
+
 def test_quadrature_error_reported_below_tol(p0):
     res = survival(p0, 1.0, 2.0, tol=1e-8)
     assert 0.0 <= res.quadrature_error <= 1e-8
@@ -296,13 +303,17 @@ def mp_omega(model, x1, x2, dps=30):
         a0 = -((p1 * mu - lam) ** 2)
         c = -a1 / (2 * a2)
         h = mp.sqrt(a1 * a1 - 4 * a2 * a0) / (2 * abs(a2))
+        # q_minus_end + gamma2, which is zero on the regime seam rho = p2^2/p1
+        end_gap = -((p2 * mp.sqrt(mu) - mp.sqrt(lam * p1)) ** 2) / ((p1 - p2) * p2)
 
         def integrand(theta):
             q = c + h * mp.cos(theta)
             a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
             b = mp.sqrt(max(a2 * q * q + a1 * q + a0, 0)) / (2 * p1)
             osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
-            return mp.exp(x1 * a + x2 * q) * osc / (q * (q * p2 + mu * p2 - lam)) * h * mp.sin(theta)
+            # q + gamma2 without the cancellation of q_minus_end against -gamma2
+            q_gamma2 = end_gap - 2 * h * mp.sin(theta / 2) ** 2
+            return mp.exp(x1 * a + x2 * q) * osc / (q * p2 * q_gamma2) * h * mp.sin(theta)
 
         edges = [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [mp.pi]
         return float(-(p2 - lam / mu) / mp.pi * mp.quad(integrand, edges))
@@ -323,3 +334,35 @@ def test_omega_error_bound_near_degenerate():
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
         value, err = omega(model, 0.5, 1.0, tol=1e-8)
     assert abs(value - mp_omega(model, 0.5, 1.0)) <= err
+
+
+# On the regime seam rho = p2^2/p1 the pole -gamma2 meets q_minus_end: exactly at
+# c = (4, 2), and 1.1e-16 inside the cut after rounding at c = (9, 3).
+SEAM_MODELS = {
+    "c=(4,2)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=4.0, c2=2.0),
+    "c=(9,3)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=9.0, c2=3.0),
+}
+
+
+@pytest.mark.parametrize("x1, x2", [(0.0, 0.5), (1.0, 3.0), (2.0, 2.5), (12.0, 14.0)])
+@pytest.mark.parametrize("name", SEAM_MODELS)
+def test_omega_on_regime_seam(name, x1, x2):
+    model = SEAM_MODELS[name]
+    dc = derive(model)
+    assert dc.q_minus_end + dc.gamma2 == {"c=(4,2)": 0.0, "c=(9,3)": 2.0**-53}[name]
+    value, err = omega(model, x1, x2, tol=1e-8)
+    assert abs(value - mp_omega(model, x1, x2)) <= err <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="quad's error estimate misses the pole -gamma2 just past the cut end next to the seam",
+)
+def test_omega_error_bound_next_to_regime_seam():
+    # c1 = 3.999 is 1e-3 from the seam c1 = 4; omega is off by 4.8e-5 and reports 5.6e-9
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.999, c2=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
+        value, err = omega(model, 0.3, 0.8, tol=1e-8)
+    assert abs(value - mp_omega(model, 0.3, 0.8)) <= err

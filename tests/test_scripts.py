@@ -47,6 +47,8 @@ P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
         (["derive", "--model", "no-such-model.json"], 2),
         (["invert", *P0_INLINE, "--x", "2", "1"], 3),
         (["pde", *P0_INLINE, "--steps", "4", "--tol", "1e-12"], 4),
+        # on the regime seam rho = p2^2/p1, where the pole -gamma2 meets the cut end
+        (["ruin", "--lam", "1", "--mu", "1", "--c", "4", "2", "--u", "1", "3"], 0),
     ],
 )
 def test_cli_entry_point_exit_codes(tmp_path, argv, code):
@@ -62,7 +64,8 @@ def test_cli_entry_point_exit_codes(tmp_path, argv, code):
 
 
 def test_cut_bound_below_resolution_exits_4(tmp_path):
-    # a2 = -(p1 - p2)^2 rounds to zero in closedform._max_b at p1 - p2 = 2e-8
+    # -(p1 - p2)^2, the leading coefficient of b's radicand, rounds to zero at
+    # p1 - p2 = 2e-8, and closedform.omega refuses
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = ["ruin", "--lam", "1", "--mu", "1", "--c", "1.00000003", "1.00000001",
             "--u", "1", "3"]
