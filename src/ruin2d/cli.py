@@ -247,7 +247,7 @@ def cmd_ruin(args) -> int:
     method = _ruin_method(model, s, args.method)
     if method == "exact":
         res = closedform.survival(model, x1, x2, tol=args.tol)
-        print(f"ruin = {_fmt(1.0 - res.value)}  method=exact  "
+        print(f"ruin = {_fmt(res.ruin)}  method=exact  "
               f"error<={_fmt(res.quadrature_error)}  regime={res.regime}")
     elif method == "invert":
         if not (x2 > x1 > 0):
@@ -353,7 +353,7 @@ def cmd_table(args) -> int:
                 failed = True
                 rows.append(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
                 continue
-            values = (x1, x2, res.value, 1.0 - res.value, res.omega, res.quadrature_error)
+            values = (x1, x2, res.value, res.ruin, res.omega, res.quadrature_error)
             rows.append(",".join([*(_fmt(v) for v in values), res.regime]) + "\n")
     with _output(args.output) as out:
         out.write("x1,x2,survival,ruin,omega,quadratureError,regime\n")

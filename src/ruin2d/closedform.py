@@ -36,6 +36,7 @@ _PANEL_BUDGET = 10_000
 @dataclass(frozen=True)
 class SurvivalResult:
     value: float
+    ruin: float
     regime: str
     omega: float
     quadrature_error: float = 0.0
@@ -80,23 +81,25 @@ def omega(
     """Oscillatory cut integral of the spectral representation.
 
     Returns ``(value, error_estimate)``.  :func:`ruin2d.transform.ab` runs once
-    at each cut end, ``q_plus_end`` and ``q_minus_end``; ``a`` and ``|f|`` are
-    affine in ``q``, so their two end values give the peak damping exponent
-    ``x1 a + x2 q``, the underflow shortcut and the sup-times-length bound.
-    On the cut the radicand of ``b`` is ``-(p1-p2)^2 (q-q_plus_end)(q-q_minus_end)``,
-    whose mid-cut peak ``4 lam p1 mu`` gives ``max b = sqrt(lam mu / p1)``.
+    at each cut end, ``q_plus_end`` and ``q_minus_end``: ``a`` and ``|f|`` are
+    affine in ``q``, so those two values give the peak damping exponent
+    ``x1 a + x2 q`` and the sup-times-length bound, both of which can skip
+    the integral.  The radicand of ``b`` is
+    ``-(p1-p2)^2 (q-q_plus_end)(q-q_minus_end)``, whose mid-cut peak
+    ``4 lam p1 mu`` gives ``max b = sqrt(lam mu / p1)``.
+
     Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``; the
     interval is pre-split at the oscillation scale ``pi / (x1 * max b)``
     since ``sin(b(q) x1)`` oscillates for large ``x1``.  The integrand is
-    finite at the endpoints because ``b`` vanishes there; on the regime seam
-    ``rho = p2^2/p1`` the pole ``-gamma2`` meets ``q_minus_end`` and the
-    integrand grows like ``(q_minus_end - q)^(-1/2)``, which is integrable.
-    The integrand is one closure per call, built by :func:`_cut_integrand`:
-    it does the same operations as ``ab``, so its values and the output are
-    bit-identical to the ``ab``-based form.  Orientation note: the sign is
-    fixed by the requirement that the assembled survival be continuous across
-    the cone boundary; it is the opposite of the raw left-to-right endpoint
-    integral.
+    finite at the endpoints because ``b`` vanishes there, except on the
+    regime seam ``rho = p2^2/p1``: there the pole ``-gamma2`` meets
+    ``q_minus_end`` and the integrand grows like ``(q_minus_end - q)^(-1/2)``,
+    which is integrable.  The integrand is one closure per call, built by
+    :func:`_cut_integrand`: it does the same operations as ``ab``, so its
+    values and the output are bit-identical to the ``ab``-based form.
+    Orientation note: the sign is fixed by the requirement that the assembled
+    survival be continuous across the cone boundary; it is the opposite of
+    the raw left-to-right endpoint integral.
     """
     _require_exponential(model)
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
@@ -109,7 +112,8 @@ def omega(
     p1, p2 = dc.p1, dc.p2
     lo, hi = dc.q_plus_end, dc.q_minus_end
     end_lo, end_hi = ab(model, lo, dc), ab(model, hi, dc)
-    # nonpositive whenever x2 >= x1, which rules out overflow
+    # a is affine in q, so the exponent peaks at a cut end; it is nonpositive
+    # whenever x2 >= x1, which rules out overflow
     exponent = max(x1 * end_lo.a + x2 * lo, x1 * end_hi.a + x2 * hi)
     if exponent < _LOG_TINY:
         return 0.0, 0.0
@@ -120,12 +124,13 @@ def omega(
         )
     b_max = math.sqrt(model.lam * dc.mu / p1)
     span = hi - lo
+    prefactor = (p2 - dc.rho) / math.pi
     # q (p2 q + mu p2 - lam) = p2 q (q + gamma2) is smallest at the cut end nearest -gamma2
     denom_min = p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(hi + dc.gamma2))
     if denom_min > 0.0:
         f_max = max(abs(end_lo.f), abs(end_hi.f))
         sup = math.exp(exponent) * ((f_max + b_max) / denom_min)
-        bound = abs(p2 - dc.rho) / math.pi * span * sup
+        bound = abs(prefactor) * span * sup
         if bound < 0.1 * tol:
             return 0.0, bound
     # imported here so that a process that never integrates starts without scipy;
@@ -148,7 +153,6 @@ def omega(
         )
         total += val
         err += abserr
-    prefactor = (p2 - dc.rho) / math.pi
     if err * abs(prefactor) > tol:
         raise ToleranceNotMet(
             f"cut integral error {err * abs(prefactor):.2e} exceeds tol {tol:.2e}"
@@ -169,21 +173,29 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     dc = derive(model)
 
     if x2 <= x1:
-        value = 1.0 - dc.C2 * math.exp(-dc.gamma2 * x2)
-        return SurvivalResult(value=value, regime=dc.regime, omega=0.0)
+        psi2 = dc.C2 * math.exp(-dc.gamma2 * x2)
+        return SurvivalResult(value=1.0 - psi2, ruin=psi2, regime=dc.regime, omega=0.0)
 
     om, om_err = omega(model, x1, x2, tol=tol, dc=dc)
-    value = 1.0 - dc.C1 * math.exp(-dc.gamma1 * x1)
+    psi1 = dc.C1 * math.exp(-dc.gamma1 * x1)
+    value, psi = 1.0 - psi1, psi1
     if dc.regime == "case2":
-        value -= dc.C2 * math.exp(-dc.gamma2 * x2)
-        value += (dc.p2 / dc.p1) * math.exp(-dc.gamma3 * x1 - dc.gamma2 * x2)
-    value += om
-    return SurvivalResult(value=value, regime=dc.regime, omega=om, quadrature_error=om_err)
+        psi2 = dc.C2 * math.exp(-dc.gamma2 * x2)
+        cross = (dc.p2 / dc.p1) * math.exp(-dc.gamma3 * x1 - dc.gamma2 * x2)
+        value = value - psi2 + cross
+        psi = psi + psi2 - cross
+    return SurvivalResult(
+        value=value + om, ruin=psi - om, regime=dc.regime, omega=om, quadrature_error=om_err
+    )
 
 
 def ruin(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> float:
-    """Joint ruin probability ``1 - survival``; clipped to ``[0, 1]``."""
-    value = 1.0 - survival(model, x1, x2, tol=tol).value
+    """Joint ruin probability, clipped to ``[0, 1]``.
+
+    :attr:`SurvivalResult.ruin` sums the ruin terms directly instead of taking
+    ``1 - survival``, so probabilities far below 1e-16 keep their digits.
+    """
+    value = survival(model, x1, x2, tol=tol).ruin
     if value < -1e-9 or value > 1.0 + 1e-9:
         warnings.warn(
             f"ruin probability {value!r} outside [0, 1] beyond quadrature noise; clipping"

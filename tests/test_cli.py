@@ -380,7 +380,7 @@ TABLE_GOLDEN = {
     "P0-small": ([*P0_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
                  "1acbb54433342a87bb8d495634f6ae0c61a0cc921ab0bee5255b4125e8cc2459"),
     "P0-large": ([*P0_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
-                 "22f504af5c5e5bcfa4bccf391f9a3d580886f957d8c3f9487eebd51ce6329b06"),
+                 "acca208177134791b01ba805b7271181ab913c57937bd46f70ee4cacb4a8e533"),
     "P1-small": ([*P1_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
                  "9deffb146819f6387c7c64fedd2eab7f130ed1a6b44720b2dd69b8443f3e705b"),
     "P1-large": ([*P1_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
@@ -401,11 +401,15 @@ RUIN_EXACT_GOLDEN = [
     ([*P0_INLINE, "--u", "10.5", "12.25"],
      "ruin = 0.00113980645995  method=exact  error<=1.51299266961e-10  regime=case1"),
     ([*P0_INLINE, "--u", "17", "23.4"],
-     "ruin = 6.94823273129e-06  method=exact  error<=5.85910843248e-13  regime=case1"),
+     "ruin = 6.94823273128e-06  method=exact  error<=5.85910843248e-13  regime=case1"),
     ([*P0_INLINE, "--u", "29.3", "30"],
-     "ruin = 1.52951543098e-07  method=exact  error<=4.06046851371e-14  regime=case1"),
+     "ruin = 1.52951543066e-07  method=exact  error<=4.06046851371e-14  regime=case1"),
     ([*P0_INLINE, "--u", "21", "13.5"],
      "ruin = 0.000585439810396  method=exact  error<=0  regime=case1"),
+    ([*P0_INLINE, "--u", "40", "80"],
+     "ruin = 8.7436458989e-13  method=exact  error<=1.47593241237e-15  regime=case1"),
+    ([*P0_INLINE, "--u", "60", "120"],
+     "ruin = 1.4161180851e-18  method=exact  error<=6.96984828408e-24  regime=case1"),
     ([*P1_INLINE, "--u", "10.5", "12.25"],
      "ruin = 0.298520038298  method=exact  error<=3.88899769178e-11  regime=case2"),
     ([*P1_INLINE, "--u", "17", "23.4"],

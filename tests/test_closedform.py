@@ -105,6 +105,13 @@ def test_ruin_at_origin(p0):
     assert ruin(p0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_small_ruin_keeps_its_digits(p0):
+    # 1 - survival loses the digits below 1e-16; in case 1 at x2 = 2 x1 the psi1 term leads
+    dc = derive(p0)
+    assert ruin(p0, 60.0, 120.0) == pytest.approx(dc.C1 * math.exp(-dc.gamma1 * 60.0), rel=1e-12)
+    assert ruin(p0, 60.0, 50.0) == pytest.approx(dc.C2 * math.exp(-dc.gamma2 * 50.0), rel=1e-12)
+
+
 def test_ruin_monotone_in_reserves(p0):
     assert ruin(p0, 1.0, 3.0) >= ruin(p0, 2.0, 3.0) >= ruin(p0, 2.0, 4.0)
     assert ruin(p0, 30.0, 40.0) < 1e-8
@@ -194,7 +201,7 @@ def test_ruin_clips_with_warning(p0, monkeypatch):
     import ruin2d.closedform as cf
 
     class FakeRes:
-        value = 1.0 + 5e-9
+        ruin = -5e-9
         regime = "case1"
 
     monkeypatch.setattr(cf, "survival", lambda *a, **k: FakeRes())
