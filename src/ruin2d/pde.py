@@ -151,7 +151,6 @@ class CharacteristicGrid:
     chi: np.ndarray
     xi: np.ndarray
     error_estimate: Optional[float]
-    corner_gap: float
 
     @property
     def r_max(self) -> float:
@@ -226,7 +225,6 @@ def solve(
     err = float(np.nanmax(diff)) / 3.0
     if tol is not None and err > tol:
         raise GridTooCoarse(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
-    corner_gap = abs(float(chi_f[0, 0]) - ruin_transform_exp(model, 0.0, s))
     return CharacteristicGrid(
         model=model,
         s=s,
@@ -236,7 +234,6 @@ def solve(
         chi=chi_f,
         xi=xi_f,
         error_estimate=err,
-        corner_gap=corner_gap,
     )
 
 

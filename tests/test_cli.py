@@ -406,10 +406,6 @@ RUIN_EXACT_GOLDEN = [
      "ruin = 1.52951543066e-07  method=exact  error<=4.06046851371e-14  regime=case1"),
     ([*P0_INLINE, "--u", "21", "13.5"],
      "ruin = 0.000585439810396  method=exact  error<=0  regime=case1"),
-    ([*P0_INLINE, "--u", "40", "80"],
-     "ruin = 8.7436458989e-13  method=exact  error<=1.47593241237e-15  regime=case1"),
-    ([*P0_INLINE, "--u", "60", "120"],
-     "ruin = 1.4161180851e-18  method=exact  error<=6.96984828408e-24  regime=case1"),
     ([*P1_INLINE, "--u", "10.5", "12.25"],
      "ruin = 0.298520038298  method=exact  error<=3.88899769178e-11  regime=case2"),
     ([*P1_INLINE, "--u", "17", "23.4"],
@@ -426,6 +422,11 @@ RUIN_EXACT_GOLDEN = [
      "ruin = 0.984590087493  method=exact  error<=7.68522030715e-13  regime=case1"),
     ([*ND_INLINE, "--u", "12", "4", "--tol", "1e-6"],
      "ruin = 0.995016952451  method=exact  error<=0  regime=case1"),
+    # small probabilities, whose low digits 1 - survival would lose
+    ([*P0_INLINE, "--u", "40", "80"],
+     "ruin = 8.7436458989e-13  method=exact  error<=1.47593241237e-15  regime=case1"),
+    ([*P0_INLINE, "--u", "60", "120"],
+     "ruin = 1.4161180851e-18  method=exact  error<=6.96984828408e-24  regime=case1"),
 ]
 
 

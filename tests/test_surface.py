@@ -3,7 +3,9 @@
 Every name in a module's ``__all__`` must be referenced somewhere in
 ``src/``, ``scripts/`` or ``perfbench/`` other than by its own definition, its
 ``__all__`` entry or a re-export in ``ruin2d/__init__.py``.  Reference
-implementations that only the tests call live in ``tests/oracles.py``.
+implementations that only the tests call live in ``tests/oracles.py``.  Every
+field of a dataclass or ``NamedTuple`` in ``src/`` must be read as an
+attribute somewhere in those same directories.
 
 A fresh process imports scipy only where it is used: the first cut integral
 of an upper-cone exact answer loads ``scipy.integrate``.
@@ -34,21 +36,26 @@ def exported(path: Path) -> list[str]:
     return []
 
 
+def parsed_callers():
+    for root in CALLERS:
+        for path in root.rglob("*.py"):
+            yield path, ast.parse(path.read_text())
+
+
 @functools.cache
 def referenced() -> frozenset[str]:
     """Names loaded, attributes read and names imported, outside ``__init__.py``."""
     names = set()
-    for root in CALLERS:
-        for path in root.rglob("*.py"):
-            if path == PACKAGE / "__init__.py":
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+    for path, tree in parsed_callers():
+        if path == PACKAGE / "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
     return frozenset(names)
 
 
@@ -63,6 +70,47 @@ def test_every_module_has_exports():
 @pytest.mark.parametrize("module, name", EXPORTS)
 def test_export_has_a_caller(module, name):
     assert name in referenced(), f"ruin2d.{module}.{name} is exported but nothing calls it"
+
+
+@functools.cache
+def attributes_read() -> frozenset[str]:
+    return frozenset(
+        node.attr for _, tree in parsed_callers() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def _named(node: ast.expr, name: str) -> bool:
+    """``node`` is ``name`` or a call of it, as in ``@dataclass(frozen=True)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def record_fields(path: Path) -> list[tuple[str, str]]:
+    """``(class, field)`` for each dataclass and ``NamedTuple`` defined in ``path``."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef) and (
+            any(_named(d, "dataclass") for d in node.decorator_list)
+            or any(_named(b, "NamedTuple") for b in node.bases)
+        ):
+            out += [(node.name, stmt.target.id) for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+FIELDS = [(path.stem, *field) for path in sorted(PACKAGE.glob("*.py")) for field in record_fields(path)]
+
+
+def test_record_fields_found():
+    assert ("closedform", "SurvivalResult", "quadrature_error") in FIELDS
+    assert ("transform", "CutPoint", "f") in FIELDS
+
+
+@pytest.mark.parametrize("module, cls, name", FIELDS)
+def test_record_field_is_read(module, cls, name):
+    assert name in attributes_read(), f"ruin2d.{module}.{cls}.{name} is never read"
 
 
 STARTUP_CHILD = """\
