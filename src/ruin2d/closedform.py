@@ -193,7 +193,7 @@ def ruin(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> float:
     """Joint ruin probability, clipped to ``[0, 1]``.
 
     :attr:`SurvivalResult.ruin` sums the ruin terms directly instead of taking
-    ``1 - survival``, so probabilities far below 1e-16 keep their digits.
+    ``1 - survival``, which rounds away every digit below about 1e-16.
     """
     value = survival(model, x1, x2, tol=tol).ruin
     if value < -1e-9 or value > 1.0 + 1e-9:

@@ -104,8 +104,8 @@ def z_roots(model: RiskModel, q, dc: DerivedConstants | None = None) -> RootPair
     beta, disc = _root_quadratic_parts(dc, q)
     if not (isinstance(q, complex) or np.iscomplexobj(q)) and disc >= 0.0:
         root = math.sqrt(disc)
-        return RootPair((-beta - root) / (2 * dc.p1), (-beta + root) / (2 * dc.p1))
-    root = _sqrt_principal(disc)
+    else:
+        root = _sqrt_principal(disc)
     return RootPair((-beta - root) / (2 * dc.p1), (-beta + root) / (2 * dc.p1))
 
 
