@@ -339,8 +339,6 @@ def cmd_pde(args) -> int:
 
 def cmd_table(args) -> int:
     model = _validated_model(args)
-    if not isinstance(model.claim, Exponential):
-        raise UnsupportedClaimLaw("table uses the exponential closed form")
     lo1, hi1, n1 = args.x1
     lo2, hi2, n2 = args.x2
     rows = []

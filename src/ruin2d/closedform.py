@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidReserve, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
-from .transform import _require_exponential, ab
+from .transform import ab
 
 __all__ = ["SurvivalResult", "omega", "survival", "ruin"]
 
@@ -101,19 +101,20 @@ def omega(
     survival be continuous across the cone boundary; it is the opposite of
     the raw left-to-right endpoint integral.
     """
-    _require_exponential(model)
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
         raise InvalidReserve("reserves must be nonnegative")
     if x1 == math.inf:
         raise InvalidReserve("the cut integral needs a finite x1")
+    if x2 < x1:
+        raise InvalidReserve("the cut integral is the upper-cone term: it needs x2 >= x1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     dc = dc or derive(model)
     p1, p2 = dc.p1, dc.p2
     lo, hi = dc.q_plus_end, dc.q_minus_end
     end_lo, end_hi = ab(model, lo, dc), ab(model, hi, dc)
-    # a is affine in q, so the exponent peaks at a cut end; it is nonpositive
-    # whenever x2 >= x1, which rules out overflow
+    # a is affine in q, so the exponent peaks at a cut end; x2 >= x1 makes it
+    # nonpositive, which rules out overflow
     exponent = max(x1 * end_lo.a + x2 * lo, x1 * end_hi.a + x2 * hi)
     if exponent < _LOG_TINY:
         return 0.0, 0.0
@@ -167,7 +168,6 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     ``1 - C2 exp(-gamma2 x2)``.  Upper cone: residue terms plus the cut
     integral, assembled per regime.
     """
-    _require_exponential(model)
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
         raise InvalidReserve("reserves must be nonnegative")
     dc = derive(model)
@@ -189,13 +189,15 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     )
 
 
-def ruin(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> float:
+def ruin(model: RiskModel, x1: float, x2: float) -> float:
     """Joint ruin probability, clipped to ``[0, 1]``.
 
     :attr:`SurvivalResult.ruin` sums the ruin terms directly instead of taking
-    ``1 - survival``, which rounds away every digit below about 1e-16.
+    ``1 - survival``, which rounds away every digit below about 1e-16.  It
+    integrates at :func:`survival`'s default tolerance; ``survival(...).ruin``
+    takes another.
     """
-    value = survival(model, x1, x2, tol=tol).ruin
+    value = survival(model, x1, x2).ruin
     if value < -1e-9 or value > 1.0 + 1e-9:
         warnings.warn(
             f"ruin probability {value!r} outside [0, 1] beyond quadrature noise; clipping"

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ __all__ = [
     "RiskModel",
     "ValidationReport",
     "DerivedConstants",
-    "ExpClaimConstants",
+    "ExponentialConstants",
     "validate",
     "derive",
     "normalize",
@@ -102,15 +102,6 @@ class RiskModel:
     @property
     def rho(self) -> float:
         return self.lam * self.claim.mean
-
-    @property
-    def mu(self) -> float:
-        """Claim intensity; only defined for exponential claims."""
-        if not isinstance(self.claim, Exponential):
-            raise UnsupportedClaimLaw(
-                f"claim intensity mu is undefined for {type(self.claim).__name__} claims"
-            )
-        return self.claim.mu
 
 
 @dataclass(frozen=True)
@@ -189,8 +180,32 @@ def validate(model: RiskModel) -> ValidationReport:
 
 
 @dataclass(frozen=True)
-class ExpClaimConstants:
-    """Constants specific to exponential claims."""
+class DerivedConstants:
+    """Every named constant used downstream of a valid model.
+
+    For exponential claims :func:`derive` returns :class:`ExponentialConstants`.
+    For any other claim law, reading one of that subclass's own fields raises
+    :class:`UnsupportedClaimLaw`: this is the library's one refusal of a claim
+    law that the spectral, transform and PDE layers do not cover.
+    """
+
+    p1: float
+    p2: float
+    rho: float
+    d: float
+    regime: str  # "case1" if rho < p2^2/p1 else "case2"
+
+    def __getattr__(self, name):
+        # reached only when normal lookup fails; any other name stays an
+        # AttributeError, which copy and pickle rely on
+        if name in _EXPONENTIAL_ONLY:
+            raise UnsupportedClaimLaw("exponential claims only")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+@dataclass(frozen=True)
+class ExponentialConstants(DerivedConstants):
+    """The constants of a model with exponential claims of intensity ``mu``."""
 
     mu: float
     gamma1: float
@@ -202,67 +217,17 @@ class ExpClaimConstants:
     q_minus_end: float
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Every named constant used downstream of a valid model.
-
-    ``gamma``/``C``/cut-endpoint fields exist only for exponential claims and
-    raise :class:`UnsupportedClaimLaw` otherwise.
-    """
-
-    p1: float
-    p2: float
-    rho: float
-    d: float
-    regime: str  # "case1" if rho < p2^2/p1 else "case2"
-    exp: Optional[ExpClaimConstants] = field(default=None)
-
-    def _require_exp(self) -> ExpClaimConstants:
-        if self.exp is None:
-            raise UnsupportedClaimLaw(
-                "constant only defined for exponential claim sizes"
-            )
-        return self.exp
-
-    @property
-    def mu(self) -> float:
-        return self._require_exp().mu
-
-    @property
-    def gamma1(self) -> float:
-        return self._require_exp().gamma1
-
-    @property
-    def gamma2(self) -> float:
-        return self._require_exp().gamma2
-
-    @property
-    def gamma3(self) -> float:
-        return self._require_exp().gamma3
-
-    @property
-    def C1(self) -> float:
-        return self._require_exp().C1
-
-    @property
-    def C2(self) -> float:
-        return self._require_exp().C2
-
-    @property
-    def q_plus_end(self) -> float:
-        return self._require_exp().q_plus_end
-
-    @property
-    def q_minus_end(self) -> float:
-        return self._require_exp().q_minus_end
+_EXPONENTIAL_ONLY = {f.name for f in fields(ExponentialConstants)} - {
+    f.name for f in fields(DerivedConstants)
+}
 
 
 def derive(model: RiskModel) -> DerivedConstants:
     """Populate all derived constants of a valid model.
 
-    Raises :class:`DomainError` when :func:`validate` fails.  Exponential-only
-    constants (``gamma_i``, ``C_i``, cut endpoints) are left unset for other
-    claim laws; the regime flag compares ``rho`` with ``p2^2/p1``.
+    Raises :class:`DomainError` when :func:`validate` fails.  Exponential
+    claims get :class:`ExponentialConstants`; the regime flag compares ``rho``
+    with ``p2^2/p1``.
     """
     report = validate(model)
     if not report.ok:
@@ -272,21 +237,21 @@ def derive(model: RiskModel) -> DerivedConstants:
     d = model.delta1 * model.c2 - model.delta2 * model.c1
     regime = "case1" if rho < p2 * p2 / p1 else "case2"
 
-    exp_part = None
-    if isinstance(model.claim, Exponential):
-        mu, lam = model.claim.mu, model.lam
-        span = p1 - p2
-        exp_part = ExpClaimConstants(
-            mu=mu,
-            gamma1=mu - lam / p1,
-            gamma2=mu - lam / p2,
-            gamma3=(mu / p2) * (rho - p2 * p2 / p1),
-            C1=lam / (mu * p1),
-            C2=lam / (mu * p2),
-            q_plus_end=-((math.sqrt(lam) + math.sqrt(p1 * mu)) ** 2) / span,
-            q_minus_end=-((math.sqrt(lam) - math.sqrt(p1 * mu)) ** 2) / span,
-        )
-    return DerivedConstants(p1=p1, p2=p2, rho=rho, d=d, regime=regime, exp=exp_part)
+    if not isinstance(model.claim, Exponential):
+        return DerivedConstants(p1=p1, p2=p2, rho=rho, d=d, regime=regime)
+    mu, lam = model.claim.mu, model.lam
+    span = p1 - p2
+    return ExponentialConstants(
+        p1=p1, p2=p2, rho=rho, d=d, regime=regime,
+        mu=mu,
+        gamma1=mu - lam / p1,
+        gamma2=mu - lam / p2,
+        gamma3=(mu / p2) * (rho - p2 * p2 / p1),
+        C1=lam / (mu * p1),
+        C2=lam / (mu * p2),
+        q_plus_end=-((math.sqrt(lam) + math.sqrt(p1 * mu)) ** 2) / span,
+        q_minus_end=-((math.sqrt(lam) - math.sqrt(p1 * mu)) ** 2) / span,
+    )
 
 
 def normalize(model: RiskModel, u1: float, u2: float) -> tuple[float, float]:

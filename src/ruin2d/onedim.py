@@ -44,7 +44,7 @@ def ruin_transform_exp(model: RiskModel, x: float, s: float) -> float:
         raise DomainError("reserve must be nonnegative")
     if s < 0:
         raise DomainError("discount rate must be nonnegative")
-    mu = model.mu
+    mu = derive(model).mu
     theta_minus, _ = kappa_roots(model, s, i=2)
     if theta_minus > 0 or theta_minus <= -mu:
         raise RootNotFound("negative root of kappa_2 outside (-mu, 0]")

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, LowerCone, OutOfFootprint, UnsupportedClaimLaw
-from .model import Exponential, RiskModel
+from .errors import GridTooCoarse, LowerCone, OutOfFootprint
+from .model import RiskModel, derive
 from .onedim import ruin_transform_exp
 from .transform import kappa_roots
 
@@ -126,12 +126,10 @@ def _march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_values):
     return A, X
 
 
-def march_triangle(coeffs, n, dr, dw, top_values, diag_value=1.0):
-    """March on the triangle ``{0 <= j <= i <= n}`` with X given on ``j = i``."""
+def march_triangle(coeffs, n, dr, dw, top_values):
+    """March on the triangle ``{0 <= j <= i <= n}`` with ``X = 1`` on the oblique edge ``j = i``."""
     return _march(
-        coeffs, n, n, dr, dw, top_values,
-        start_index=lambda j: j,
-        start_values=np.full(n + 1, diag_value),
+        coeffs, n, n, dr, dw, top_values, start_index=lambda j: j, start_values=np.ones(n + 1)
     )
 
 
@@ -167,14 +165,15 @@ class CharacteristicGrid:
     @property
     def h(self) -> np.ndarray:
         """Exponentially rescaled field whose mixed derivative is ``-mu lam h``."""
-        mu, lam = self.model.mu, self.model.lam
+        mu, lam = derive(self.model).mu, self.model.lam
         r = self.r_nodes[:, None]
         w = self.w_nodes[None, :]
         return np.exp(mu * r) * np.exp(-(lam + self.s) * w) * self.chi
 
 
 def _chi_system(model: RiskModel, s: float) -> GoursatCoefficients:
-    return GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=model.mu, delta=-model.mu)
+    mu = derive(model).mu
+    return GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=mu, delta=-mu)
 
 
 def _boundary_row(model: RiskModel, s: float, r: np.ndarray) -> np.ndarray:
@@ -194,7 +193,7 @@ def _solve_once(model: RiskModel, s: float, r_max: float, n: int):
     dr = r_max / n
     dw = (model.delta1 / model.c1) * dr
     top = _boundary_row(model, s, np.arange(n + 1) * dr)
-    chi, xi = march_triangle(_chi_system(model, s), n, dr, dw, top, diag_value=1.0)
+    chi, xi = march_triangle(_chi_system(model, s), n, dr, dw, top)
     return chi, xi, dr, dw
 
 
@@ -212,8 +211,6 @@ def solve(
     divided by 3 (second-order Richardson).  Raises :class:`GridTooCoarse`
     when ``tol`` is given and not met.
     """
-    if not isinstance(model.claim, Exponential):
-        raise UnsupportedClaimLaw("transform PDE system is exponential-claims specific")
     if s < 0:
         raise ValueError("discount rate s must be nonnegative")
     if steps < 2 or r_max <= 0:

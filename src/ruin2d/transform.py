@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError, NoRealRoot, UnsupportedClaimLaw
-from .model import DerivedConstants, Exponential, RiskModel, derive
+from .errors import ConvergenceWarning, DomainError, NoRealRoot
+from .model import DerivedConstants, RiskModel, derive
 
 __all__ = [
     "RootPair",
@@ -35,12 +35,11 @@ __all__ = [
     "invert_2d",
 ]
 
-
-def _require_exponential(model: RiskModel) -> float:
-    """Claim intensity ``mu``; the transform and spectral layers need exponential claims."""
-    if not isinstance(model.claim, Exponential):
-        raise UnsupportedClaimLaw("transform layer is instantiated for exponential claims only")
-    return model.claim.mu
+# Bromwich abscissas of the inner (p) and outer (q) inversions of invert_2d,
+# and the m against m + 5 disagreement above which it warns
+_A_INNER = 30.0
+_A_OUTER = 18.4
+_CHECK_TOL = 1e-3
 
 
 def _p(model: RiskModel, i: int) -> float:
@@ -58,7 +57,7 @@ def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
     ``p theta^2 + (p mu - lam - q) theta - q mu = 0``.
     Raises :class:`NoRealRoot` when the discriminant is negative.
     """
-    mu = _require_exponential(model)
+    mu = derive(model).mu
     p = _p(model, i)
     b = p * mu - model.lam - q
     disc = b * b + 4.0 * p * q * mu
@@ -201,24 +200,16 @@ def _invert_complex(fhat, t: float, m: int, a: float):
     return cmath.exp(a / 2.0) / (2.0 * t) * (partial[..., m:] @ _euler_weights(m))
 
 
-def _invert_2d_once(model, dc, x1, x2, m, a_inner, a_outer):
+def _invert_2d_once(model, dc, x1, x2, m):
     def inner(q_vec):
         return _invert_complex(
-            lambda p_vec: psi_tilde(model, p_vec, q_vec[:, None], dc), x1, m, a_inner
+            lambda p_vec: psi_tilde(model, p_vec, q_vec[:, None], dc), x1, m, _A_INNER
         )
 
-    return _invert_real(inner, x2, m, a_outer)
+    return _invert_real(inner, x2, m, _A_OUTER)
 
 
-def invert_2d(
-    model: RiskModel,
-    x1: float,
-    x2: float,
-    m: int = 25,
-    a_inner: float = 30.0,
-    a_outer: float = 18.4,
-    check_tol: float = 1e-3,
-) -> float:
+def invert_2d(model: RiskModel, x1: float, x2: float, m: int = 25) -> float:
     """Numerically invert the double transform at ``(x1, x2)``, ``x2 > x1 > 0``.
 
     Nested one-dimensional inversions (inner in the first variable, outer in
@@ -228,15 +219,14 @@ def invert_2d(
     abscissas ``q`` against inner abscissas ``p``, and reduces it with one
     cumulative sum and one Euler-weighted product per axis.  Emits
     :class:`ConvergenceWarning` when estimates at ``m`` and ``m + 5`` terms
-    disagree beyond ``check_tol``.
+    disagree by more than 1e-3.
     """
     if not (x2 > x1 > 0):
         raise DomainError("invert_2d requires x2 > x1 > 0")
     dc = derive(model)
-    _require_exponential(model)
-    value = _invert_2d_once(model, dc, x1, x2, m, a_inner, a_outer)
-    value_hi = _invert_2d_once(model, dc, x1, x2, m + 5, a_inner, a_outer)
-    if abs(value - value_hi) > check_tol:
+    value = _invert_2d_once(model, dc, x1, x2, m)
+    value_hi = _invert_2d_once(model, dc, x1, x2, m + 5)
+    if abs(value - value_hi) > _CHECK_TOL:
         warnings.warn(
             f"double inversion at ({x1}, {x2}) moved by {abs(value - value_hi):.2e} "
             f"between m={m} and m={m + 5}",

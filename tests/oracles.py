@@ -77,7 +77,7 @@ def kappa(model: RiskModel, i: int, theta):
     Real arguments must satisfy ``theta > -mu``; complex arguments are
     evaluated by analytic continuation away from the pole.
     """
-    mu = transform._require_exponential(model)
+    mu = derive(model).mu
     p = transform._p(model, i)
     if isinstance(theta, complex) or np.iscomplexobj(theta):
         if theta == -mu:
@@ -140,7 +140,6 @@ def residue_terms(model: RiskModel, x1: float, x2: float) -> dict[str, float]:
     coefficient ``C2 + z1(-gamma2)/mu``).  In case 1 ``cross`` cancels
     ``company2`` exactly; in case 2 it equals ``(p2/p1) e^{-gamma3 x1 - gamma2 x2}``.
     """
-    transform._require_exponential(model)
     dc = derive(model)
     # z1(-gamma2): zero in case 1, -gamma3 in case 2
     z1g2 = (dc.mu / dc.p2) * min(dc.p2 ** 2 / dc.p1 - dc.rho, 0.0)
@@ -188,7 +187,7 @@ class ScaleFunction:
     def build(cls, model: RiskModel, q: float) -> "ScaleFunction":
         if q < 0:
             raise DomainError("killing rate q must be nonnegative")
-        mu = model.mu
+        mu = model.claim.mu
         theta_minus, theta_plus = transform.kappa_roots(model, q, i=1)
         spread = theta_plus - theta_minus
         if spread < 1e-13 * max(1.0, abs(theta_plus)):

@@ -130,13 +130,13 @@ def test_phasetype_exact_exit3(ph_file, capsys):
         ("ph", ["ruin", "--u", "1", "2", "--method", "pde"], 3,
          "capability error: pde method needs exponential claims"),
         ("ph", ["transform", "--p", "1", "--q", "1"], 3,
-         "capability error: constant only defined for exponential claim sizes"),
+         "capability error: exponential claims only"),
         ("ph", ["invert", "--x", "1", "2"], 3,
-         "capability error: transform layer is instantiated for exponential claims only"),
+         "capability error: exponential claims only"),
         ("ph", ["pde", "--steps", "10"], 3,
-         "capability error: transform PDE system is exponential-claims specific"),
+         "capability error: exponential claims only"),
         ("ph", ["table", "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"], 3,
-         "capability error: table uses the exponential closed form"),
+         "capability error: exponential claims only"),
         ("p0", ["invert", "--x", "2", "1"], 3,
          "capability error: invert_2d requires x2 > x1 > 0"),
         ("p0", ["ruin", "--u", "3", "1", "--method", "invert"], 3,

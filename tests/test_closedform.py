@@ -185,6 +185,16 @@ def test_omega_refuses_infinite_x1(p0, x2):
         omega(p0, math.inf, x2)
 
 
+@pytest.mark.parametrize("x1, x2", [(200.0, 0.0), (1000.0, 500.0), (100.0, 0.0), (5.0, 4.0)])
+def test_omega_refuses_the_lower_cone(p0, x1, x2):
+    # below the diagonal the cut integral means nothing: it used to overflow, miss its
+    # tolerance by 6e237 or return -0.0519; survival never asks there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidReserve, match="x2 >= x1"):
+            omega(p0, x1, x2)
+
+
 def test_quadrature_error_reported_below_tol(p0):
     res = survival(p0, 1.0, 2.0, tol=1e-8)
     assert 0.0 <= res.quadrature_error <= 1e-8

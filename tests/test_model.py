@@ -1,11 +1,14 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruin2d import closedform, onedim, pde, transform
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.model import (
     Empirical,
@@ -233,12 +236,44 @@ def test_phasetype_invariant_checks():
     assert not validate(bad_diag).ok
 
 
-def test_mu_property_guard(erlang2_model):
-    with pytest.raises(UnsupportedClaimLaw):
-        _ = erlang2_model.mu
-
-
 def test_phasetype_mean():
     claim = PhaseType(beta=[1.0, 0.0], B=[[-2.0, 2.0], [0.0, -2.0]])
     assert claim.mean == pytest.approx(1.0)
     assert np.allclose(claim.exit_rates, [0.0, 2.0])
+
+
+# Every public entry point that needs exponential claims, called on a
+# phase-type model; each reaches the one refusal in the derived constants.
+EXPONENTIAL_ONLY = {
+    "derive.mu": lambda m: derive(m).mu,
+    "derive.gamma1": lambda m: derive(m).gamma1,
+    "derive.q_plus_end": lambda m: derive(m).q_plus_end,
+    "closedform.survival": lambda m: closedform.survival(m, 1.0, 3.0),
+    "closedform.omega": lambda m: closedform.omega(m, 1.0, 3.0),
+    "closedform.ruin": lambda m: closedform.ruin(m, 1.0, 3.0),
+    "transform.psi_tilde": lambda m: transform.psi_tilde(m, 1.0, 1.0),
+    "transform.z_roots": lambda m: transform.z_roots(m, 1.0),
+    "transform.ab": lambda m: transform.ab(m, -1.0),
+    "transform.kappa_roots": lambda m: transform.kappa_roots(m, 0.5),
+    "transform.invert_2d": lambda m: transform.invert_2d(m, 1.0, 3.0),
+    "onedim.ruin_prob_exp": lambda m: onedim.ruin_prob_exp(m, 1.0),
+    "onedim.ruin_transform_exp": lambda m: onedim.ruin_transform_exp(m, 1.0, 0.5),
+    "pde.solve": lambda m: pde.solve(m, steps=10),
+}
+
+
+@pytest.mark.parametrize("call", EXPONENTIAL_ONLY.values(), ids=EXPONENTIAL_ONLY.keys())
+def test_exponential_only_entry_points_share_one_refusal(erlang2_model, call):
+    with pytest.raises(UnsupportedClaimLaw) as info:
+        call(erlang2_model)
+    assert str(info.value) == "exponential claims only"
+
+
+def test_phasetype_constants_copy_and_pickle(erlang2_model):
+    dc = derive(erlang2_model)
+    for clone in (copy.copy(dc), copy.deepcopy(dc), pickle.loads(pickle.dumps(dc))):
+        assert clone == dc
+        with pytest.raises(UnsupportedClaimLaw):
+            _ = clone.mu
+    with pytest.raises(AttributeError):
+        _ = dc.not_a_constant

@@ -71,7 +71,7 @@ def test_discrete_residual_second_order(p0):
         grid = solve(p0, s=0.0, r_max=6.0, steps=steps)
         chi, xi = grid.chi, grid.xi
         n = grid.n
-        lam, mu = p0.lam, p0.mu
+        lam, mu = p0.lam, p0.claim.mu
         worst = 0.0
         for i in range(2, n - 1, 3):
             for j in range(1, i - 1, 2):
@@ -241,7 +241,7 @@ def test_triangle_march_matches_reference_bits(request, name, s, n):
     dw = model.delta1 / model.c1 * dr
     coeffs = pde._chi_system(model, s)
     top = pde._boundary_row(model, s, np.arange(n + 1) * dr)
-    got = pde.march_triangle(coeffs, n, dr, dw, top, diag_value=1.0)
+    got = pde.march_triangle(coeffs, n, dr, dw, top)
     want = reference_march(coeffs, n, n, dr, dw, top, lambda j: j, np.ones(n + 1))
     assert_same_bits(got, want)
 

@@ -5,7 +5,9 @@ Every name in a module's ``__all__`` must be referenced somewhere in
 ``__all__`` entry or a re-export in ``ruin2d/__init__.py``.  Reference
 implementations that only the tests call live in ``tests/oracles.py``.  Every
 field of a dataclass or ``NamedTuple`` in ``src/`` must be read as an
-attribute somewhere in those same directories.
+attribute somewhere in those same directories.  Every parameter default of
+an exported function must be overridden by some call in them: an option that
+no caller sets is a constant.
 
 A fresh process imports scipy only where it is used: the first cut integral
 of an upper-cone exact answer loads ``scipy.integrate``.
@@ -111,6 +113,70 @@ def test_record_fields_found():
 @pytest.mark.parametrize("module, cls, name", FIELDS)
 def test_record_field_is_read(module, cls, name):
     assert name in attributes_read(), f"ruin2d.{module}.{cls}.{name} is never read"
+
+
+def defaulted_parameters(path: Path) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` of each default of an exported function.
+
+    ``position`` is the parameter's index among the positional parameters, or
+    None for a keyword-only one.
+    """
+    names = set(exported(path))
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            out += [(node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+            out += [(node.name, arg.arg, None)
+                    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None]
+    return out
+
+
+@functools.cache
+def calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the caller directories, keyed by the called name or attribute."""
+    out: dict[str, list[ast.Call]] = {}
+    for _, tree in parsed_callers():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """``call`` sets the parameter, or might: a ``*args`` or ``**kwargs`` counts."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+DEFAULTS = [(path.stem, *d) for path in sorted(PACKAGE.glob("*.py")) for d in defaulted_parameters(path)]
+
+# defaults that stay although no caller sets them, with the reason
+UNSET_ALLOWED = {
+    ("invert_2d", "m"): "perfbench/tracing.py reads its default to count psi_tilde evaluations",
+}
+
+
+def test_defaulted_parameters_found():
+    assert ("pde", "solve", "tol", 4) in DEFAULTS
+    assert {(function, name) for _, function, name, _ in DEFAULTS} >= UNSET_ALLOWED.keys()
+
+
+@pytest.mark.parametrize(
+    "module, function, name, position", [d for d in DEFAULTS if d[1:3] not in UNSET_ALLOWED]
+)
+def test_option_is_set_by_a_caller(module, function, name, position):
+    calls = calls_by_name().get(function, [])
+    assert any(passes(call, name, position) for call in calls), (
+        f"no caller sets ruin2d.{module}.{function}'s {name}: make it a constant"
+    )
 
 
 STARTUP_CHILD = """\

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ruin2d import transform
 from ruin2d.closedform import survival
 from ruin2d.errors import ConvergenceWarning, DomainError, NoRealRoot
 from ruin2d.model import Exponential, RiskModel, derive
@@ -398,7 +399,8 @@ def test_sqrt_principal_scalar_is_cmath(z):
 
 
 @pytest.mark.parametrize("kwargs", [{"m": 2}, {"a_inner": 80.0}])
-def test_invert_2d_warns_when_terms_disagree(p0, kwargs):
-    # m = 2 truncates the Euler sums; a_inner = 80 scales rounding by e^40
+def test_invert_2d_warns_when_terms_disagree(p0, kwargs, monkeypatch):
+    # m = 2 truncates the Euler sums; an inner abscissa of 80 scales rounding by e^40
+    monkeypatch.setattr(transform, "_A_INNER", kwargs.get("a_inner", transform._A_INNER))
     with pytest.warns(ConvergenceWarning, match="double inversion at"):
-        invert_2d(p0, 1.0, 2.0, **kwargs)
+        invert_2d(p0, 1.0, 2.0, m=kwargs.get("m", 25))
