@@ -13,8 +13,11 @@ not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
 ``--dump-stride``) or invalid model (unreadable or malformed input, or
 failed validation); 3 capability mismatch (the method does not support the
 claim law, discount or reserves) or any other refusal of the library; 4
-numerical tolerance failure.  Commands raise, and :func:`main` alone turns a
-:class:`~ruin2d.errors.Ruin2dError` into exit code 3 or 4.
+numerical tolerance failure.  :func:`main` alone returns an exit code: it
+builds and validates the model, passes it to the command, and turns a
+:class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
+:class:`~ruin2d.errors.Ruin2dError` into 3.  Commands return nothing and
+signal failure only by raising.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import closedform, mc, onedim, pde, transform
-from .errors import GridTooCoarse, Ruin2dError, ToleranceNotMet, UnsupportedClaimLaw
+from .errors import Ruin2dError, ToleranceNotMet, UnsupportedClaimLaw
 from .model import (
     UNNORMALIZED_DELTA_WARNING,
     Exponential,
@@ -123,44 +126,42 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
 
 
 def _build_model(args) -> RiskModel:
-    """The model of ``--model FILE`` or of the inline parameters; exit 2 if there is none."""
+    """The model of ``--model FILE`` or of the inline parameters."""
     inline = args.lam is not None or args.mu is not None or args.c is not None
+    if args.model and inline:
+        raise ValueError("specify either --model or inline parameters, not both")
+    if args.model:
+        return load_model(args.model)
+    if not (args.lam is not None and args.mu is not None and args.c is not None):
+        raise ValueError("inline model needs --lam, --mu and --c (or use --model FILE)")
+    return model_from_dict(
+        {
+            "lambda": args.lam,
+            "claim": {"type": "exponential", "mu": args.mu},
+            "c": list(args.c),
+            "delta": list(args.delta or (1.0, 1.0)),
+        }
+    )
+
+
+def _validated_model(args) -> tuple[RiskModel | None, tuple[str, ...]]:
+    """``(model, problems)``, where a problem is why there is no valid model.
+
+    Prints the model's validation warnings on the way.
+    """
     try:
-        if args.model and inline:
-            raise ValueError("specify either --model or inline parameters, not both")
-        if args.model:
-            return load_model(args.model)
-        if not (args.lam is not None and args.mu is not None and args.c is not None):
-            raise ValueError("inline model needs --lam, --mu and --c (or use --model FILE)")
-        return model_from_dict(
-            {
-                "lambda": args.lam,
-                "claim": {"type": "exponential", "mu": args.mu},
-                "c": list(args.c),
-                "delta": list(args.delta or (1.0, 1.0)),
-            }
-        )
+        model = _build_model(args)
     except KeyError as exc:
-        problem = f"missing key {exc}"
+        return None, (f"missing key {exc}",)
     except (OSError, ValueError, TypeError, IndexError, UnsupportedClaimLaw) as exc:
-        problem = str(exc)
-    print(f"invalid model: {problem}", file=sys.stderr)
-    raise SystemExit(EXIT_VALIDATION)
-
-
-def _validated_model(args):
-    model = _build_model(args)
+        return None, (str(exc),)
     report = validate(model)
     # the inline default delta = (1, 1) is the CLI's own choice, not the user's
     default_delta = not args.model and args.delta is None
     for w in report.warnings:
         if not (default_delta and w == UNNORMALIZED_DELTA_WARNING):
             print(f"warning: {w}", file=sys.stderr)
-    if not report.ok:
-        for v in report.violations:
-            print(f"invalid model: {v}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    return model
+    return model, report.violations
 
 
 def _ruin_method(model: RiskModel, s: float, method) -> str:
@@ -210,8 +211,7 @@ def _mc_estimate(model: RiskModel, args, method: str, s):
     )
 
 
-def cmd_derive(args) -> int:
-    model = _validated_model(args)
+def cmd_derive(model: RiskModel, args) -> None:
     dc = derive(model)
     rows = {
         "p1": dc.p1,
@@ -236,11 +236,9 @@ def cmd_derive(args) -> int:
     else:
         for key, value in rows.items():
             print(f"{key:>8} = {value if isinstance(value, str) else _fmt(value)}")
-    return EXIT_OK
 
 
-def cmd_ruin(args) -> int:
-    model = _validated_model(args)
+def cmd_ruin(model: RiskModel, args) -> None:
     u1, u2 = args.u
     x1, x2 = normalize(model, u1, u2)
     s = args.s
@@ -250,8 +248,6 @@ def cmd_ruin(args) -> int:
         print(f"ruin = {_fmt(res.ruin)}  method=exact  "
               f"error<={_fmt(res.quadrature_error)}  regime={res.regime}")
     elif method == "invert":
-        if not (x2 > x1 > 0):
-            raise UnsupportedClaimLaw("invert method needs upper-cone reserves x2 > x1 > 0")
         val = transform.invert_2d(model, x1, x2)
         print(f"ruin = {_fmt(1.0 - val)}  method=invert  error<=1e-3 (cross-check grade)")
     elif method == "pde":
@@ -261,7 +257,7 @@ def cmd_ruin(args) -> int:
             # lower cone: the transform is company 2's discounted value
             val = onedim.ruin_transform_exp(model, x2, s)
             print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
-            return EXIT_OK
+            return
         grid = pde.solve(model, s=s, r_max=max(1.0, 1.05 * r_needed), steps=args.steps)
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
@@ -284,44 +280,36 @@ def cmd_ruin(args) -> int:
                 f"ruin(T={_fmt(args.horizon)}) = {_fmt(est.mean)}  "
                 f"stderr={_fmt(est.std_error)}  method=mc  n={est.n}  seed={est.seed}{extra}"
             )
-    return EXIT_OK
 
 
-def cmd_transform(args) -> int:
-    model = _validated_model(args)
+def cmd_transform(model: RiskModel, args) -> None:
     val = transform.psi_tilde(model, args.p, args.q)
     print(f"psi_tilde({_fmt(args.p)},{_fmt(args.q)}) = {_fmt(val)}")
-    return EXIT_OK
 
 
-def cmd_invert(args) -> int:
-    model = _validated_model(args)
+def cmd_invert(model: RiskModel, args) -> None:
     x1, x2 = args.x
     val = transform.invert_2d(model, x1, x2)
     print(f"survival({_fmt(x1)},{_fmt(x2)}) = {_fmt(val)}  method=invert")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    model = _validated_model(args)
+def cmd_simulate(model: RiskModel, args) -> None:
     kind, est = _mc_estimate(model, args, args.method, args.s)
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["quantity", "estimate", "stderr", "n", "seed", "meta"])
         writer.writerow([kind, _fmt(est.mean), _fmt(est.std_error), est.n, est.seed, meta])
-    return EXIT_OK
 
 
-def cmd_pde(args) -> int:
-    model = _validated_model(args)
+def cmd_pde(model: RiskModel, args) -> None:
     grid = pde.solve(model, s=args.s, r_max=args.rmax, steps=args.steps, tol=args.tol)
     if args.point is not None:
         u1, u2 = args.point
         val = pde.evaluate(grid, u1, u2)
         print(f"psi({_fmt(u1)},{_fmt(u2)};s={_fmt(args.s)}) = {_fmt(val)}  "
               f"error<={_fmt(grid.error_estimate)}")
-        return EXIT_OK
+        return
     with _output(args.output) as out:
         out.write("r,w,u1,u2,chi,xi,h\n")
         h = grid.h
@@ -334,21 +322,19 @@ def cmd_pde(args) -> int:
                 u2 = model.delta2 * r + model.c2 * w
                 row = (r, w, u1, u2, grid.chi[i, j], grid.xi[i, j], h[i, j])
                 out.write(",".join(_fmt(v) for v in row) + "\n")
-    return EXIT_OK
 
 
-def cmd_table(args) -> int:
-    model = _validated_model(args)
+def cmd_table(model: RiskModel, args) -> None:
     lo1, hi1, n1 = args.x1
     lo2, hi2, n2 = args.x2
     rows = []
-    failed = False
+    failed = 0
     for x1 in np.linspace(lo1, hi1, int(n1)):
         for x2 in np.linspace(lo2, hi2, int(n2)):
             try:
                 res = closedform.survival(model, x1, x2, tol=args.tol)
             except ToleranceNotMet:
-                failed = True
+                failed += 1
                 rows.append(f"{_fmt(x1)},{_fmt(x2)},nan,nan,nan,nan,failed\n")
                 continue
             values = (x1, x2, res.value, res.ruin, res.omega, res.quadrature_error)
@@ -356,7 +342,8 @@ def cmd_table(args) -> int:
     with _output(args.output) as out:
         out.write("x1,x2,survival,ruin,omega,quadratureError,regime\n")
         out.writelines(rows)
-    return EXIT_TOLERANCE if failed else EXIT_OK
+    if failed:
+        raise ToleranceNotMet(f"{failed} of {len(rows)} table points missed --tol {args.tol:g}")
 
 
 @functools.cache
@@ -447,14 +434,20 @@ def main(argv=None) -> int:
             print(f"invalid environment: RUIN2D_THREADS must be an integer >= 1, got {text!r}",
                   file=sys.stderr)
             return EXIT_VALIDATION
+    model, problems = _validated_model(args)
+    for problem in problems:
+        print(f"invalid model: {problem}", file=sys.stderr)
+    if problems:
+        return EXIT_VALIDATION
     try:
-        return args.func(args)
-    except (ToleranceNotMet, GridTooCoarse) as exc:
+        args.func(model, args)
+    except ToleranceNotMet as exc:
         print(f"tolerance error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except Ruin2dError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidReserve, ToleranceNotMet
+from .errors import DomainError, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
 from .transform import ab
 
@@ -102,13 +102,13 @@ def omega(
     the raw left-to-right endpoint integral.
     """
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
-        raise InvalidReserve("reserves must be nonnegative")
+        raise DomainError("reserves must be nonnegative")
     if x1 == math.inf:
-        raise InvalidReserve("the cut integral needs a finite x1")
+        raise DomainError("the cut integral needs a finite x1")
     if x2 < x1:
-        raise InvalidReserve("the cut integral is the upper-cone term: it needs x2 >= x1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("the cut integral is the upper-cone term: it needs x2 >= x1")
+    if not tol > 0:
+        raise DomainError("tol must be positive")
     dc = dc or derive(model)
     p1, p2 = dc.p1, dc.p2
     lo, hi = dc.q_plus_end, dc.q_minus_end
@@ -169,7 +169,7 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
     integral, assembled per regime.
     """
     if not (x1 >= 0 and x2 >= 0):  # NaN fails both comparisons
-        raise InvalidReserve("reserves must be nonnegative")
+        raise DomainError("reserves must be nonnegative")
     dc = derive(model)
 
     if x2 <= x1:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all ruin2d modules."""
+"""Exception hierarchy shared by all ruin2d modules: one class per outcome.
+
+The command line maps :class:`UnsupportedClaimLaw` and :class:`DomainError`
+to exit code 3 and :class:`ToleranceNotMet` to exit code 4.
+"""
 
 
 class Ruin2dError(Exception):
@@ -6,43 +10,15 @@ class Ruin2dError(Exception):
 
 
 class UnsupportedClaimLaw(Ruin2dError):
-    """Operation requires a claim law it does not support."""
+    """A method cannot serve the claim law, discount or point."""
 
 
-class DomainError(Ruin2dError):
-    """Argument outside the mathematical domain of the function."""
-
-
-class RootNotFound(Ruin2dError):
-    """A root bracket failed; indicates an internal inconsistency."""
-
-
-class NoRealRoot(Ruin2dError):
-    """The characteristic equation has no real root for this argument."""
-
-
-class SingularMatrix(Ruin2dError):
-    """A matrix that must be invertible is singular."""
+class DomainError(Ruin2dError, ValueError):
+    """An argument lies outside the function's domain; also a :class:`ValueError`."""
 
 
 class ToleranceNotMet(Ruin2dError):
-    """Adaptive quadrature exhausted its budget above the requested tolerance."""
-
-
-class GridTooCoarse(Ruin2dError):
-    """PDE grid refinement did not reach the requested tolerance."""
-
-
-class OutOfFootprint(Ruin2dError):
-    """Query point lies outside the solved grid footprint."""
-
-
-class LowerCone(Ruin2dError):
-    """Query point lies in the lower cone; use the one-dimensional formula."""
-
-
-class InvalidReserve(Ruin2dError):
-    """Initial reserves must be nonnegative."""
+    """A numerical method missed its tolerance."""
 
 
 class ConvergenceWarning(UserWarning):

@@ -76,7 +76,7 @@ def sample_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
     if isinstance(claim, Empirical):
         out = np.asarray(claim.sampler(rng, size), dtype=float)
         if out.shape != (size,):
-            raise ValueError("empirical sampler returned wrong shape")
+            raise DomainError("empirical sampler returned wrong shape")
         return out
     raise UnsupportedClaimLaw(f"cannot sample {type(claim).__name__} claims")
 
@@ -284,6 +284,16 @@ def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
 # Estimators.
 # ---------------------------------------------------------------------------
 
+def _check_domain(u1: float, u2: float, horizon: float, s: float = 0.0) -> None:
+    """Refuse a negative or NaN reserve or ``s``, and a horizon outside ``[0, inf)``."""
+    if not (u1 >= 0 and u2 >= 0):  # NaN fails both comparisons
+        raise DomainError("reserves must be nonnegative")
+    if not 0 <= horizon < math.inf:
+        raise DomainError(f"simulation horizon must be finite and nonnegative, got {horizon}")
+    if not s >= 0:
+        raise DomainError("discount rate must be nonnegative")
+
+
 def ruin_time_lt(
     model: RiskModel,
     u1: float,
@@ -300,8 +310,7 @@ def ruin_time_lt(
     ``exp(-s * horizon)``, reported in ``meta['bias_bound']``.  At ``s = 0``
     this is exactly the finite-horizon ruin frequency on the same draws.
     """
-    if s < 0:
-        raise DomainError("discount rate must be nonnegative")
+    _check_domain(u1, u2, horizon, s)
 
     def worker(k, size):
         rng = stream(seed, k)
@@ -349,7 +358,8 @@ def conditional_survival(
     Simulates only company 1 up to the crossing time
     ``T = (x2 - x1)/(p1 - p2)`` and, on survival, plugs the terminal value
     into the exact one-dimensional survival of company 2.  ``x2 = x1`` is the
-    degenerate ``T = 0`` case with zero variance.
+    degenerate ``T = 0`` case with zero variance; an infinite ``x2`` makes
+    ``T`` infinite and is refused.
     """
     if isinstance(model.claim, Empirical):
         raise UnsupportedClaimLaw(
@@ -358,9 +368,8 @@ def conditional_survival(
         )
     if x2 < x1:
         raise DomainError("conditional estimator requires x2 >= x1 (upper cone)")
-    if x1 < 0:
-        raise DomainError("reserves must be nonnegative")
     T = (x2 - x1) / (model.p1 - model.p2)
+    _check_domain(x1, x2, T)
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
@@ -429,6 +438,7 @@ def simulate_joint_ruin_fluid(
     :func:`simulate_joint_ruin`, so the two estimate the same probability
     from differently generated paths and cross-check each other.
     """
+    _check_domain(u1, u2, horizon)
 
     def worker(k, size):
         rng = stream(seed, k)

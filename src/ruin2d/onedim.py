@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, RootNotFound, SingularMatrix, UnsupportedClaimLaw
+from .errors import DomainError, UnsupportedClaimLaw
 from .model import Exponential, PhaseType, RiskModel, derive
 from .transform import kappa_roots
 
@@ -27,7 +27,7 @@ def _gamma_C(model: RiskModel, company: int) -> tuple[float, float]:
 
 def ruin_prob_exp(model: RiskModel, x: float, company: int = 2) -> float:
     """Ultimate ruin probability ``C_i exp(-gamma_i x)`` at normalized reserve ``x``."""
-    if x < 0:
+    if not x >= 0:  # NaN fails too
         raise DomainError("reserve must be nonnegative")
     gamma, C = _gamma_C(model, company)
     return C * math.exp(-gamma * x)
@@ -40,14 +40,14 @@ def ruin_transform_exp(model: RiskModel, x: float, s: float) -> float:
     ``theta_minus(s)`` is the negative root of ``kappa_2(theta) = s``; reduces
     to :func:`ruin_prob_exp` at ``s = 0``.
     """
-    if x < 0:
+    if not x >= 0:  # NaN fails too
         raise DomainError("reserve must be nonnegative")
-    if s < 0:
-        raise DomainError("discount rate must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise DomainError("discount rate must be finite and nonnegative")
     mu = derive(model).mu
     theta_minus, _ = kappa_roots(model, s, i=2)
     if theta_minus > 0 or theta_minus <= -mu:
-        raise RootNotFound("negative root of kappa_2 outside (-mu, 0]")
+        raise DomainError("negative root of kappa_2 outside (-mu, 0]")
     return (mu + theta_minus) / mu * math.exp(theta_minus * x)
 
 
@@ -61,7 +61,7 @@ def _phasetype_generator(model: RiskModel) -> tuple[np.ndarray, np.ndarray, np.n
     try:
         eta = (model.lam / model.p2) * np.linalg.solve(-B.T, beta).T
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("phase-type subgenerator B is singular") from exc
+        raise DomainError("phase-type subgenerator B is singular") from exc
     return eta, B + np.outer(claim.exit_rates, eta), ones
 
 
@@ -93,6 +93,8 @@ def _phasetype_ruin_normalized(model: RiskModel, z: np.ndarray) -> np.ndarray:
 def survival_one_company(model: RiskModel, z) -> np.ndarray:
     """Exact survival ``1 - psi_2`` of company 2 at normalized reserves ``z``."""
     z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0):  # NaN fails too
+        raise DomainError("reserve must be nonnegative")
     if isinstance(model.claim, Exponential):
         gamma, C = _gamma_C(model, 2)
         return 1.0 - C * np.exp(-gamma * z)

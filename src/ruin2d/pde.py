@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooCoarse, LowerCone, OutOfFootprint
+from .errors import DomainError, ToleranceNotMet
 from .model import RiskModel, derive
 from .onedim import ruin_transform_exp
 from .transform import kappa_roots
@@ -208,20 +208,22 @@ def solve(
 
     Runs the march at ``steps`` and ``2 * steps`` and keeps the fine grid; the
     a-posteriori error estimate is the maximum disagreement at shared nodes
-    divided by 3 (second-order Richardson).  Raises :class:`GridTooCoarse`
-    when ``tol`` is given and not met.
+    divided by 3 (second-order Richardson).  Raises :class:`DomainError` for
+    an ``s`` or ``r_max`` that is not finite, a negative ``s``, ``r_max <= 0``
+    or ``steps < 2``, and :class:`ToleranceNotMet` when ``tol`` is given and
+    not met.
     """
-    if s < 0:
-        raise ValueError("discount rate s must be nonnegative")
-    if steps < 2 or r_max <= 0:
-        raise ValueError("need positive r_max and at least 2 steps")
+    if not 0 <= s < math.inf:  # NaN fails too
+        raise DomainError("discount rate s must be finite and nonnegative")
+    if not (steps >= 2 and 0 < r_max < math.inf):
+        raise DomainError("need a finite positive r_max and at least 2 steps")
     chi_c, _, _, _ = _solve_once(model, s, r_max, steps)
     chi_f, xi_f, dr, dw = _solve_once(model, s, r_max, 2 * steps)
     shared_fine = chi_f[::2, ::2]
     diff = np.abs(shared_fine - chi_c)
     err = float(np.nanmax(diff)) / 3.0
     if tol is not None and err > tol:
-        raise GridTooCoarse(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
+        raise ToleranceNotMet(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
     return CharacteristicGrid(
         model=model,
         s=s,
@@ -246,18 +248,18 @@ def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
     """Interpolate the solved transform at raw reserves ``(u1, u2)``.
 
     Bilinear in ``(r, w)`` on full cells; barycentric on the half cells along
-    the oblique edge.  Raises :class:`LowerCone` below the cone boundary and
-    :class:`OutOfFootprint` beyond ``r_max`` or at a non-finite point.
+    the oblique edge.  Raises :class:`DomainError` below the cone boundary,
+    beyond ``r_max`` or at a non-finite point.
     """
     model = grid.model
     r, w = to_grid_coords(model, u1, u2)
     if not (math.isfinite(r) and math.isfinite(w)):
-        raise OutOfFootprint(f"(r, w) = ({r}, {w}) is not a finite point")
+        raise DomainError(f"(r, w) = ({r}, {w}) is not a finite point")
     tol = 1e-12 * max(1.0, abs(r))
     if w > tol:
-        raise LowerCone("point below the cone boundary; use the one-dimensional formula")
+        raise DomainError("point below the cone boundary; use the one-dimensional formula")
     if r < -tol or r > grid.r_max + tol:
-        raise OutOfFootprint(f"r={r} outside [0, {grid.r_max}]")
+        raise DomainError(f"r={r} outside [0, {grid.r_max}]")
     fi = min(max(r / grid.r_step, 0.0), float(grid.n))
     fj = min(max(-w / grid.w_step, 0.0), fi)
     i = min(int(fi), grid.n - 1)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DomainError, NoRealRoot
+from .errors import ConvergenceWarning, DomainError
 from .model import DerivedConstants, RiskModel, derive
 
 __all__ = [
@@ -47,7 +47,7 @@ def _p(model: RiskModel, i: int) -> float:
         return model.p1
     if i == 2:
         return model.p2
-    raise ValueError("company index must be 1 or 2")
+    raise DomainError("company index must be 1 or 2")
 
 
 def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
@@ -55,14 +55,14 @@ def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
 
     Clearing ``mu + theta`` turns the equation into
     ``p theta^2 + (p mu - lam - q) theta - q mu = 0``.
-    Raises :class:`NoRealRoot` when the discriminant is negative.
+    Raises :class:`DomainError` when the discriminant is negative.
     """
     mu = derive(model).mu
     p = _p(model, i)
     b = p * mu - model.lam - q
     disc = b * b + 4.0 * p * q * mu
     if disc < 0.0:
-        raise NoRealRoot(f"kappa_{i}(theta) = {q} has no real root")
+        raise DomainError(f"kappa_{i}(theta) = {q} has no real root")
     root = math.sqrt(disc)
     return (-b - root) / (2.0 * p), (-b + root) / (2.0 * p)
 
@@ -222,7 +222,7 @@ def invert_2d(model: RiskModel, x1: float, x2: float, m: int = 25) -> float:
     disagree by more than 1e-3.
     """
     if not (x2 > x1 > 0):
-        raise DomainError("invert_2d requires x2 > x1 > 0")
+        raise DomainError("invert method needs upper-cone reserves x2 > x1 > 0")
     dc = derive(model)
     value = _invert_2d_once(model, dc, x1, x2, m)
     value_hi = _invert_2d_once(model, dc, x1, x2, m + 5)

@@ -138,7 +138,7 @@ def test_phasetype_exact_exit3(ph_file, capsys):
         ("ph", ["table", "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"], 3,
          "capability error: exponential claims only"),
         ("p0", ["invert", "--x", "2", "1"], 3,
-         "capability error: invert_2d requires x2 > x1 > 0"),
+         "capability error: invert method needs upper-cone reserves x2 > x1 > 0"),
         ("p0", ["ruin", "--u", "3", "1", "--method", "invert"], 3,
          "capability error: invert method needs upper-cone reserves x2 > x1 > 0"),
         ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--ultimate", "--s", "0.5",
@@ -517,7 +517,7 @@ def test_table_flags_failed_rows_exit4(p0_file, capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod.closedform, "survival", explode)
     f = tmp_path / "t.csv"
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         [
             "table", "--model", p0_file,
             "--x1", "0.5", "1.0", "2", "--x2", "1.5", "2.0", "2",
@@ -526,6 +526,7 @@ def test_table_flags_failed_rows_exit4(p0_file, capsys, tmp_path, monkeypatch):
         capsys,
     )
     assert code == 4
+    assert err.splitlines()[-1] == "tolerance error: 4 of 4 table points missed --tol 1e-08"
     rows = f.read_text().strip().splitlines()
     assert len(rows) == 5 and all(r.endswith("failed") for r in rows[1:])
 

@@ -6,7 +6,7 @@ import pytest
 
 from ruin2d import closedform
 from ruin2d.closedform import omega, ruin, survival
-from ruin2d.errors import InvalidReserve, UnsupportedClaimLaw
+from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import ab, invert_2d
@@ -152,7 +152,7 @@ def test_cross_method_against_inversion(p0):
 
 
 def test_errors(p0, erlang2_model):
-    with pytest.raises(InvalidReserve):
+    with pytest.raises(DomainError, match="reserves must be nonnegative"):
         survival(p0, -0.5, 1.0)
     with pytest.raises(UnsupportedClaimLaw):
         survival(erlang2_model, 1.0, 2.0)
@@ -163,7 +163,7 @@ def test_errors(p0, erlang2_model):
 def test_nan_reserves_rejected(p0, call, x1, x2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before quad could warn
-        with pytest.raises(InvalidReserve):
+        with pytest.raises(DomainError, match="reserves must be nonnegative"):
             call(p0, x1, x2)
 
 
@@ -181,7 +181,7 @@ def test_infinite_reserves_are_limits(p0):
 @pytest.mark.parametrize("x2", [1.0, math.inf])
 def test_omega_refuses_infinite_x1(p0, x2):
     # the panel count grows with x1; survival never asks, since x2 <= x1 = inf is the lower cone
-    with pytest.raises(InvalidReserve):
+    with pytest.raises(DomainError, match="needs a finite x1"):
         omega(p0, math.inf, x2)
 
 
@@ -191,7 +191,7 @@ def test_omega_refuses_the_lower_cone(p0, x1, x2):
     # tolerance by 6e237 or return -0.0519; survival never asks there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(InvalidReserve, match="x2 >= x1"):
+        with pytest.raises(DomainError, match="x2 >= x1"):
             omega(p0, x1, x2)
 
 

@@ -314,6 +314,32 @@ def test_conditional_rejects_wrong_cone_and_empirical(p0):
         conditional_survival(m, 1.0, 2.0, 100, seed=0)
 
 
+ESTIMATORS = {
+    "direct": lambda m, u1, u2, horizon, s: simulate_joint_ruin(m, u1, u2, horizon, 100, 0),
+    "discounted": lambda m, u1, u2, horizon, s: ruin_time_lt(m, u1, u2, s, horizon, 100, 0),
+    "fluid": lambda m, u1, u2, horizon, s: simulate_joint_ruin_fluid(m, u1, u2, horizon, 100, 0),
+    "conditional": lambda m, u1, u2, horizon, s: conditional_survival(m, u1, u2, 100, 0),
+}
+TAKES = {"direct": "u1 u2 horizon", "discounted": "u1 u2 horizon s",
+         "fluid": "u1 u2 horizon", "conditional": "u1 u2"}
+VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5}
+BAD = [("u1", -1.0), ("u1", math.nan), ("u2", -1.0), ("u2", math.nan), ("horizon", -1.0),
+       ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan)]
+# an infinite x2 makes the conditional estimator's crossing time infinite
+OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
+                 for name, value in BAD if name in takes.split()] + [("conditional", "u2", math.inf)]
+
+
+@pytest.mark.parametrize(
+    "estimator, name, value", OUT_OF_DOMAIN, ids=[f"{e}-{n}={v}" for e, n, v in OUT_OF_DOMAIN]
+)
+def test_estimators_refuse_out_of_domain_input(p0, estimator, name, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            ESTIMATORS[estimator](p0, **{**VALID, name: value})
+
+
 def test_empirical_law_simulates(p0):
     emp = Empirical(sampler=lambda rng, n: rng.exponential(1.0, n), mean=1.0)
     m = RiskModel(lam=1.0, claim=emp, c1=3.0, c2=2.0)

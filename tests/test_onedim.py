@@ -213,6 +213,24 @@ def test_survival_lt_company_ordering(p0):
         )
 
 
+@pytest.mark.parametrize("call", [
+    lambda m: ruin_prob_exp(m, math.nan),
+    lambda m: ruin_transform_exp(m, math.nan, 0.5),
+    lambda m: ruin_transform_exp(m, 1.0, math.nan),
+    lambda m: ruin_transform_exp(m, 1.0, math.inf),
+], ids=["prob-x=nan", "transform-x=nan", "transform-s=nan", "transform-s=inf"])
+def test_out_of_domain_arguments_refused(p0, call):
+    with pytest.raises(DomainError):
+        call(p0)
+
+
+@pytest.mark.parametrize("z", [-1.0, [1.0, math.nan]], ids=["negative", "nan"])
+def test_survival_one_company_refuses_bad_reserves(p0, erlang2_model, z):
+    for model in (p0, erlang2_model):
+        with pytest.raises(DomainError):
+            survival_one_company(model, z)
+
+
 def test_domain_errors(p0, erlang2_model):
     with pytest.raises(DomainError):
         ruin_prob_exp(p0, -1.0)

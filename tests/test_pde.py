@@ -3,7 +3,7 @@ import pytest
 
 from ruin2d import pde
 from ruin2d.closedform import ruin
-from ruin2d.errors import GridTooCoarse, LowerCone, OutOfFootprint, UnsupportedClaimLaw
+from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt
 from ruin2d.model import Exponential, RiskModel
 from ruin2d.onedim import ruin_transform_exp
@@ -135,7 +135,7 @@ def test_goursat_kernel_against_bessel_series():
 
 
 def test_grid_too_coarse(p0):
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ToleranceNotMet, match="step-halving estimate"):
         solve(p0, s=0.0, r_max=8.0, steps=12, tol=1e-12)
 
 
@@ -167,17 +167,26 @@ def test_normalization_invariance():
 
 def test_evaluate_domain_errors(p0):
     grid = solve(p0, s=0.0, r_max=4.0, steps=60)
-    with pytest.raises(LowerCone):
+    with pytest.raises(DomainError, match="below the cone boundary"):
         evaluate(grid, 3.0, 1.0)
-    with pytest.raises(OutOfFootprint):
+    with pytest.raises(DomainError, match=r"outside \[0, "):
         evaluate(grid, 1.0, 50.0)
 
 
 @pytest.mark.parametrize("u1, u2", [(1.0, np.inf), (np.inf, 1.0), (np.inf, np.inf), (1.0, np.nan)])
 def test_evaluate_non_finite_point_out_of_footprint(p0, u1, u2):
     grid = solve(p0, s=0.0, r_max=4.0, steps=60)
-    with pytest.raises(OutOfFootprint):
+    with pytest.raises(DomainError, match="is not a finite point"):
         evaluate(grid, u1, u2)
+
+
+@pytest.mark.parametrize("s, r_max, steps", [
+    (np.nan, 4.0, 10), (np.inf, 4.0, 10), (-0.5, 4.0, 10),
+    (0.0, np.inf, 10), (0.0, np.nan, 10), (0.0, 0.0, 10), (0.0, 4.0, 1),
+])
+def test_solve_refuses_out_of_domain_input(p0, s, r_max, steps):
+    with pytest.raises(DomainError):
+        solve(p0, s=s, r_max=r_max, steps=steps)
 
 
 def test_phasetype_rejected(erlang2_model):

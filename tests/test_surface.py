@@ -9,6 +9,10 @@ attribute somewhere in those same directories.  Every parameter default of
 an exported function must be overridden by some call in them: an option that
 no caller sets is a constant.
 
+The library raises only the classes of ``ruin2d/errors.py``, and every one of
+them is raised, warned or subclassed.  In ``cli.py`` only ``main`` turns an
+outcome into an exit code.
+
 A fresh process imports scipy only where it is used: the first cut integral
 of an upper-cone exact answer loads ``scipy.integrate``.
 """
@@ -177,6 +181,78 @@ def test_option_is_set_by_a_caller(module, function, name, position):
     assert any(passes(call, name, position) for call in calls), (
         f"no caller sets ruin2d.{module}.{function}'s {name}: make it a constant"
     )
+
+
+def scoped_nodes(path: Path) -> list[tuple[str, ast.AST]]:
+    """``(scope, node)`` for every node of ``path``.
+
+    ``scope`` is the dotted name of the innermost enclosing class or function,
+    such as ``DerivedConstants.__getattr__``, or ``""`` at module level.
+    """
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            yield inner, child
+            yield from visit(child, inner)
+
+    return list(visit(ast.parse(path.read_text()), ""))
+
+
+def raised(node: ast.Raise) -> str | None:
+    """The class name in ``raise Name``, ``raise Name(...)`` or ``raise mod.Name(...)``."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return getattr(exc, "id", None) or getattr(exc, "attr", None)
+
+
+ERROR_CLASSES = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+                 if isinstance(node, ast.ClassDef)}
+
+# raises of a class from outside errors.py, with the reason
+FOREIGN_RAISE_ALLOWED = {
+    ("model.py", "DerivedConstants.__getattr__", "AttributeError"):
+        "copy and pickle probe attributes and expect AttributeError for a missing one",
+}
+
+
+def test_library_raises_only_its_own_errors():
+    found = {(path.name, scope, raised(node))
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"
+             for scope, node in scoped_nodes(path) if isinstance(node, ast.Raise)}
+    assert FOREIGN_RAISE_ALLOWED.keys() <= found
+    foreign = sorted(f for f in found if f[2] not in ERROR_CLASSES and f not in FOREIGN_RAISE_ALLOWED)
+    assert foreign == [], "raise a class of ruin2d/errors.py instead"
+
+
+def test_every_error_class_is_raised_warned_or_subclassed():
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        for _, node in scoped_nodes(path):
+            if isinstance(node, ast.Raise):
+                used.add(raised(node))
+            elif isinstance(node, ast.ClassDef):
+                used.update(base.id for base in node.bases if isinstance(base, ast.Name))
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "warn":
+                used.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
+    assert ERROR_CLASSES >= {"Ruin2dError", "DomainError", "ToleranceNotMet"}
+    assert sorted(ERROR_CLASSES - used) == []
+
+
+def test_only_main_returns_an_exit_code():
+    found = []
+    for scope, node in scoped_nodes(PACKAGE / "cli.py"):
+        if scope == "main":
+            continue
+        if isinstance(node, ast.Raise) and raised(node) == "SystemExit":
+            found.append((scope, "raises SystemExit"))
+        if isinstance(node, ast.Return) and node.value is not None:
+            if any(isinstance(n, ast.Name) and n.id.startswith("EXIT_") for n in ast.walk(node.value)):
+                found.append((scope, "returns an exit code"))
+            elif scope.startswith("cmd_"):
+                found.append((scope, "a command returns a value"))
+    assert found == []
 
 
 STARTUP_CHILD = """\

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ruin2d import transform
 from ruin2d.closedform import survival
-from ruin2d.errors import ConvergenceWarning, DomainError, NoRealRoot
+from ruin2d.errors import ConvergenceWarning, DomainError
 from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import (
     _euler_weights,
@@ -182,7 +182,7 @@ def test_q_plus_values(p0):
     assert q_plus(p0, 0.0) == pytest.approx(0.0, abs=1e-14)
     assert q_plus(p0, 1.0) == pytest.approx((-1.0 + math.sqrt(13.0)) / 6.0, abs=1e-12)
     assert q_plus(p0, 1.0) == pytest.approx(0.434259, abs=1e-6)
-    with pytest.raises(NoRealRoot):
+    with pytest.raises(DomainError, match="has no real root"):
         q_plus(p0, -1.0)  # inside the forbidden band
 
 
