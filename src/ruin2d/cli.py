@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -213,24 +214,8 @@ def _mc_estimate(model: RiskModel, args, method: str, s):
 
 def cmd_derive(model: RiskModel, args) -> None:
     dc = derive(model)
-    rows = {
-        "p1": dc.p1,
-        "p2": dc.p2,
-        "rho": dc.rho,
-        "d": dc.d,
-        "regime": dc.regime,
-    }
-    if isinstance(model.claim, Exponential):
-        rows.update(
-            mu=dc.mu,
-            gamma1=dc.gamma1,
-            gamma2=dc.gamma2,
-            gamma3=dc.gamma3,
-            C1=dc.C1,
-            C2=dc.C2,
-            q_plus=dc.q_plus_end,
-            q_minus=dc.q_minus_end,
-        )
+    # the cut ends print as q_plus and q_minus
+    rows = {f.name.removesuffix("_end"): getattr(dc, f.name) for f in dataclasses.fields(dc)}
     if args.json:
         print(json.dumps({k: v if isinstance(v, str) else float(v) for k, v in rows.items()}))
     else:

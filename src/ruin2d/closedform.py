@@ -84,17 +84,20 @@ def omega(
     at each cut end, ``q_plus_end`` and ``q_minus_end``: ``a`` and ``|f|`` are
     affine in ``q``, so those two values give the peak damping exponent
     ``x1 a + x2 q`` and the sup-times-length bound, both of which can skip
-    the integral.  The radicand of ``b`` is
-    ``-(p1-p2)^2 (q-q_plus_end)(q-q_minus_end)``, whose mid-cut peak
-    ``4 lam p1 mu`` gives ``max b = sqrt(lam mu / p1)``.
+    the integral.
 
     Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``; the
-    interval is pre-split at the oscillation scale ``pi / (x1 * max b)``
+    interval is pre-split at the oscillation scale ``pi / (x1 * b_max)``
     since ``sin(b(q) x1)`` oscillates for large ``x1``.  The integrand is
     finite at the endpoints because ``b`` vanishes there, except on the
     regime seam ``rho = p2^2/p1``: there the pole ``-gamma2`` meets
     ``q_minus_end`` and the integrand grows like ``(q_minus_end - q)^(-1/2)``,
-    which is integrable.  The integrand is one closure per call, built by
+    which is integrable.  Off the seam the pole sits ``gap = -end_gap`` past
+    ``q_minus_end`` and makes a peak about ``gap`` wide.  The outer nodes of
+    the 21-point Kronrod rule sit 2e-3 of a panel from its ends, so a peak
+    narrower than 1e-3 of the last panel goes unseen: that panel is split at
+    ``q_minus_end - gap 10^j``, ``j = 0, 1, ...``, while the edge stays
+    inside it.  The integrand is one closure per call, built by
     :func:`_cut_integrand`: it does the same operations as ``ab``, so its
     values and the output are bit-identical to the ``ab``-based form.
     Orientation note: the sign is fixed by the requirement that the assembled
@@ -123,35 +126,35 @@ def omega(
         raise ToleranceNotMet(
             f"p1 - p2 = {p1 - p2:.3g} is below the resolution of the cut integral's bound"
         )
-    b_max = math.sqrt(model.lam * dc.mu / p1)
     span = hi - lo
     prefactor = (p2 - dc.rho) / math.pi
     # q (p2 q + mu p2 - lam) = p2 q (q + gamma2) is smallest at the cut end nearest -gamma2
     denom_min = p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(hi + dc.gamma2))
     if denom_min > 0.0:
         f_max = max(abs(end_lo.f), abs(end_hi.f))
-        sup = math.exp(exponent) * ((f_max + b_max) / denom_min)
+        sup = math.exp(exponent) * ((f_max + dc.b_max) / denom_min)
         bound = abs(prefactor) * span * sup
         if bound < 0.1 * tol:
             return 0.0, bound
     # imported here so that a process that never integrates starts without scipy;
-    # the fixed-node rule of ROADMAP direction 2 removes quad altogether
+    # the fixed-node rule of ROADMAP direction 4 removes quad altogether
     from scipy.integrate import quad
 
-    n_panels = max(1, min(math.ceil(span * x1 * b_max / math.pi), _PANEL_BUDGET))
+    n_panels = max(1, min(math.ceil(span * x1 * dc.b_max / math.pi), _PANEL_BUDGET))
     edges = np.linspace(lo, hi, n_panels + 1)
-    total = 0.0
-    err = 0.0
+    gap = -dc.end_gap
+    if 0.0 < gap < 1e-3 * (hi - edges[-2]):
+        graded = []
+        while hi - gap > edges[-2]:
+            graded.insert(0, hi - gap)
+            gap *= 10.0
+        edges = np.concatenate((edges[:-1], graded, [hi]))
+    n_panels = len(edges) - 1
+    total = err = 0.0
     integrand = _cut_integrand(model, dc, x1, x2)
     for left, right in zip(edges[:-1], edges[1:]):
-        val, abserr = quad(
-            integrand,
-            left,
-            right,
-            epsabs=tol / n_panels,
-            epsrel=1e-12,
-            limit=max(50, _PANEL_BUDGET // n_panels),
-        )
+        val, abserr = quad(integrand, left, right, epsabs=tol / n_panels, epsrel=1e-12,
+                           limit=max(50, _PANEL_BUDGET // n_panels))
         total += val
         err += abserr
     if err * abs(prefactor) > tol:

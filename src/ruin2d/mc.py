@@ -285,13 +285,13 @@ def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _check_domain(u1: float, u2: float, horizon: float, s: float = 0.0) -> None:
-    """Refuse a negative or NaN reserve or ``s``, and a horizon outside ``[0, inf)``."""
+    """Refuse a negative or NaN reserve, and a horizon or ``s`` outside ``[0, inf)``."""
     if not (u1 >= 0 and u2 >= 0):  # NaN fails both comparisons
         raise DomainError("reserves must be nonnegative")
     if not 0 <= horizon < math.inf:
         raise DomainError(f"simulation horizon must be finite and nonnegative, got {horizon}")
-    if not s >= 0:
-        raise DomainError("discount rate must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise DomainError("discount rate must be finite and nonnegative")
 
 
 def ruin_time_lt(

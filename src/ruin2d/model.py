@@ -215,6 +215,8 @@ class ExponentialConstants(DerivedConstants):
     C2: float
     q_plus_end: float
     q_minus_end: float
+    b_max: float  # the peak of b(q) on the cut [q_plus_end, q_minus_end]
+    end_gap: float  # q_minus_end + gamma2 <= 0, zero on the regime seam rho = p2^2/p1
 
 
 _EXPONENTIAL_ONLY = {f.name for f in fields(ExponentialConstants)} - {
@@ -251,6 +253,10 @@ def derive(model: RiskModel) -> DerivedConstants:
         C2=lam / (mu * p2),
         q_plus_end=-((math.sqrt(lam) + math.sqrt(p1 * mu)) ** 2) / span,
         q_minus_end=-((math.sqrt(lam) - math.sqrt(p1 * mu)) ** 2) / span,
+        # b's radicand -(p1 - p2)^2 (q - q_plus_end)(q - q_minus_end) peaks at 4 lam p1 mu
+        b_max=math.sqrt(lam * mu / p1),
+        # in closed form: the sum q_minus_end + gamma2 cancels near the seam
+        end_gap=-((p2 * math.sqrt(mu) - math.sqrt(lam * p1)) ** 2) / (span * p2),
     )
 
 

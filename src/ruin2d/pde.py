@@ -238,7 +238,7 @@ def solve(
 
 def to_grid_coords(model: RiskModel, u1: float, u2: float) -> tuple[float, float]:
     """Invert ``(u1, u2) = (delta1 r + c1 w, delta2 r + c2 w)``."""
-    d = model.delta1 * model.c2 - model.delta2 * model.c1
+    d = derive(model).d
     r = (model.c2 * u1 - model.c1 * u2) / d
     w = (-model.delta2 * u1 + model.delta1 * u2) / d
     return r, w

@@ -3,7 +3,8 @@
 Each oracle checks a shipped result from another side: the fluid embedding
 of a sampled path, the company-1 scale function and killed resolvent, the
 Laplace exponents and the residual factor ``g`` of the transform, the residue
-terms of the closed form, and the model's JSON and coordinate round trips.
+terms of the closed form and its cut integral to 30 digits (``mp_omega``), and
+the model's JSON and coordinate round trips.
 The oracles call the shipped kernels they check (``mc.stream``,
 ``mc.reserves_at_epochs``, ``mc._company1_chunk``, ``transform.kappa_roots``,
 ...) rather than copies of them, so a test through an oracle still tests the
@@ -150,6 +151,41 @@ def residue_terms(model: RiskModel, x1: float, x2: float) -> dict[str, float]:
         "company2": -dc.C2 * math.exp(-dc.gamma2 * x2),
         "cross": c2t * math.exp(z1g2 * x1 - dc.gamma2 * x2),
     }
+
+
+def mp_omega(model, x1, x2, dps=30):
+    """``omega`` from an mpmath integral in ``q = c + h cos(theta)`` over the cut.
+
+    The substitution removes the square-root behaviour of ``b`` at the cut
+    ends; the panels crowd towards ``theta = 0`` (``q_minus_end``), next to
+    which a near-degenerate model puts the pole ``-gamma2``.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam, mu = mp.mpf(model.lam), mp.mpf(model.claim.mu)
+        p1, p2 = mp.mpf(model.p1), mp.mpf(model.p2)
+        x1, x2 = mp.mpf(x1), mp.mpf(x2)
+        # the radicand a2 q^2 + a1 q + a0 of b(q) vanishes at both cut ends
+        a2 = 4 * p1 * p2 - (p1 + p2) ** 2
+        a1 = 4 * p1 * (p2 * mu - lam) - 2 * (p1 + p2) * (p1 * mu - lam)
+        a0 = -((p1 * mu - lam) ** 2)
+        c = -a1 / (2 * a2)
+        h = mp.sqrt(a1 * a1 - 4 * a2 * a0) / (2 * abs(a2))
+        # q_minus_end + gamma2, which is zero on the regime seam rho = p2^2/p1
+        end_gap = -((p2 * mp.sqrt(mu) - mp.sqrt(lam * p1)) ** 2) / ((p1 - p2) * p2)
+
+        def integrand(theta):
+            q = c + h * mp.cos(theta)
+            a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
+            b = mp.sqrt(max(a2 * q * q + a1 * q + a0, 0)) / (2 * p1)
+            osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
+            # q + gamma2 without the cancellation of q_minus_end against -gamma2
+            q_gamma2 = end_gap - 2 * h * mp.sin(theta / 2) ** 2
+            return mp.exp(x1 * a + x2 * q) * osc / (q * p2 * q_gamma2) * h * mp.sin(theta)
+
+        edges = [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [mp.pi]
+        return float(-(p2 - lam / mu) / mp.pi * mp.quad(integrand, edges))
 
 
 # ---------------------------------------------------------------------------

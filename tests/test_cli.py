@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from ruin2d import closedform, mc
 from ruin2d.cli import build_parser, main
 from ruin2d.errors import ToleranceNotMet
-from ruin2d.model import derive, load_model
+from ruin2d.model import Exponential, RiskModel, derive, load_model
+
+from oracles import model_to_dict, mp_omega
 
 
 @pytest.fixture()
@@ -370,10 +373,64 @@ def test_seeded_output_pinned_at_stream_version(capsys, argv, line):
 P1_INLINE = ["--lam", "2", "--mu", "1", "--c", "5", "2.2"]
 ND_INLINE = ["--lam", "1", "--mu", "1", "--c", "1.002", "1.001"]
 
+# derive's rows in the record's field order; the first five hold for any claim law
+BASE_ROWS = ["      p1 = 3", "      p2 = 2", "     rho = 1", "       d = -1", "  regime = case1"]
+BASE_JSON = {"p1": 3.0, "p2": 2.0, "rho": 1.0, "d": -1.0, "regime": "case1"}
+DERIVE_GOLDEN = {
+    "P0": (P0_INLINE, [
+        *BASE_ROWS, "      mu = 1", "  gamma1 = 0.666666666667", "  gamma2 = 0.5",
+        "  gamma3 = -0.166666666667", "      C1 = 0.333333333333", "      C2 = 0.5",
+        "  q_plus = -7.46410161514", " q_minus = -0.535898384862", "   b_max = 0.57735026919",
+        " end_gap = -0.0358983848622",
+    ], {
+        **BASE_JSON, "mu": 1.0, "gamma1": 0.6666666666666667, "gamma2": 0.5,
+        "gamma3": -0.16666666666666663, "C1": 0.3333333333333333, "C2": 0.5,
+        "q_plus": -7.464101615137754, "q_minus": -0.5358983848622453,
+        "b_max": 0.5773502691896257, "end_gap": -0.03589838486224544,
+    }),
+    "P1": (P1_INLINE, [
+        "      p1 = 5", "      p2 = 2.2", "     rho = 2", "       d = -2.8", "  regime = case2",
+        "      mu = 1", "  gamma1 = 0.6", "  gamma2 = 0.0909090909091", "  gamma3 = 0.469090909091",
+        "      C1 = 0.4", "      C2 = 0.909090909091", "  q_plus = -4.75876975726",
+        " q_minus = -0.241230242737", "   b_max = 0.632455532034", " end_gap = -0.150321151828",
+    ], {
+        "p1": 5.0, "p2": 2.2, "rho": 2.0, "d": -2.8, "regime": "case2", "mu": 1.0, "gamma1": 0.6,
+        "gamma2": 0.09090909090909094, "gamma3": 0.469090909090909, "C1": 0.4,
+        "C2": 0.9090909090909091, "q_plus": -4.758769757263128, "q_minus": -0.24123024273687194,
+        "b_max": 0.6324555320336759, "end_gap": -0.150321151827781,
+    }),
+    "ND": (ND_INLINE, [
+        "      p1 = 1.002", "      p2 = 1.001", "     rho = 1", "       d = -0.001",
+        "  regime = case1", "      mu = 1", "  gamma1 = 0.00199600798403",
+        "  gamma2 = 0.000999000999001", "  gamma3 = -9.97006984685e-07", "      C1 = 0.998003992016",
+        "      C2 = 0.999000999001", "  q_plus = -4003.999001", " q_minus = -0.000999001248253",
+        "   b_max = 0.999001497504", " end_gap = -2.49251621729e-10",
+    ], {
+        "p1": 1.002, "p2": 1.001, "rho": 1.0, "d": -0.001000000000000112, "regime": "case1",
+        "mu": 1.0, "gamma1": 0.001996007984031989, "gamma2": 0.0009990009990008542,
+        "gamma3": -9.970069846854746e-07, "C1": 0.998003992015968, "C2": 0.9990009990009991,
+        "q_plus": -4003.9990009983035, "q_minus": -0.0009990012482525936,
+        "b_max": 0.9990014975043671, "end_gap": -2.4925162172851773e-10,
+    }),
+    "Erlang-2": (None, BASE_ROWS, BASE_JSON),
+}
+
+
+@pytest.mark.parametrize("name", DERIVE_GOLDEN)
+def test_derive_output_pinned(capsys, tmp_path, erlang2_model, name):
+    argv, rows, data = DERIVE_GOLDEN[name]
+    if argv is None:
+        path = tmp_path / "erlang2.json"
+        path.write_text(json.dumps(model_to_dict(erlang2_model)))
+        argv = ["--model", str(path)]
+    assert run_cli(["derive", *argv], capsys)[:2] == (0, "\n".join(rows) + "\n")
+    assert run_cli(["derive", *argv, "--json"], capsys)[:2] == (0, json.dumps(data) + "\n")
+
+
 EXACT_OUTPUT_MOVED = (
     "an exact-path output changed: the closed form prints the same bytes until ROADMAP "
-    "direction 2 (fixed-node cut rule) or direction 7 (ruin assembled from its terms) "
-    "moves them on purpose; record that in CHANGES.md and pin the new outputs")
+    "direction 4 (a cut integral over the whole valid space) moves them on purpose; "
+    "record that in CHANGES.md and pin the new outputs")
 
 # sha256 of each sweep's CSV, 16 x 16 points
 TABLE_GOLDEN = {
@@ -415,11 +472,11 @@ RUIN_EXACT_GOLDEN = [
     ([*P1_INLINE, "--u", "21", "13.5"],
      "ruin = 0.266446206622  method=exact  error<=0  regime=case2"),
     ([*ND_INLINE, "--u", "0.35", "1.2", "--tol", "1e-6"],
-     "ruin = 0.998609239727  method=exact  error<=2.80017939663e-11  regime=case1"),
+     "ruin = 0.998608567547  method=exact  error<=8.14751007254e-13  regime=case1"),
     ([*ND_INLINE, "--u", "1.6", "2.9", "--tol", "1e-6"],
-     "ruin = 0.997304310381  method=exact  error<=1.28809641665e-13  regime=case1"),
+     "ruin = 0.997304310381  method=exact  error<=1.95457520164e-13  regime=case1"),
     ([*ND_INLINE, "--u", "14", "15.5", "--tol", "1e-6"],
-     "ruin = 0.984590087493  method=exact  error<=7.68522030715e-13  regime=case1"),
+     "ruin = 0.984590087493  method=exact  error<=8.09992207918e-13  regime=case1"),
     ([*ND_INLINE, "--u", "12", "4", "--tol", "1e-6"],
      "ruin = 0.995016952451  method=exact  error<=0  regime=case1"),
     # small probabilities, whose low digits 1 - survival would lose
@@ -439,15 +496,35 @@ def test_ruin_exact_output_pinned(capsys, argv, line):
     assert (code, out) == (0, line + "\n"), EXACT_OUTPUT_MOVED
 
 
-def test_ruin_exact_tolerance_probe_pinned(capsys):
-    # an ND point where quad cannot meet the default --tol
-    argv = ["ruin", *ND_INLINE, "--u", "1.9895316759833197", "2.119459091872955"]
+ND = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001)
+
+
+def assert_nd_ruin_within_bound(capsys, x1, x2, *flags):
+    """Exact ND ruin at ``(x1, x2)`` is within its printed bound of the one from ``mp_omega``."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code, out, err = run_cli(argv, capsys)
-    assert (code, out, err) == (
-        4, "", "tolerance error: cut integral error 4.05e-08 exceeds tol 1.00e-08\n"
-    ), EXACT_OUTPUT_MOVED
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning on ND
+        code, out, err = run_cli(["ruin", *ND_INLINE, "--u", repr(x1), repr(x2), *flags], capsys)
+    assert (code, err) == (0, "")
+    match = re.fullmatch(r"ruin = (\S+)  method=exact  error<=(\S+)  regime=case1\n", out)
+    value, bound = float(match[1]), float(match[2])
+    dc = derive(ND)
+    # case 1: the company-2 and cross terms cancel
+    reference = dc.C1 * math.exp(-dc.gamma1 * x1) - mp_omega(ND, x1, x2)
+    # printing to 12 digits rounds by up to 5e-13
+    assert abs(value - reference) <= bound + 5e-13
+
+
+def test_ruin_exact_tolerance_probe_pinned(capsys):
+    # an ND point whose cut integral once missed the default --tol
+    assert_nd_ruin_within_bound(capsys, 1.9895316759833197, 2.119459091872955)
+
+
+# ND points next to the cut end q_minus_end, 2.5e-10 short of the pole -gamma2
+@pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+@pytest.mark.parametrize("x1, x2", [(0.00968949386818857, 0.09626081472070847),
+                                    (0.008843227100072543, 0.06011491445502003)])
+def test_ruin_exact_next_to_the_pole(capsys, x1, x2, tol):
+    assert_nd_ruin_within_bound(capsys, x1, x2, "--tol", tol)
 
 
 def test_delta_warning_only_when_chosen(p0_file, capsys):

@@ -12,7 +12,7 @@ from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import ab, invert_2d
 
 from conftest import z_score
-from oracles import g, residue_terms
+from oracles import g, mp_omega, residue_terms
 
 
 def test_omega_boundary_identity_p0(p0):
@@ -301,51 +301,12 @@ def test_omega_quad_nodes_match_reference(monkeypatch, name, x1, x2, tol):
     assert got_nodes == want_nodes
 
 
-def mp_omega(model, x1, x2, dps=30):
-    """``omega`` from an mpmath integral in ``q = c + h cos(theta)`` over the cut.
-
-    The substitution removes the square-root behaviour of ``b`` at the cut
-    ends; the panels crowd towards ``theta = 0`` (``q_minus_end``), next to
-    which a near-degenerate model puts the pole ``-gamma2``.
-    """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        lam, mu = mp.mpf(model.lam), mp.mpf(model.claim.mu)
-        p1, p2 = mp.mpf(model.p1), mp.mpf(model.p2)
-        x1, x2 = mp.mpf(x1), mp.mpf(x2)
-        # the radicand a2 q^2 + a1 q + a0 of b(q) vanishes at both cut ends
-        a2 = 4 * p1 * p2 - (p1 + p2) ** 2
-        a1 = 4 * p1 * (p2 * mu - lam) - 2 * (p1 + p2) * (p1 * mu - lam)
-        a0 = -((p1 * mu - lam) ** 2)
-        c = -a1 / (2 * a2)
-        h = mp.sqrt(a1 * a1 - 4 * a2 * a0) / (2 * abs(a2))
-        # q_minus_end + gamma2, which is zero on the regime seam rho = p2^2/p1
-        end_gap = -((p2 * mp.sqrt(mu) - mp.sqrt(lam * p1)) ** 2) / ((p1 - p2) * p2)
-
-        def integrand(theta):
-            q = c + h * mp.cos(theta)
-            a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
-            b = mp.sqrt(max(a2 * q * q + a1 * q + a0, 0)) / (2 * p1)
-            osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
-            # q + gamma2 without the cancellation of q_minus_end against -gamma2
-            q_gamma2 = end_gap - 2 * h * mp.sin(theta / 2) ** 2
-            return mp.exp(x1 * a + x2 * q) * osc / (q * p2 * q_gamma2) * h * mp.sin(theta)
-
-        edges = [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [mp.pi]
-        return float(-(p2 - lam / mu) / mp.pi * mp.quad(integrand, edges))
-
-
 def test_mp_omega_reference_matches_omega_on_p0(p0):
     assert mp_omega(p0, 1.0, 2.0) == pytest.approx(omega(p0, 1.0, 2.0, tol=1e-12)[0], abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="quad's error estimate misses the pole -gamma2 just past the cut end",
-)
 def test_omega_error_bound_near_degenerate():
+    # the pole -gamma2 sits 2.5e-10 past q_minus_end, on a cut 4004 long
     model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.002, c2=1.001)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
@@ -367,17 +328,13 @@ def test_omega_on_regime_seam(name, x1, x2):
     model = SEAM_MODELS[name]
     dc = derive(model)
     assert dc.q_minus_end + dc.gamma2 == {"c=(4,2)": 0.0, "c=(9,3)": 2.0**-53}[name]
+    assert dc.end_gap == 0.0
     value, err = omega(model, x1, x2, tol=1e-8)
     assert abs(value - mp_omega(model, x1, x2)) <= err <= 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="quad's error estimate misses the pole -gamma2 just past the cut end next to the seam",
-)
 def test_omega_error_bound_next_to_regime_seam():
-    # c1 = 3.999 is 1e-3 from the seam c1 = 4; omega is off by 4.8e-5 and reports 5.6e-9
+    # c1 = 3.999 is 1e-3 from the seam c1 = 4: the pole -gamma2 sits 1.6e-8 past q_minus_end
     model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.999, c2=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff

@@ -324,7 +324,7 @@ TAKES = {"direct": "u1 u2 horizon", "discounted": "u1 u2 horizon s",
          "fluid": "u1 u2 horizon", "conditional": "u1 u2"}
 VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5}
 BAD = [("u1", -1.0), ("u1", math.nan), ("u2", -1.0), ("u2", math.nan), ("horizon", -1.0),
-       ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan)]
+       ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan), ("s", math.inf)]
 # an infinite x2 makes the conditional estimator's crossing time infinite
 OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
                  for name, value in BAD if name in takes.split()] + [("conditional", "u2", math.inf)]

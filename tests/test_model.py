@@ -100,6 +100,8 @@ def test_derive_p0_constants(p0):
     assert dc.q_minus_end == pytest.approx(-0.535898, abs=1e-6)
     assert dc.regime == "case1"
     assert dc.d == pytest.approx(-1.0)
+    assert dc.b_max == math.sqrt(1.0 / 3.0)
+    assert dc.end_gap == pytest.approx(-((2.0 - math.sqrt(3.0)) ** 2) / 2.0, rel=1e-15)
 
 
 def test_derive_p1_constants(p1):
@@ -109,6 +111,22 @@ def test_derive_p1_constants(p1):
     assert dc.C2 == pytest.approx(0.909091, abs=1e-6)
     assert dc.gamma3 == pytest.approx(0.469091, abs=1e-6)
     assert dc.regime == "case2"  # p2^2/p1 = 0.968 < rho
+
+
+@pytest.mark.parametrize("c1, c2", [(3.0, 2.0), (5.0, 2.2), (1.002, 1.001), (3.999, 2.0)])
+def test_cut_constants(c1, c2):
+    """``b_max`` is the peak of ``b`` on the cut; ``end_gap`` keeps its digits near the seam."""
+    import mpmath as mp
+
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=c1, c2=c2)
+    dc = derive(model)
+    qs = np.linspace(dc.q_plus_end, dc.q_minus_end, 2001)
+    assert max(transform.ab(model, float(q), dc).b for q in qs) == pytest.approx(dc.b_max, rel=1e-6)
+    with mp.workdps(40):
+        p1, p2 = mp.mpf(c1), mp.mpf(c2)
+        q_minus_end = -((1 - mp.sqrt(p1)) ** 2) / (p1 - p2)
+        end_gap = q_minus_end + (1 - 1 / p2)
+    assert dc.end_gap == pytest.approx(float(end_gap), rel=1e-13)
 
 
 def test_derive_rejects_invalid_model():
@@ -248,6 +266,8 @@ EXPONENTIAL_ONLY = {
     "derive.mu": lambda m: derive(m).mu,
     "derive.gamma1": lambda m: derive(m).gamma1,
     "derive.q_plus_end": lambda m: derive(m).q_plus_end,
+    "derive.b_max": lambda m: derive(m).b_max,
+    "derive.end_gap": lambda m: derive(m).end_gap,
     "closedform.survival": lambda m: closedform.survival(m, 1.0, 3.0),
     "closedform.omega": lambda m: closedform.omega(m, 1.0, 3.0),
     "closedform.ruin": lambda m: closedform.ruin(m, 1.0, 3.0),

@@ -15,11 +15,17 @@ outcome into an exit code.
 
 A fresh process imports scipy only where it is used: the first cut integral
 of an upper-cone exact answer loads ``scipy.integrate``.
+
+The benchmark in ``perfbench/`` times the library by replacing module
+attributes and reads some of its defaults, so those stay: every attribute it
+patches exists, and one short traced run measures every per-layer metric.
 """
 
 import ast
 import functools
+import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from ruin2d.cli import main
+from ruin2d.model import derive
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ruin2d"
@@ -296,3 +303,39 @@ def test_cold_start_loads_scipy_only_for_the_cut_integral(capsys):
     exact = runs[-1]
     assert "scipy.integrate" in exact["scipy"]
     assert (exact["code"], exact["out"]) == (main(UPPER_CONE_EXACT), capsys.readouterr().out)
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("tracing")
+
+
+def test_benchmark_hooks_resolve(tracing):
+    for module, attr, *_ in tracing.PATCHES:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    # reads invert_2d's default m and mc.CHUNK
+    assert tracing.computed_counts()["mc.chunks"] >= 1
+    # calls transform.ab(model, q, dc) across the cut
+    b_max, span = tracing._cut_shape("P0")
+    dc = derive(tracing.workloads.model("P0"))
+    assert b_max == pytest.approx(dc.b_max, rel=1e-6)
+    assert span == dc.q_minus_end - dc.q_plus_end
+
+
+def test_traced_benchmark_run_measures_every_layer(tmp_path):
+    """One short traced ``point_queries`` run, in a copy so that its span file lands there."""
+    skip = shutil.ignore_patterns("__pycache__", "results")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "point_queries", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    layers = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert layers <= result["metrics"].keys()
+    assert result["correct"]
