@@ -97,7 +97,10 @@ def omega(
     the 21-point Kronrod rule sit 2e-3 of a panel from its ends, so a peak
     narrower than 1e-3 of the last panel goes unseen: that panel is split at
     ``q_minus_end - gap 10^j``, ``j = 0, 1, ...``, while the edge stays
-    inside it.  The integrand is one closure per call, built by
+    inside it, with ``gap`` at least an ulp of ``q_minus_end``.  Where the
+    integrand's ``q p2 + mu p2 - lam`` does not round negative at
+    ``q_minus_end``, the pole is on the cut in floating point and the cut
+    keeps the seam's panels.  The integrand is one closure per call, built by
     :func:`_cut_integrand`: it does the same operations as ``ab``, so its
     values and the output are bit-identical to the ``ab``-based form.
     Orientation note: the sign is fixed by the requirement that the assembled
@@ -143,18 +146,28 @@ def omega(
     n_panels = max(1, min(math.ceil(span * x1 * dc.b_max / math.pi), _PANEL_BUDGET))
     edges = np.linspace(lo, hi, n_panels + 1)
     gap = -dc.end_gap
-    if 0.0 < gap < 1e-3 * (hi - edges[-2]):
+    # q p2 + mu p2 - lam rounds monotonically in q: negative at hi, it is negative
+    # on the whole cut and no node meets the pole; otherwise the cut is the seam's
+    if 0.0 < gap < 1e-3 * (hi - edges[-2]) and hi * p2 + dc.mu * p2 - model.lam < 0.0:
         graded = []
+        gap = max(gap, math.ulp(hi))  # every edge strictly below hi
         while hi - gap > edges[-2]:
             graded.insert(0, hi - gap)
             gap *= 10.0
         edges = np.concatenate((edges[:-1], graded, [hi]))
     n_panels = len(edges) - 1
-    total = err = 0.0
+    total = 0.0
+    err = 0.0
     integrand = _cut_integrand(model, dc, x1, x2)
     for left, right in zip(edges[:-1], edges[1:]):
-        val, abserr = quad(integrand, left, right, epsabs=tol / n_panels, epsrel=1e-12,
-                           limit=max(50, _PANEL_BUDGET // n_panels))
+        val, abserr = quad(
+            integrand,
+            left,
+            right,
+            epsabs=tol / n_panels,
+            epsrel=1e-12,
+            limit=max(50, _PANEL_BUDGET // n_panels),
+        )
         total += val
         err += abserr
     if err * abs(prefactor) > tol:

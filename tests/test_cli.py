@@ -527,6 +527,21 @@ def test_ruin_exact_next_to_the_pole(capsys, x1, x2, tol):
     assert_nd_ruin_within_bound(capsys, x1, x2, "--tol", tol)
 
 
+def test_ruin_exact_below_an_ulp_from_the_seam(capsys):
+    # the pole -gamma2 sits 0.7 ulp past q_minus_end, where the integrand's denominator is 0.0
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=4.00000005, c2=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
+        code, out, err = run_cli(
+            ["ruin", "--lam", "1", "--mu", "1", "--c", "4.00000005", "2", "--u", "1", "3"], capsys
+        )
+        exact = closedform.survival(model, 1.0, 3.0)
+    assert (code, err) == (0, "")
+    match = re.fullmatch(r"ruin = (\S+)  method=exact  error<=(\S+)  regime=case2\n", out)
+    reference = exact.ruin + exact.omega - mp_omega(model, 1.0, 3.0)
+    assert abs(float(match[1]) - reference) <= float(match[2]) + 5e-13
+
+
 def test_delta_warning_only_when_chosen(p0_file, capsys):
     inline = ["derive", "--lam", "1", "--mu", "1", "--c", "3", "2"]
     code, _, err = run_cli(inline, capsys)

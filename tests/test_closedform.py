@@ -340,3 +340,15 @@ def test_omega_error_bound_next_to_regime_seam():
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
         value, err = omega(model, 0.3, 0.8, tol=1e-8)
     assert abs(value - mp_omega(model, 0.3, 0.8)) <= err
+
+
+# Within 1e-7 of the seam the pole -gamma2 sits about an ulp of q_minus_end past it:
+# 1.4 ulp at c1 = 4 +- 1e-7, 0.7 ulp at 4 +- 5e-8, where q p2 + mu p2 - lam rounds
+# to zero at q_minus_end, and 1e-4 ulp at 4 +- 1e-9
+@pytest.mark.parametrize("c1", [4 + 1e-7, 4 - 1e-7, 4 + 5e-8, 4 - 5e-8, 4 + 1e-9, 4 - 1e-9])
+def test_omega_within_an_ulp_of_regime_seam(c1):
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=c1, c2=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
+        value, err = omega(model, 1.0, 3.0, tol=1e-8)
+    assert abs(value - mp_omega(model, 1.0, 3.0)) <= err
