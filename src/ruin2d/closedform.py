@@ -86,21 +86,24 @@ def omega(
     ``x1 a + x2 q`` and the sup-times-length bound, both of which can skip
     the integral.
 
-    Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``; the
-    interval is pre-split at the oscillation scale ``pi / (x1 * b_max)``
-    since ``sin(b(q) x1)`` oscillates for large ``x1``.  The integrand is
-    finite at the endpoints because ``b`` vanishes there, except on the
-    regime seam ``rho = p2^2/p1``: there the pole ``-gamma2`` meets
-    ``q_minus_end`` and the integrand grows like ``(q_minus_end - q)^(-1/2)``,
-    which is integrable.  Off the seam the pole sits ``gap = -end_gap`` past
-    ``q_minus_end`` and makes a peak about ``gap`` wide.  The outer nodes of
-    the 21-point Kronrod rule sit 2e-3 of a panel from its ends, so a peak
-    narrower than 1e-3 of the last panel goes unseen: that panel is split at
-    ``q_minus_end - gap 10^j``, ``j = 0, 1, ...``, while the edge stays
-    inside it, with ``gap`` at least an ulp of ``q_minus_end``.  Where the
-    integrand's ``q p2 + mu p2 - lam`` does not round negative at
-    ``q_minus_end``, the pole is on the cut in floating point and the cut
-    keeps the seam's panels.  The integrand is one closure per call, built by
+    Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``:
+    ``ceil(x1 b_max / pi)`` equal ones, since ``x1 b(q)`` rises from 0 to
+    ``x1 b_max`` and back, that many half-periods of ``sin(b x1)`` whatever
+    the cut's length.  The integrand is finite at the endpoints because ``b``
+    vanishes there, except on the regime seam ``rho = p2^2/p1``: there the
+    pole ``-gamma2`` meets ``q_minus_end`` and the integrand grows like
+    ``(q_minus_end - q)^(-1/2)``, which is integrable.  Two scales can be far
+    below the last panel's width.  ``exp(x1 a + x2 q)`` decays away from
+    ``q_minus_end`` over ``1 / (x2 - x1 (p1 + p2) / (2 p1))``, and off the
+    seam the pole sits ``gap = -end_gap`` past it and makes a peak about
+    ``gap`` wide, which the 21-point Kronrod rule (outer nodes 2e-3 of a
+    panel from its ends) misses below 1e-3 of the panel.  The last panel is
+    split at ``q_minus_end - scale 10^j``, ``j = 0, 1, ...``, while the edge
+    stays inside it, with ``scale`` the shorter of the two lengths and at
+    least an ulp of ``q_minus_end``.  Where the integrand's
+    ``q p2 + mu p2 - lam`` does not round negative at ``q_minus_end``, the
+    pole is on the cut in floating point and the cut keeps its equal
+    panels.  The integrand is one closure per call, built by
     :func:`_cut_integrand`: it does the same operations as ``ab``, so its
     values and the output are bit-identical to the ``ab``-based form.
     Orientation note: the sign is fixed by the requirement that the assembled
@@ -143,17 +146,23 @@ def omega(
     # the fixed-node rule of ROADMAP direction 4 removes quad altogether
     from scipy.integrate import quad
 
-    n_panels = max(1, min(math.ceil(span * x1 * dc.b_max / math.pi), _PANEL_BUDGET))
+    n_panels = max(1, min(math.ceil(x1 * dc.b_max / math.pi), _PANEL_BUDGET))
     edges = np.linspace(lo, hi, n_panels + 1)
+    width = hi - edges[-2]
+    # exp(x1 a + x2 q) decays at this rate away from hi, and the pole sits gap past hi
+    rate = x2 - x1 * (p1 + p2) / (2.0 * p1)
+    scale = 1.0 / rate if rate > 0.0 else math.inf
     gap = -dc.end_gap
+    if 0.0 < gap < 1e-3 * width:
+        scale = min(scale, gap)
     # q p2 + mu p2 - lam rounds monotonically in q: negative at hi, it is negative
     # on the whole cut and no node meets the pole; otherwise the cut is the seam's
-    if 0.0 < gap < 1e-3 * (hi - edges[-2]) and hi * p2 + dc.mu * p2 - model.lam < 0.0:
+    if scale < width and hi * p2 + dc.mu * p2 - model.lam < 0.0:
         graded = []
-        gap = max(gap, math.ulp(hi))  # every edge strictly below hi
-        while hi - gap > edges[-2]:
-            graded.insert(0, hi - gap)
-            gap *= 10.0
+        scale = max(scale, math.ulp(hi))  # every edge strictly below hi
+        while hi - scale > edges[-2]:
+            graded.insert(0, hi - scale)
+            scale *= 10.0
         edges = np.concatenate((edges[:-1], graded, [hi]))
     n_panels = len(edges) - 1
     total = 0.0

@@ -6,7 +6,7 @@ import pytest
 
 from ruin2d import closedform
 from ruin2d.closedform import omega, ruin, survival
-from ruin2d.errors import DomainError, UnsupportedClaimLaw
+from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import ab, invert_2d
@@ -352,3 +352,67 @@ def test_omega_within_an_ulp_of_regime_seam(c1):
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
         value, err = omega(model, 1.0, 3.0, tol=1e-8)
     assert abs(value - mp_omega(model, 1.0, 3.0)) <= err
+
+
+@pytest.fixture()
+def quad_panels(monkeypatch):
+    """Each ``scipy.integrate.quad`` call's ``(left, right)``; ``omega`` imports it per call."""
+    import scipy.integrate
+
+    panels, quad = [], scipy.integrate.quad
+
+    def counted(func, left, right, **kwargs):
+        panels.append((left, right))
+        return quad(func, left, right, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
+    return panels
+
+
+def test_omega_panels_follow_the_oscillation_not_the_cut_length(quad_panels):
+    # ND's cut is 4004 long; panels in proportion to it made about 3 800 quad calls here
+    model = INTEGRAND_MODELS["ND"]
+    value, err = omega(model, 3.0, 3.5, tol=1e-8)
+    assert 1 <= len(quad_panels) <= 20
+    assert abs(value - mp_omega(model, 3.0, 3.5)) <= err
+
+
+def test_omega_panel_layout_on_p0(quad_panels):
+    model, x1, x2 = INTEGRAND_MODELS["P0"], 29.0, 31.0
+    dc = derive(model)
+    hi = dc.q_minus_end
+    # x1 b(q) makes about x1 b_max / pi half-periods across the cut, whatever its length
+    uniform = np.linspace(dc.q_plus_end, hi, math.ceil(x1 * dc.b_max / math.pi) + 1)
+    # the last panel is graded towards hi from the damping length of exp(x1 a + x2 q)
+    damping = 1.0 / (x2 - x1 * (dc.p1 + dc.p2) / (2.0 * dc.p1))
+    graded = [hi - damping * 10.0**j for j in range(20) if hi - damping * 10.0**j > uniform[-2]]
+    omega(model, x1, x2, tol=1e-8)
+    edges = [left for left, _ in quad_panels] + [quad_panels[-1][1]]
+    assert len(graded) == 1
+    assert edges == pytest.approx([*uniform[:-1], *graded[::-1], hi], rel=0, abs=1e-12)
+
+
+# A random model of a sweep whose integrand's mass sits next to q_minus_end: its
+# damping length (1.5 and 22) is well below the last uniform panel (6.6 and 124 wide)
+SWEEP_LAM, SWEEP_MU = 4.996830867309996, 0.31756002662663857
+
+
+@pytest.mark.parametrize("c", [(30.595398059265126, 28.491770845589073),
+                               (24.941498715225585, 24.839863927198156)])
+def test_omega_grades_towards_the_damped_cut_end(c):
+    model = RiskModel(lam=SWEEP_LAM, claim=Exponential(SWEEP_MU), c1=c[0], c2=c[1])
+    x1, x2 = 18.829498055826782, 18.836062594545183
+    value, err = omega(model, x1, x2, tol=1e-8)
+    assert abs(value - mp_omega(model, x1, x2)) <= err
+
+
+def test_omega_within_its_bound_or_refuses():
+    # the same model at a point where the cut integral misses tol=1e-8
+    model = RiskModel(lam=SWEEP_LAM, claim=Exponential(SWEEP_MU),
+                      c1=30.595398059265126, c2=28.491770845589073)
+    x1, x2 = 2.065367789520867, 2.1551873387647458
+    try:
+        value, err = omega(model, x1, x2, tol=1e-8)
+    except ToleranceNotMet:
+        return
+    assert abs(value - mp_omega(model, x1, x2)) <= err

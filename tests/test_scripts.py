@@ -36,6 +36,21 @@ def test_crosscheck_grid_runs_from_checkout():
     assert abs(exact - inverted) <= 1e-3
 
 
+def test_omega_sweep_runs_from_checkout():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["--region", "clean", "--models", "1", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "omega_sweep.py"), *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = dict(field.split("=") for field in proc.stdout.splitlines()[-1].split())
+    assert (summary["region"], summary["points"]) == ("clean", "3")
+    # this draw is a clean model: omega is within its bound of mp_omega at all 3 points
+    assert (summary["outside"], summary["exit4"]) == ("0", "0")
+    assert float(summary["ms_per_point"]) > 0
+
+
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
 
 
