@@ -43,30 +43,30 @@ class SurvivalResult:
 
 
 def _cut_integrand(model: RiskModel, dc: DerivedConstants, x1: float, x2: float):
-    """The integrand of :func:`omega` at fixed reserves, with the model constants bound once.
+    """The integrand of :func:`omega` at fixed reserves, in ``d = q_minus_end - q``.
 
-    It does :func:`ruin2d.transform.ab`'s arithmetic inline, operation for operation
-    and in the same order, so each value is bit-identical to going through ``ab``.
-    Only leading subexpressions, which Python evaluates first anyway, are hoisted:
-    ``q * p2 + mu * p2 - lam`` must stay as written.  ``quad`` evaluates strictly
-    inside the cut, so ``ab``'s domain check is left out.
+    Every quantity that cancels next to the cut end comes from :func:`derive`:
+    ``b = (p1 - p2)/(2 p1) sqrt(d (span - d))`` with
+    ``span = q_minus_end - q_plus_end``, and the pole factor
+    ``q + gamma2 = end_gap - d``.  ``f = mu + q + a`` and the damping
+    exponent ``x1 a + x2 q`` are read from ``s = a + q``, which is
+    ``((p1 - p2) q - (p1 mu - lam)) / (2 p1)``, a sum of two negative terms:
+    ``f = mu + s`` and the exponent is ``x1 s + (x2 - x1) q``, whose terms,
+    unlike ``x1 a`` and ``x2 q``, do not cancel.  Rounding can put
+    ``d (span - d)`` at or below zero only at ``d = span``, where ``b`` is 0.
     """
-    mu, lam, p1, p2 = dc.mu, model.lam, dc.p1, dc.p2
-    two_p1, four_p1, lin0 = 2.0 * p1, 4.0 * p1, p1 * mu - lam
+    mu, p1, p2, hi, end_gap = dc.mu, dc.p1, dc.p2, dc.q_minus_end, dc.end_gap
+    span, half_b = hi - dc.q_plus_end, (p1 - p2) / (2.0 * p1)
+    s0, x21 = (p1 * mu - model.lam) / (2.0 * p1), x2 - x1
     exp, sin, cos, sqrt = math.exp, math.sin, math.cos, math.sqrt
 
-    def integrand(q: float) -> float:
-        lin = lin0 + p2 * q + p1 * q
-        a = -lin / two_p1
-        radicand = four_p1 * (p2 * q * mu + p2 * q * q - lam * q) - lin * lin
-        if radicand < 0.0:
-            if radicand < -1e-9 * max(1.0, lin * lin):
-                raise DomainError("negative radicand on the cut; inconsistent model constants")
-            radicand = 0.0
-        b = sqrt(radicand) / two_p1
-        f = mu + q + a
-        damp = exp(x1 * a + x2 * q)
-        return damp * (f * sin(b * x1) + b * cos(b * x1)) / (q * (q * p2 + mu * p2 - lam))
+    def integrand(d: float) -> float:
+        q = hi - d
+        s = half_b * q - s0
+        w = d * (span - d)
+        b = half_b * sqrt(w) if w > 0.0 else 0.0
+        osc = (mu + s) * sin(b * x1) + b * cos(b * x1)
+        return exp(x1 * s + x21 * q) * osc / (p2 * q * (end_gap - d))
 
     return integrand
 
@@ -86,26 +86,23 @@ def omega(
     ``x1 a + x2 q`` and the sup-times-length bound, both of which can skip
     the integral.
 
-    Adaptive Gauss-Kronrod panels over ``[q_plus_end, q_minus_end]``:
-    ``ceil(x1 b_max / pi)`` equal ones, since ``x1 b(q)`` rises from 0 to
+    Adaptive Gauss-Kronrod panels over the distance ``d = q_minus_end - q``
+    from the cut end, ``d`` in ``[0, span]`` (see :func:`_cut_integrand`):
+    ``ceil(x1 b_max / pi)`` equal ones, since ``x1 b`` rises from 0 to
     ``x1 b_max`` and back, that many half-periods of ``sin(b x1)`` whatever
-    the cut's length.  The integrand is finite at the endpoints because ``b``
+    the cut's length.  The integrand is finite at both ends because ``b``
     vanishes there, except on the regime seam ``rho = p2^2/p1``: there the
     pole ``-gamma2`` meets ``q_minus_end`` and the integrand grows like
-    ``(q_minus_end - q)^(-1/2)``, which is integrable.  Two scales can be far
-    below the last panel's width.  ``exp(x1 a + x2 q)`` decays away from
-    ``q_minus_end`` over ``1 / (x2 - x1 (p1 + p2) / (2 p1))``, and off the
-    seam the pole sits ``gap = -end_gap`` past it and makes a peak about
-    ``gap`` wide, which the 21-point Kronrod rule (outer nodes 2e-3 of a
-    panel from its ends) misses below 1e-3 of the panel.  The last panel is
-    split at ``q_minus_end - scale 10^j``, ``j = 0, 1, ...``, while the edge
-    stays inside it, with ``scale`` the shorter of the two lengths and at
-    least an ulp of ``q_minus_end``.  Where the integrand's
-    ``q p2 + mu p2 - lam`` does not round negative at ``q_minus_end``, the
-    pole is on the cut in floating point and the cut keeps its equal
-    panels.  The integrand is one closure per call, built by
-    :func:`_cut_integrand`: it does the same operations as ``ab``, so its
-    values and the output are bit-identical to the ``ab``-based form.
+    ``d^(-1/2)``, which is integrable.  Three lengths can be far below the
+    first panel's width.  ``exp(x1 a + x2 q)`` decays away from ``d = 0``
+    over ``1 / (x2 - x1 (p1 + p2) / (2 p1))``; the pole ``-gamma2`` sits
+    ``-end_gap`` past the cut end and the pole ``q = 0`` sits
+    ``-q_minus_end`` past it, and each makes a peak about that wide, which
+    the 21-point Kronrod rule (outer nodes 2e-3 of a panel from its ends)
+    misses below 1e-3 of the panel.  The first panel is split at
+    ``d = scale 10^j``, ``j = 0, 1, ...``, while the edge stays inside it,
+    with ``scale`` the shortest of those lengths (a pole's only when below
+    1e-3 of the panel).  In ``d`` the edges next to the cut end are exact.
     Orientation note: the sign is fixed by the requirement that the assembled
     survival be continuous across the cone boundary; it is the opposite of
     the raw left-to-right endpoint integral.
@@ -127,15 +124,10 @@ def omega(
     exponent = max(x1 * end_lo.a + x2 * lo, x1 * end_hi.a + x2 * hi)
     if exponent < _LOG_TINY:
         return 0.0, 0.0
-    # -(p1 - p2)^2 rounds to zero once p1 and p2 agree to about 8 digits
-    if not 4.0 * p1 * p2 - (p1 + p2) ** 2 < 0.0:
-        raise ToleranceNotMet(
-            f"p1 - p2 = {p1 - p2:.3g} is below the resolution of the cut integral's bound"
-        )
     span = hi - lo
     prefactor = (p2 - dc.rho) / math.pi
-    # q (p2 q + mu p2 - lam) = p2 q (q + gamma2) is smallest at the cut end nearest -gamma2
-    denom_min = p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(hi + dc.gamma2))
+    # the denominator p2 q (q + gamma2) is smallest at the cut end nearest -gamma2
+    denom_min = p2 * min(abs(lo) * abs(lo + dc.gamma2), abs(hi) * abs(dc.end_gap))
     if denom_min > 0.0:
         f_max = max(abs(end_lo.f), abs(end_hi.f))
         sup = math.exp(exponent) * ((f_max + dc.b_max) / denom_min)
@@ -147,23 +139,20 @@ def omega(
     from scipy.integrate import quad
 
     n_panels = max(1, min(math.ceil(x1 * dc.b_max / math.pi), _PANEL_BUDGET))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    width = hi - edges[-2]
-    # exp(x1 a + x2 q) decays at this rate away from hi, and the pole sits gap past hi
+    edges = np.linspace(0.0, span, n_panels + 1)
+    width = edges[1]
+    # exp(x1 a + x2 q) decays at this rate away from d = 0
     rate = x2 - x1 * (p1 + p2) / (2.0 * p1)
     scale = 1.0 / rate if rate > 0.0 else math.inf
-    gap = -dc.end_gap
-    if 0.0 < gap < 1e-3 * width:
-        scale = min(scale, gap)
-    # q p2 + mu p2 - lam rounds monotonically in q: negative at hi, it is negative
-    # on the whole cut and no node meets the pole; otherwise the cut is the seam's
-    if scale < width and hi * p2 + dc.mu * p2 - model.lam < 0.0:
-        graded = []
-        scale = max(scale, math.ulp(hi))  # every edge strictly below hi
-        while hi - scale > edges[-2]:
-            graded.insert(0, hi - scale)
-            scale *= 10.0
-        edges = np.concatenate((edges[:-1], graded, [hi]))
+    # the poles -gamma2 and 0 sit these distances past the cut end
+    for gap in (-dc.end_gap, -hi):
+        if 0.0 < gap < 1e-3 * width:
+            scale = min(scale, gap)
+    graded = []
+    while scale < width:
+        graded.append(scale)
+        scale *= 10.0
+    edges = np.concatenate(([0.0], graded, edges[1:]))
     n_panels = len(edges) - 1
     total = 0.0
     err = 0.0

@@ -253,7 +253,7 @@ def derive(model: RiskModel) -> DerivedConstants:
         C2=lam / (mu * p2),
         q_plus_end=-((math.sqrt(lam) + math.sqrt(p1 * mu)) ** 2) / span,
         q_minus_end=-((math.sqrt(lam) - math.sqrt(p1 * mu)) ** 2) / span,
-        # b's radicand -(p1 - p2)^2 (q - q_plus_end)(q - q_minus_end) peaks at 4 lam p1 mu
+        # b = (p1 - p2)/(2 p1) sqrt((q - q_plus_end)(q_minus_end - q)) peaks at mid-cut
         b_max=math.sqrt(lam * mu / p1),
         # in closed form: the sum q_minus_end + gamma2 cancels near the seam
         end_gap=-((p2 * math.sqrt(mu) - math.sqrt(lam * p1)) ** 2) / (span * p2),

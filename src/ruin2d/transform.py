@@ -117,21 +117,16 @@ class CutPoint(NamedTuple):
 def ab(model: RiskModel, q: float, dc: DerivedConstants | None = None) -> CutPoint:
     """Real and imaginary parts ``a(q)``, ``b(q)`` of ``z1`` on the cut.
 
-    Also returns ``f(q) = mu + q + a(q)``.  The radicand vanishes at the cut
-    endpoints; tiny negative round-off there is clamped to zero.
+    Also returns ``f(q) = mu + q + a(q)``.  ``b`` is
+    ``(p1 - p2)/(2 p1) sqrt((q - q_plus_end)(q_minus_end - q))``, from the cut
+    ends of :func:`ruin2d.model.derive`, so it vanishes at both of them.
     """
     dc = dc or derive(model)
     if not (dc.q_plus_end <= q <= dc.q_minus_end):
         raise DomainError(f"q={q} outside the cut [{dc.q_plus_end}, {dc.q_minus_end}]")
     mu, lam, p1, p2 = dc.mu, model.lam, dc.p1, dc.p2
-    lin = p1 * mu - lam + p2 * q + p1 * q
-    a = -lin / (2.0 * p1)
-    radicand = 4.0 * p1 * (p2 * q * mu + p2 * q * q - lam * q) - lin * lin
-    if radicand < 0.0:
-        if radicand < -1e-9 * max(1.0, lin * lin):
-            raise DomainError("negative radicand on the cut; inconsistent model constants")
-        radicand = 0.0
-    b = math.sqrt(radicand) / (2.0 * p1)
+    a = -(p1 * mu - lam + p2 * q + p1 * q) / (2.0 * p1)
+    b = (p1 - p2) / (2.0 * p1) * math.sqrt((q - dc.q_plus_end) * (dc.q_minus_end - q))
     return CutPoint(a=a, b=b, f=mu + q + a)
 
 

@@ -9,7 +9,7 @@ from ruin2d.closedform import omega, ruin, survival
 from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive
-from ruin2d.transform import ab, invert_2d
+from ruin2d.transform import invert_2d
 
 from conftest import z_score
 from oracles import g, mp_omega, residue_terms
@@ -222,20 +222,6 @@ def test_ruin_clips_with_warning(p0, monkeypatch):
     assert rec and "outside" in str(rec[0].message)
 
 
-def reference_integrand(model, dc, x1, x2):
-    """The ``ab``-based cut integrand that ``closedform._cut_integrand`` must match bit for bit."""
-    mu, lam, p2 = dc.mu, model.lam, dc.p2
-
-    def integrand(q):
-        a, b, f = ab(model, q, dc)
-        damp = math.exp(x1 * a + x2 * q)
-        return damp * (f * math.sin(b * x1) + b * math.cos(b * x1)) / (
-            q * (q * p2 + mu * p2 - lam)
-        )
-
-    return integrand
-
-
 # ND is near-degenerate (p1 -> p2 -> rho); E1 has margin e1 = (p1 - p2)/p2 = 1e-5
 INTEGRAND_MODELS = {
     "P0": RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.0, c2=2.0),
@@ -244,6 +230,72 @@ INTEGRAND_MODELS = {
     "E1": RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.01 * (1.0 + 1e-5), c2=1.01),
 }
 INTEGRAND_RESERVES = [(0.0, 0.5), (0.7, 1.3), (2.5, 2.5), (4.0, 9.5), (25.0, 26.0)]
+
+
+# On the regime seam rho = p2^2/p1 the pole -gamma2 meets q_minus_end: exactly at
+# c = (4, 2), and 1.1e-16 inside the cut after rounding at c = (9, 3).
+SEAM_MODELS = {
+    "c=(4,2)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=4.0, c2=2.0),
+    "c=(9,3)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=9.0, c2=3.0),
+}
+
+
+def mp_cut_integrand(model, dc, x1, x2):
+    """``closedform._cut_integrand``'s expression in ``d``, in 40-digit arithmetic.
+
+    Its constants are the float ones the integrand reads, ``span`` included,
+    so the two differ only by the integrand's own rounding.
+    """
+    import mpmath as mp
+
+    mu, lam, p1, p2 = (mp.mpf(v) for v in (dc.mu, model.lam, dc.p1, dc.p2))
+    hi, gap = mp.mpf(dc.q_minus_end), mp.mpf(dc.end_gap)
+    span = mp.mpf(dc.q_minus_end - dc.q_plus_end)
+
+    def integrand(d):
+        with mp.workdps(40):
+            d = mp.mpf(d)
+            q = hi - d
+            a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
+            b = (p1 - p2) / (2 * p1) * mp.sqrt(max(d * (span - d), 0))
+            osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
+            return mp.exp(x1 * a + x2 * q) * osc / (p2 * q * (gap - d))
+
+    return integrand
+
+
+@pytest.mark.parametrize("name", [*INTEGRAND_MODELS, *SEAM_MODELS])
+def test_cut_integrand_matches_mpmath(name):
+    model = {**INTEGRAND_MODELS, **SEAM_MODELS}[name]
+    dc = derive(model)
+    span = dc.q_minus_end - dc.q_plus_end
+    # a uniform grid, points crowding towards each cut end down to 1e-14 of the
+    # cut (d = 0 is q_minus_end, where a seam model's integrand is unbounded) and
+    # random points
+    crowd = span * np.logspace(-14, 0, 120)
+    ds = np.linspace(0.0, span, 101)[1:-1].tolist() + crowd.tolist()
+    ds += (span - crowd[:-1]).tolist() + np.random.default_rng(7).uniform(0, span, 60).tolist()
+    for x1, x2 in INTEGRAND_RESERVES:
+        got = np.array([closedform._cut_integrand(model, dc, x1, x2)(d) for d in ds])
+        want = np.array([float(v) for v in map(mp_cut_integrand(model, dc, x1, x2), ds)])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (x1, x2)
+
+
+def reference_integrand(model, dc, x1, x2):
+    """The cut integrand in ``d``, written out from ``derive``'s record with nothing bound
+    ahead of the call, which ``closedform._cut_integrand`` must match bit for bit."""
+
+    def integrand(d):
+        p1, p2, hi = dc.p1, dc.p2, dc.q_minus_end
+        q = hi - d
+        s = (p1 - p2) / (2.0 * p1) * q - (p1 * dc.mu - model.lam) / (2.0 * p1)
+        w = d * (hi - dc.q_plus_end - d)
+        b = (p1 - p2) / (2.0 * p1) * math.sqrt(w) if w > 0.0 else 0.0
+        osc = (dc.mu + s) * math.sin(b * x1) + b * math.cos(b * x1)
+        return math.exp(x1 * s + (x2 - x1) * q) * osc / (p2 * q * (dc.end_gap - d))
+
+    return integrand
 
 
 def bits(values):
@@ -255,27 +307,27 @@ def bits(values):
 def test_cut_integrand_matches_reference_bits(name, scalar):
     model = INTEGRAND_MODELS[name]
     dc = derive(model)
-    lo, hi = dc.q_plus_end, dc.q_minus_end
-    # both cut ends (where the radicand is clamped), a uniform grid, points crowding
-    # towards each end (where the damping is weakest near q_minus_end) and random points
-    crowd = (hi - lo) * np.logspace(-14, 0, 2000)
-    qs = np.linspace(lo, hi, 4001).tolist()
-    qs += (hi - crowd).tolist() + (lo + crowd[:1000]).tolist()
-    qs += np.random.default_rng(7).uniform(lo, hi, 3000).tolist()
+    span = dc.q_minus_end - dc.q_plus_end
+    # both cut ends (d = 0 is q_minus_end, d = span is q_plus_end, where b is 0 or
+    # w rounds to 0), a uniform grid, points crowding towards each end and random points
+    crowd = span * np.logspace(-14, 0, 2000)
+    ds = np.linspace(0.0, span, 4001).tolist()
+    ds += crowd.tolist() + (span - crowd[:1000]).tolist()
+    ds += np.random.default_rng(7).uniform(0.0, span, 3000).tolist()
     for x1, x2 in INTEGRAND_RESERVES:
         x1, x2 = scalar(x1), scalar(x2)
         got = closedform._cut_integrand(model, dc, x1, x2)
         want = reference_integrand(model, dc, x1, x2)
-        assert np.array_equal(bits([got(q) for q in qs]), bits([want(q) for q in qs])), (x1, x2)
+        assert np.array_equal(bits([got(d) for d in ds]), bits([want(d) for d in ds])), (x1, x2)
 
 
 def counting(factory, nodes):
     def make(*args):
         integrand = factory(*args)
 
-        def counted(q):
-            nodes.append(q)
-            return integrand(q)
+        def counted(d):
+            nodes.append(d)
+            return integrand(d)
 
         return counted
 
@@ -290,7 +342,7 @@ def test_omega_quad_nodes_match_reference(monkeypatch, name, x1, x2, tol):
     model = INTEGRAND_MODELS[name]
     got_nodes, want_nodes = [], []
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy's IntegrationWarning on ND
+        warnings.simplefilter("error")  # no IntegrationWarning, ND included
         monkeypatch.setattr(closedform, "_cut_integrand",
                             counting(closedform._cut_integrand, got_nodes))
         got = omega(model, np.float64(x1), np.float64(x2), tol=tol)
@@ -314,14 +366,6 @@ def test_omega_error_bound_near_degenerate():
     assert abs(value - mp_omega(model, 0.5, 1.0)) <= err
 
 
-# On the regime seam rho = p2^2/p1 the pole -gamma2 meets q_minus_end: exactly at
-# c = (4, 2), and 1.1e-16 inside the cut after rounding at c = (9, 3).
-SEAM_MODELS = {
-    "c=(4,2)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=4.0, c2=2.0),
-    "c=(9,3)": RiskModel(lam=1.0, claim=Exponential(1.0), c1=9.0, c2=3.0),
-}
-
-
 @pytest.mark.parametrize("x1, x2", [(0.0, 0.5), (1.0, 3.0), (2.0, 2.5), (12.0, 14.0)])
 @pytest.mark.parametrize("name", SEAM_MODELS)
 def test_omega_on_regime_seam(name, x1, x2):
@@ -343,8 +387,8 @@ def test_omega_error_bound_next_to_regime_seam():
 
 
 # Within 1e-7 of the seam the pole -gamma2 sits about an ulp of q_minus_end past it:
-# 1.4 ulp at c1 = 4 +- 1e-7, 0.7 ulp at 4 +- 5e-8, where q p2 + mu p2 - lam rounds
-# to zero at q_minus_end, and 1e-4 ulp at 4 +- 1e-9
+# 1.4 ulp at c1 = 4 +- 1e-7, 0.7 ulp at 4 +- 5e-8 and 1e-4 ulp at 4 +- 1e-9; the
+# integrand reads that distance as derive's end_gap, not as a difference next to q_minus_end
 @pytest.mark.parametrize("c1", [4 + 1e-7, 4 - 1e-7, 4 + 5e-8, 4 - 5e-8, 4 + 1e-9, 4 - 1e-9])
 def test_omega_within_an_ulp_of_regime_seam(c1):
     model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=c1, c2=2.0)
@@ -352,6 +396,30 @@ def test_omega_within_an_ulp_of_regime_seam(c1):
         warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
         value, err = omega(model, 1.0, 3.0, tol=1e-8)
     assert abs(value - mp_omega(model, 1.0, 3.0)) <= err
+
+
+# Where q + gamma2 and b, built from the model's raw parameters, once cancelled:
+# next to the seam to about sqrt(ulp) (these points were off by 3.1e-9, 2.9e-9 and
+# 8.7e-9 under bounds of 2.6e-9, 7.1e-12 and 8.5e-12), and at margins
+# e1 = (p1 - p2)/p2 below about 1e-8, where omega refused.  mp_omega needs 45
+# digits at e1 = 1e-9, where its cut ends cancel about 18 of them.
+@pytest.mark.parametrize("lam, mu, c, x", [
+    (1.0, 1.0, (4 + 5e-8, 2.0), (0.05, 0.06)),
+    (1.0, 1.0, (4 - 5e-8, 2.0), (0.05, 0.06)),
+    (0.5012948697505991, 2.2232782320576114, (0.27503273521622584, 0.249024408435536),
+     (14.865165251355505, 14.866364946513322)),
+    (0.7968839975879595, 1.815112334716617, (0.4593614020651916, 0.44907931261887823),
+     (12.600292515608778, 12.631051254215402)),
+    # p1 = p2^2 to the last bit, so end_gap is 0 and only the pole q = 0, 1e-9 past
+    # q_minus_end, grades the first panel: without it omega was 1.0e-13, not -2.0e-9
+    (1.0, 1.0, (1.0000000020000002, 1.000000001), (1.0, 3.0)),
+    (1.8513038178371457, 0.3553552766071365, (5.209729646525698, 5.209729640725913),
+     (0.0831923393446468, 0.17850566084941116)),
+], ids=["seam+5e-8", "seam-5e-8", "seam-sweep", "seam-sweep-worst", "e1=1e-9", "nd-sweep"])
+def test_omega_within_its_bound_where_the_cut_cancelled(lam, mu, c, x):
+    model = RiskModel(lam=lam, claim=Exponential(mu), c1=c[0], c2=c[1])
+    value, err = omega(model, *x, tol=1e-8)
+    assert abs(value - mp_omega(model, *x, dps=45)) <= err
 
 
 @pytest.fixture()
@@ -380,16 +448,17 @@ def test_omega_panels_follow_the_oscillation_not_the_cut_length(quad_panels):
 def test_omega_panel_layout_on_p0(quad_panels):
     model, x1, x2 = INTEGRAND_MODELS["P0"], 29.0, 31.0
     dc = derive(model)
-    hi = dc.q_minus_end
-    # x1 b(q) makes about x1 b_max / pi half-periods across the cut, whatever its length
-    uniform = np.linspace(dc.q_plus_end, hi, math.ceil(x1 * dc.b_max / math.pi) + 1)
-    # the last panel is graded towards hi from the damping length of exp(x1 a + x2 q)
+    span = dc.q_minus_end - dc.q_plus_end
+    # panels in d = q_minus_end - q; x1 b makes about x1 b_max / pi half-periods
+    # across the cut, whatever its length
+    uniform = np.linspace(0.0, span, math.ceil(x1 * dc.b_max / math.pi) + 1)
+    # the first panel is graded up from d = 0 from the damping length of exp(x1 a + x2 q)
     damping = 1.0 / (x2 - x1 * (dc.p1 + dc.p2) / (2.0 * dc.p1))
-    graded = [hi - damping * 10.0**j for j in range(20) if hi - damping * 10.0**j > uniform[-2]]
+    graded = [damping * 10.0**j for j in range(20) if damping * 10.0**j < uniform[1]]
     omega(model, x1, x2, tol=1e-8)
     edges = [left for left, _ in quad_panels] + [quad_panels[-1][1]]
     assert len(graded) == 1
-    assert edges == pytest.approx([*uniform[:-1], *graded[::-1], hi], rel=0, abs=1e-12)
+    assert edges == pytest.approx([0.0, *graded, *uniform[1:]], rel=0, abs=1e-12)
 
 
 # A random model of a sweep whose integrand's mass sits next to q_minus_end: its

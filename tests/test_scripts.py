@@ -1,9 +1,15 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ruin2d import closedform
+from ruin2d.model import Exponential, RiskModel
+
+from oracles import mp_omega
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,19 +42,31 @@ def test_crosscheck_grid_runs_from_checkout():
     assert abs(exact - inverted) <= 1e-3
 
 
-def test_omega_sweep_runs_from_checkout():
+def run_sweep(*argv):
+    """The summary line of ``scripts/omega_sweep.py``, as a dict."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = ["--region", "clean", "--models", "1", "--seed", "1"]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "omega_sweep.py"), *argv],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    summary = dict(field.split("=") for field in proc.stdout.splitlines()[-1].split())
+    return dict(field.split("=") for field in proc.stdout.splitlines()[-1].split())
+
+
+def test_omega_sweep_runs_from_checkout():
+    summary = run_sweep("--region", "clean", "--models", "1", "--seed", "1")
     assert (summary["region"], summary["points"]) == ("clean", "3")
     # this draw is a clean model: omega is within its bound of mp_omega at all 3 points
     assert (summary["outside"], summary["exit4"]) == ("0", "0")
     assert float(summary["ms_per_point"]) > 0
+
+
+def test_omega_sweep_seam_band_within_bounds():
+    # this draw puts p1 a relative 3.1e-8 from the regime seam p2^2/rho: omega once
+    # missed its bound at one point (3.67e-11 under 3.27e-11) and scipy warned at all three
+    summary = run_sweep("--region", "seam", "--models", "1", "--seed", "1")
+    assert summary["points"] == "3"
+    assert (summary["outside"], summary["exit4"], summary["warned"]) == ("0", "0", "0")
 
 
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
@@ -78,9 +96,9 @@ def test_cli_entry_point_exit_codes(tmp_path, argv, code):
     assert bool(proc.stdout) == (code == 0)
 
 
-def test_cut_bound_below_resolution_exits_4(tmp_path):
-    # -(p1 - p2)^2, the leading coefficient of b's radicand, rounds to zero at
-    # p1 - p2 = 2e-8, and closedform.omega refuses
+def test_ruin_exact_at_a_margin_of_2e_8(tmp_path):
+    # p1 - p2 = 2e-8: b's radicand in the model's raw parameters, whose leading
+    # coefficient -(p1 - p2)^2 rounds to zero here, once made omega refuse (exit 4)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = ["ruin", "--lam", "1", "--mu", "1", "--c", "1.00000003", "1.00000001",
             "--u", "1", "3"]
@@ -88,7 +106,11 @@ def test_cut_bound_below_resolution_exits_4(tmp_path):
         [sys.executable, "-m", "ruin2d.cli", *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("tolerance error: ")
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    match = re.fullmatch(r"ruin = (\S+)  method=exact  error<=(\S+)  regime=case2\n", proc.stdout)
+    model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=1.00000003, c2=1.00000001)
+    exact = closedform.survival(model, 1.0, 3.0)
+    assert match.groups() == ("%.12g" % exact.ruin, "%.12g" % exact.quadrature_error)
+    # the ruin assembled with mp_omega; 1e-14 allows for the rounding of omega's panel sum
+    reference = exact.ruin + exact.omega - mp_omega(model, 1.0, 3.0)
+    assert abs(exact.ruin - reference) <= exact.quadrature_error + 1e-14
