@@ -2,16 +2,18 @@
 """Random-model sweep of the cut integral against its 30-digit reference.
 
 Draws ``--models`` exponential-claim models from one region of the parameter
-space, with ``lam`` and ``mu`` log-uniform in [0.2, 5] and ``delta = (1, 1)``,
-and 3 upper-cone points per model: ``x1`` log-uniform in [0.01, 32] and
-``x2 - x1`` log-uniform in [1e-3, 50].  At each point it compares
-``closedform.omega(tol=1e-8)`` with ``mp_omega`` from ``tests/oracles.py``.
-With margins ``e1 = (p1 - p2)/p2`` and ``e2 = (p2 - rho)/rho``, the regions are
+space, with ``delta = (1, 1)``, and 3 upper-cone points per model: ``x1``
+log-uniform in [0.01, 32] and ``x2 - x1`` log-uniform in [1e-3, 50].  At each
+point it compares ``closedform.omega(tol=1e-8)`` with ``mp_omega`` from
+``tests/oracles.py``.  With margins ``e1 = (p1 - p2)/p2`` and
+``e2 = (p2 - rho)/rho``, the regions are
 
-    clean  e1 in [1e-3, 3],   e2 in [1e-3, 2]
-    mid    e1 in [1e-6, 1e-3], e2 in [1e-6, 1e-3]
-    nd     e1 in [1e-9, 1e-1], e2 in [1e-9, 1e-2]
-    seam   p1 = (p2^2/rho)(1 +- delta), delta in [1e-10, 1e-2], e2 in [1e-2, 2]
+    clean  e1 in [1e-3, 3],   e2 in [1e-3, 2],   lam, mu in [0.2, 5]
+    mid    e1 in [1e-6, 1e-3], e2 in [1e-6, 1e-3], lam, mu in [0.2, 5]
+    nd     e1 in [1e-9, 1e-1], e2 in [1e-9, 1e-2], lam, mu in [0.2, 5]
+    seam   p1 = (p2^2/rho)(1 +- delta), delta in [1e-10, 1e-2], e2 in [1e-2, 2],
+           lam, mu in [0.2, 5]
+    wide   e1 in [1e-3, 30],  e2 in [1e-3, 30],  lam, mu in [0.01, 100]
 
 all log-uniform; a draw that ``validate`` rejects is drawn again.  Prints
 each point that exits 4 (``ToleranceNotMet``) or whose error exceeds its
@@ -39,8 +41,12 @@ from ruin2d.model import Exponential, RiskModel, validate
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import mp_omega  # noqa: E402
 
-REGIONS = {"clean": ((1e-3, 3.0), (1e-3, 2.0)), "mid": ((1e-6, 1e-3), (1e-6, 1e-3)),
-           "nd": ((1e-9, 1e-1), (1e-9, 1e-2)), "seam": ((1e-10, 1e-2), (1e-2, 2.0))}
+# (e1 or seam delta, e2, lam and mu) ranges of each region
+REGIONS = {"clean": ((1e-3, 3.0), (1e-3, 2.0), (0.2, 5.0)),
+           "mid": ((1e-6, 1e-3), (1e-6, 1e-3), (0.2, 5.0)),
+           "nd": ((1e-9, 1e-1), (1e-9, 1e-2), (0.2, 5.0)),
+           "seam": ((1e-10, 1e-2), (1e-2, 2.0), (0.2, 5.0)),
+           "wide": ((1e-3, 30.0), (1e-3, 30.0), (0.01, 100.0))}
 
 
 def log_uniform(rng, lo, hi):
@@ -48,9 +54,9 @@ def log_uniform(rng, lo, hi):
 
 
 def draw_model(rng, region):
-    (lo1, hi1), (lo2, hi2) = REGIONS[region]
+    (lo1, hi1), (lo2, hi2), (lo, hi) = REGIONS[region]
     while True:
-        lam, mu = log_uniform(rng, 0.2, 5.0), log_uniform(rng, 0.2, 5.0)
+        lam, mu = log_uniform(rng, lo, hi), log_uniform(rng, lo, hi)
         rho = lam / mu
         p2 = rho * (1.0 + log_uniform(rng, lo2, hi2))
         if region == "seam":

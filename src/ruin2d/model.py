@@ -224,6 +224,15 @@ _EXPONENTIAL_ONLY = {f.name for f in fields(ExponentialConstants)} - {
 }
 
 
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """``(h, l)`` with ``h`` the rounded ``a b`` and ``a b = h + l`` exactly (Dekker)."""
+    h = a * b
+    t, u = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1 splits each into 26-bit halves
+    ah, bh = t - (t - a), u - (u - b)
+    al, bl = a - ah, b - bh
+    return h, ((ah * bh - h) + ah * bl + al * bh) + al * bl
+
+
 def derive(model: RiskModel) -> DerivedConstants:
     """Populate all derived constants of a valid model.
 
@@ -243,6 +252,13 @@ def derive(model: RiskModel) -> DerivedConstants:
         return DerivedConstants(p1=p1, p2=p2, rho=rho, d=d, regime=regime)
     mu, lam = model.claim.mu, model.lam
     span = p1 - p2
+    # lam - p1 mu and p2^2 mu - lam p1 vanish at q_minus_end = 0 and on the seam: form them exactly
+    p1mu, p1mu_err = _two_product(p1, mu)
+    p2mu, p2mu_err = _two_product(p2, mu)
+    p22mu, p22mu_err = _two_product(p2, p2mu)
+    lp1, lp1_err = _two_product(lam, p1)
+    cut_margin = (lam - p1mu) - p1mu_err
+    seam_margin = (p22mu - lp1) + (p22mu_err + p2 * p2mu_err - lp1_err)
     return ExponentialConstants(
         p1=p1, p2=p2, rho=rho, d=d, regime=regime,
         mu=mu,
@@ -252,11 +268,11 @@ def derive(model: RiskModel) -> DerivedConstants:
         C1=lam / (mu * p1),
         C2=lam / (mu * p2),
         q_plus_end=-((math.sqrt(lam) + math.sqrt(p1 * mu)) ** 2) / span,
-        q_minus_end=-((math.sqrt(lam) - math.sqrt(p1 * mu)) ** 2) / span,
+        q_minus_end=-((cut_margin / (math.sqrt(lam) + math.sqrt(p1 * mu))) ** 2) / span,
         # b = (p1 - p2)/(2 p1) sqrt((q - q_plus_end)(q_minus_end - q)) peaks at mid-cut
         b_max=math.sqrt(lam * mu / p1),
         # in closed form: the sum q_minus_end + gamma2 cancels near the seam
-        end_gap=-((p2 * math.sqrt(mu) - math.sqrt(lam * p1)) ** 2) / (span * p2),
+        end_gap=-((seam_margin / (p2 * math.sqrt(mu) + math.sqrt(lam * p1))) ** 2) / (span * p2),
     )
 
 

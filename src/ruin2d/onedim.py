@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedClaimLaw
 from .model import Exponential, PhaseType, RiskModel, derive
-from .transform import kappa_roots
 
-__all__ = ["ruin_prob_exp", "ruin_transform_exp", "survival_one_company"]
+__all__ = ["ruin_prob_exp", "theta_minus", "ruin_transform_exp", "survival_one_company"]
 
 
 def _gamma_C(model: RiskModel, company: int) -> tuple[float, float]:
@@ -33,22 +32,32 @@ def ruin_prob_exp(model: RiskModel, x: float, company: int = 2) -> float:
     return C * math.exp(-gamma * x)
 
 
+def theta_minus(model: RiskModel, s: float) -> float:
+    """The negative root of company 2's ``kappa_2(theta) = s``, for ``s >= 0``.
+
+    It solves ``p2 theta^2 + (p2 mu - lam - s) theta - s mu = 0``, whose
+    discriminant ``b^2 + 4 p2 s mu`` is nonnegative for ``s >= 0``.
+    """
+    mu, p2 = derive(model).mu, model.p2
+    b = p2 * mu - model.lam - s
+    return (-b - math.sqrt(b * b + 4.0 * p2 * s * mu)) / (2.0 * p2)
+
+
 def ruin_transform_exp(model: RiskModel, x: float, s: float) -> float:
     """Discounted ruin-time transform ``E[e^{-s tau} 1{tau < inf}]`` for company 2.
 
-    Equals ``((mu + theta_minus(s))/mu) exp(theta_minus(s) x)`` where
-    ``theta_minus(s)`` is the negative root of ``kappa_2(theta) = s``; reduces
-    to :func:`ruin_prob_exp` at ``s = 0``.
+    Equals ``((mu + theta)/mu) exp(theta x)`` with ``theta`` from
+    :func:`theta_minus`; reduces to :func:`ruin_prob_exp` at ``s = 0``.
     """
     if not x >= 0:  # NaN fails too
         raise DomainError("reserve must be nonnegative")
     if not 0 <= s < math.inf:
         raise DomainError("discount rate must be finite and nonnegative")
     mu = derive(model).mu
-    theta_minus, _ = kappa_roots(model, s, i=2)
-    if theta_minus > 0 or theta_minus <= -mu:
+    theta = theta_minus(model, s)
+    if theta > 0 or theta <= -mu:
         raise DomainError("negative root of kappa_2 outside (-mu, 0]")
-    return (mu + theta_minus) / mu * math.exp(theta_minus * x)
+    return (mu + theta) / mu * math.exp(theta * x)
 
 
 def _phasetype_generator(model: RiskModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

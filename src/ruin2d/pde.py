@@ -30,8 +30,7 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 from .model import RiskModel, derive
-from .onedim import ruin_transform_exp
-from .transform import kappa_roots
+from .onedim import ruin_transform_exp, theta_minus
 
 __all__ = [
     "GoursatCoefficients",
@@ -184,8 +183,8 @@ def _boundary_row(model: RiskModel, s: float, r: np.ndarray) -> np.ndarray:
     the boundary.  The root ``theta_minus(s)`` is solved once for the row, and
     each node evaluates :func:`ruin_transform_exp`'s expression with the same bits.
     """
-    theta, _ = kappa_roots(model, s, i=2)
     factor = ruin_transform_exp(model, 0.0, s)  # (mu + theta) / mu, with its checks
+    theta = theta_minus(model, s)
     return np.array([factor * math.exp(theta * rr) for rr in r.tolist()])
 
 

@@ -28,7 +28,6 @@ from .model import DerivedConstants, RiskModel, derive
 __all__ = [
     "RootPair",
     "CutPoint",
-    "kappa_roots",
     "z_roots",
     "ab",
     "psi_tilde",
@@ -40,31 +39,6 @@ __all__ = [
 _A_INNER = 30.0
 _A_OUTER = 18.4
 _CHECK_TOL = 1e-3
-
-
-def _p(model: RiskModel, i: int) -> float:
-    if i == 1:
-        return model.p1
-    if i == 2:
-        return model.p2
-    raise DomainError("company index must be 1 or 2")
-
-
-def kappa_roots(model: RiskModel, q: float, i: int = 1) -> tuple[float, float]:
-    """Real roots ``theta_minus <= theta_plus`` of ``kappa_i(theta) = q``.
-
-    Clearing ``mu + theta`` turns the equation into
-    ``p theta^2 + (p mu - lam - q) theta - q mu = 0``.
-    Raises :class:`DomainError` when the discriminant is negative.
-    """
-    mu = derive(model).mu
-    p = _p(model, i)
-    b = p * mu - model.lam - q
-    disc = b * b + 4.0 * p * q * mu
-    if disc < 0.0:
-        raise DomainError(f"kappa_{i}(theta) = {q} has no real root")
-    root = math.sqrt(disc)
-    return (-b - root) / (2.0 * p), (-b + root) / (2.0 * p)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ Laplace exponents and the residual factor ``g`` of the transform, the residue
 terms of the closed form and its cut integral to 30 digits (``mp_omega``), and
 the model's JSON and coordinate round trips.
 The oracles call the shipped kernels they check (``mc.stream``,
-``mc.reserves_at_epochs``, ``mc._company1_chunk``, ``transform.kappa_roots``,
+``mc.reserves_at_epochs``, ``mc._company1_chunk``, ``transform.z_roots``,
 ...) rather than copies of them, so a test through an oracle still tests the
-code that users run.
+code that users run.  Company 1's roots of ``kappa_1(theta) = q``, which no
+shipped code needs, are computed here.
 """
 
 from __future__ import annotations
@@ -72,6 +73,30 @@ def model_to_dict(model: RiskModel) -> dict:
 _CUT_MARGIN = 1e-9
 
 
+def _p(model: RiskModel, i: int) -> float:
+    if i == 1:
+        return model.p1
+    if i == 2:
+        return model.p2
+    raise DomainError("company index must be 1 or 2")
+
+
+def kappa1_roots(model: RiskModel, q: float) -> tuple[float, float]:
+    """Real roots ``theta_minus <= theta_plus`` of ``kappa_1(theta) = q``.
+
+    Clearing ``mu + theta`` turns the equation into
+    ``p1 theta^2 + (p1 mu - lam - q) theta - q mu = 0``.
+    Raises :class:`DomainError` when the discriminant is negative.
+    """
+    mu, p1 = derive(model).mu, model.p1
+    b = p1 * mu - model.lam - q
+    disc = b * b + 4.0 * p1 * q * mu
+    if disc < 0.0:
+        raise DomainError(f"kappa_1(theta) = {q} has no real root")
+    root = math.sqrt(disc)
+    return (-b - root) / (2.0 * p1), (-b + root) / (2.0 * p1)
+
+
 def kappa(model: RiskModel, i: int, theta):
     """Laplace exponent ``kappa_i(theta) = p_i theta - lam theta/(mu+theta)``.
 
@@ -79,7 +104,7 @@ def kappa(model: RiskModel, i: int, theta):
     evaluated by analytic continuation away from the pole.
     """
     mu = derive(model).mu
-    p = transform._p(model, i)
+    p = _p(model, i)
     if isinstance(theta, complex) or np.iscomplexobj(theta):
         if theta == -mu:
             raise DomainError("kappa has a pole at theta = -mu")
@@ -92,7 +117,7 @@ def kappa(model: RiskModel, i: int, theta):
 
 def kappa_derivative_origin(model: RiskModel, i: int) -> float:
     """``kappa_i'(0+) = p_i - rho``."""
-    return transform._p(model, i) - model.rho
+    return _p(model, i) - model.rho
 
 
 def q_plus(model: RiskModel, r: float) -> float:
@@ -101,7 +126,7 @@ def q_plus(model: RiskModel, r: float) -> float:
     Satisfies the identification ``q_plus((p1 - p2) q) = z2(q) + q`` for real
     ``q`` to the right of the cut.
     """
-    _, theta_plus = transform.kappa_roots(model, r, i=1)
+    _, theta_plus = kappa1_roots(model, r)
     return theta_plus
 
 
@@ -158,7 +183,9 @@ def mp_omega(model, x1, x2, dps=30):
 
     The substitution removes the square-root behaviour of ``b`` at the cut
     ends; the panels crowd towards ``theta = 0`` (``q_minus_end``), next to
-    which a near-degenerate model puts the pole ``-gamma2``.
+    which a near-degenerate model puts the pole ``-gamma2``.  The cut ends,
+    ``q_minus_end`` and ``q + gamma2`` come from closed forms free of
+    cancellation, so the working precision holds at any margin ``e1``.
     """
     import mpmath as mp
 
@@ -166,23 +193,25 @@ def mp_omega(model, x1, x2, dps=30):
         lam, mu = mp.mpf(model.lam), mp.mpf(model.claim.mu)
         p1, p2 = mp.mpf(model.p1), mp.mpf(model.p2)
         x1, x2 = mp.mpf(x1), mp.mpf(x2)
-        # the radicand a2 q^2 + a1 q + a0 of b(q) vanishes at both cut ends
-        a2 = 4 * p1 * p2 - (p1 + p2) ** 2
-        a1 = 4 * p1 * (p2 * mu - lam) - 2 * (p1 + p2) * (p1 * mu - lam)
-        a0 = -((p1 * mu - lam) ** 2)
-        c = -a1 / (2 * a2)
-        h = mp.sqrt(a1 * a1 - 4 * a2 * a0) / (2 * abs(a2))
+        # the cut ends -(sqrt(lam) +- sqrt(p1 mu))^2 / (p1 - p2), the upper one
+        # with its difference of square roots rationalized
+        dp = p1 - p2
+        lo = -((mp.sqrt(lam) + mp.sqrt(p1 * mu)) ** 2) / dp
+        hi = -(((lam - p1 * mu) / (mp.sqrt(lam) + mp.sqrt(p1 * mu))) ** 2) / dp
+        h = (hi - lo) / 2
         # q_minus_end + gamma2, which is zero on the regime seam rho = p2^2/p1
-        end_gap = -((p2 * mp.sqrt(mu) - mp.sqrt(lam * p1)) ** 2) / ((p1 - p2) * p2)
+        seam = (p2 * p2 * mu - lam * p1) / (p2 * mp.sqrt(mu) + mp.sqrt(lam * p1))
+        end_gap = -(seam**2) / (dp * p2)
 
         def integrand(theta):
-            q = c + h * mp.cos(theta)
+            # q = c + h cos(theta), c the mid-cut, is hi - d: d is the distance from the cut end
+            d = 2 * h * mp.sin(theta / 2) ** 2
+            q = hi - d
             a = -(p1 * mu - lam + (p1 + p2) * q) / (2 * p1)
-            b = mp.sqrt(max(a2 * q * q + a1 * q + a0, 0)) / (2 * p1)
+            # b = (p1 - p2)/(2 p1) sqrt((q - lo)(hi - q)), and (q - lo)(hi - q) = (h sin(theta))^2
+            b = dp / (2 * p1) * h * mp.sin(theta)
             osc = (mu + q + a) * mp.sin(b * x1) + b * mp.cos(b * x1)
-            # q + gamma2 without the cancellation of q_minus_end against -gamma2
-            q_gamma2 = end_gap - 2 * h * mp.sin(theta / 2) ** 2
-            return mp.exp(x1 * a + x2 * q) * osc / (q * p2 * q_gamma2) * h * mp.sin(theta)
+            return mp.exp(x1 * a + x2 * q) * osc / (q * p2 * (end_gap - d)) * h * mp.sin(theta)
 
         edges = [0] + [mp.mpf(10) ** -k for k in range(8, 0, -1)] + [mp.pi]
         return float(-(p2 - lam / mu) / mp.pi * mp.quad(integrand, edges))
@@ -224,7 +253,7 @@ class ScaleFunction:
         if q < 0:
             raise DomainError("killing rate q must be nonnegative")
         mu = model.claim.mu
-        theta_minus, theta_plus = transform.kappa_roots(model, q, i=1)
+        theta_minus, theta_plus = kappa1_roots(model, q)
         spread = theta_plus - theta_minus
         if spread < 1e-13 * max(1.0, abs(theta_plus)):
             raise DegenerateRoots("q at the branch point: theta_plus == theta_minus")

@@ -13,7 +13,7 @@ from ruin2d.cli import build_parser, main
 from ruin2d.errors import ToleranceNotMet
 from ruin2d.model import Exponential, RiskModel, derive, load_model
 
-from oracles import model_to_dict, mp_omega
+from oracles import model_to_dict, mp_omega, residue_terms
 
 
 @pytest.fixture()
@@ -385,8 +385,8 @@ DERIVE_GOLDEN = {
     ], {
         **BASE_JSON, "mu": 1.0, "gamma1": 0.6666666666666667, "gamma2": 0.5,
         "gamma3": -0.16666666666666663, "C1": 0.3333333333333333, "C2": 0.5,
-        "q_plus": -7.464101615137754, "q_minus": -0.5358983848622453,
-        "b_max": 0.5773502691896257, "end_gap": -0.03589838486224544,
+        "q_plus": -7.464101615137754, "q_minus": -0.5358983848622454,
+        "b_max": 0.5773502691896257, "end_gap": -0.03589838486224541,
     }),
     "P1": (P1_INLINE, [
         "      p1 = 5", "      p2 = 2.2", "     rho = 2", "       d = -2.8", "  regime = case2",
@@ -397,20 +397,20 @@ DERIVE_GOLDEN = {
         "p1": 5.0, "p2": 2.2, "rho": 2.0, "d": -2.8, "regime": "case2", "mu": 1.0, "gamma1": 0.6,
         "gamma2": 0.09090909090909094, "gamma3": 0.469090909090909, "C1": 0.4,
         "C2": 0.9090909090909091, "q_plus": -4.758769757263128, "q_minus": -0.24123024273687194,
-        "b_max": 0.6324555320336759, "end_gap": -0.150321151827781,
+        "b_max": 0.6324555320336759, "end_gap": -0.15032115182778097,
     }),
     "ND": (ND_INLINE, [
         "      p1 = 1.002", "      p2 = 1.001", "     rho = 1", "       d = -0.001",
         "  regime = case1", "      mu = 1", "  gamma1 = 0.00199600798403",
         "  gamma2 = 0.000999000999001", "  gamma3 = -9.97006984685e-07", "      C1 = 0.998003992016",
         "      C2 = 0.999000999001", "  q_plus = -4003.999001", " q_minus = -0.000999001248253",
-        "   b_max = 0.999001497504", " end_gap = -2.49251621729e-10",
+        "   b_max = 0.999001497504", " end_gap = -2.4925162177e-10",
     ], {
         "p1": 1.002, "p2": 1.001, "rho": 1.0, "d": -0.001000000000000112, "regime": "case1",
         "mu": 1.0, "gamma1": 0.001996007984031989, "gamma2": 0.0009990009990008542,
         "gamma3": -9.970069846854746e-07, "C1": 0.998003992015968, "C2": 0.9990009990009991,
-        "q_plus": -4003.9990009983035, "q_minus": -0.0009990012482525936,
-        "b_max": 0.9990014975043671, "end_gap": -2.4925162172851773e-10,
+        "q_plus": -4003.9990009983035, "q_minus": -0.0009990012482525108,
+        "b_max": 0.9990014975043671, "end_gap": -2.492516217698654e-10,
     }),
     "Erlang-2": (None, BASE_ROWS, BASE_JSON),
 }
@@ -429,20 +429,21 @@ def test_derive_output_pinned(capsys, tmp_path, erlang2_model, name):
 
 EXACT_OUTPUT_MOVED = (
     "an exact-path output changed: these bytes move only with a deliberate change to the "
-    "cut integral closedform.omega (its integrand or panel layout, or ROADMAP direction 4); "
+    "cut integral closedform.omega (its integrand, its panel layout or the cut constants it "
+    "reads from derive, or ROADMAP direction 6); "
     "check each moved line against mp_omega within its error<=, record it in CHANGES.md "
     "and pin it")
 
 # sha256 of each sweep's CSV, 16 x 16 points
 TABLE_GOLDEN = {
     "P0-small": ([*P0_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
-                 "82e2d1c866bd749e3c38dcab3b3096d67a2ed4751685d0994a913e0c6cefae4c"),
+                 "1aef64a3980bcf955b80281443d897e68a08e0ff211c5274b9a335b8b73fd22e"),
     "P0-large": ([*P0_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
-                 "ecf5700adc5aa968ba202b637704cd82208a2c28b2557a8b3b4845848776921e"),
+                 "e43bafe3b73027a64f958e1b9537d1bf9098c8cbf63985ffa5bf90f715edff28"),
     "P1-small": ([*P1_INLINE, "--x1", "0.3", "4.1", "16", "--x2", "0.25", "4.4", "16"],
-                 "f647ade0e302c89b2ab73b38c556ce2a3ec9788e828dbc7ead934fdae6676937"),
+                 "de442bfb7ba22b75dbadd77e26832701cc9332a176b214cd68f113f58c2937f6"),
     "P1-large": ([*P1_INLINE, "--x1", "0.7", "28.5", "16", "--x2", "0.9", "30", "16"],
-                 "559a262ce522031a53033f9c8e86a5b0cca650d84d308a4b5bfe8db12e3bc434"),
+                 "ece8ae00d31e2ce49f226e3d6bc6e0209e8132f0c3c0b33b07ca9f1da9603118"),
 }
 
 
@@ -457,34 +458,34 @@ def test_table_output_pinned(capsys, name):
 
 RUIN_EXACT_GOLDEN = [
     ([*P0_INLINE, "--u", "10.5", "12.25"],
-     "ruin = 0.00113980645999  method=exact  error<=4.61473099695e-11  regime=case1"),
+     "ruin = 0.00113980645999  method=exact  error<=4.61473092826e-11  regime=case1"),
     ([*P0_INLINE, "--u", "17", "23.4"],
-     "ruin = 6.94823273133e-06  method=exact  error<=1.67026016384e-11  regime=case1"),
+     "ruin = 6.94823273133e-06  method=exact  error<=1.67026016419e-11  regime=case1"),
     ([*P0_INLINE, "--u", "29.3", "30"],
-     "ruin = 1.52951543066e-07  method=exact  error<=3.57459805296e-13  regime=case1"),
+     "ruin = 1.52951543066e-07  method=exact  error<=3.57459805503e-13  regime=case1"),
     ([*P0_INLINE, "--u", "21", "13.5"],
      "ruin = 0.000585439810396  method=exact  error<=0  regime=case1"),
     ([*P1_INLINE, "--u", "10.5", "12.25"],
-     "ruin = 0.298520038298  method=exact  error<=6.19246846111e-12  regime=case2"),
+     "ruin = 0.298520038298  method=exact  error<=6.19246851633e-12  regime=case2"),
     ([*P1_INLINE, "--u", "17", "23.4"],
-     "ruin = 0.108330449459  method=exact  error<=9.86696755715e-14  regime=case2"),
+     "ruin = 0.108330449459  method=exact  error<=9.86696762751e-14  regime=case2"),
     ([*P1_INLINE, "--u", "29.3", "30"],
-     "ruin = 0.0594521847545  method=exact  error<=3.86003087936e-13  regime=case2"),
+     "ruin = 0.0594521847545  method=exact  error<=3.86003087964e-13  regime=case2"),
     ([*P1_INLINE, "--u", "21", "13.5"],
      "ruin = 0.266446206622  method=exact  error<=0  regime=case2"),
     ([*ND_INLINE, "--u", "0.35", "1.2", "--tol", "1e-6"],
-     "ruin = 0.998608567547  method=exact  error<=4.10309166091e-11  regime=case1"),
+     "ruin = 0.998608567547  method=exact  error<=4.10309166594e-11  regime=case1"),
     ([*ND_INLINE, "--u", "1.6", "2.9", "--tol", "1e-6"],
-     "ruin = 0.997304310381  method=exact  error<=6.12423336273e-11  regime=case1"),
+     "ruin = 0.997304310381  method=exact  error<=6.12423337019e-11  regime=case1"),
     ([*ND_INLINE, "--u", "14", "15.5", "--tol", "1e-6"],
-     "ruin = 0.984590087493  method=exact  error<=8.98579903504e-12  regime=case1"),
+     "ruin = 0.984590087493  method=exact  error<=8.98579884078e-12  regime=case1"),
     ([*ND_INLINE, "--u", "12", "4", "--tol", "1e-6"],
      "ruin = 0.995016952451  method=exact  error<=0  regime=case1"),
     # small probabilities, whose low digits 1 - survival would lose
     ([*P0_INLINE, "--u", "40", "80"],
      "ruin = 8.7436458989e-13  method=exact  error<=1.47593241237e-15  regime=case1"),
     ([*P0_INLINE, "--u", "60", "120"],
-     "ruin = 1.4161180851e-18  method=exact  error<=6.96984828408e-24  regime=case1"),
+     "ruin = 1.4161180851e-18  method=exact  error<=6.96984828407e-24  regime=case1"),
 ]
 
 
@@ -550,6 +551,20 @@ def test_ruin_exact_below_an_ulp_from_the_seam(capsys):
     assert (code, err) == (0, "")
     match = re.fullmatch(r"ruin = (\S+)  method=exact  error<=(\S+)  regime=case2\n", out)
     reference = exact.ruin + exact.omega - mp_omega(model, 1.0, 3.0)
+    assert abs(float(match[1]) - reference) <= float(match[2]) + 5e-13
+
+
+def test_ruin_exact_answers_where_the_prefactor_exceeds_one(capsys):
+    # (p2 - rho)/pi = 3.87 multiplies the cut integral's error: quad was once given a
+    # target that much too loose, and this query exited 4 with 2.12e-8 against tol 1e-8
+    model = RiskModel(lam=3.8, claim=Exponential(0.24), c1=63.0, c2=28.0)
+    code, out, err = run_cli(
+        ["ruin", "--lam", "3.8", "--mu", "0.24", "--c", "63", "28", "--u", "1.6", "1.7"], capsys
+    )
+    assert (code, err) == (0, "")
+    match = re.fullmatch(r"ruin = (\S+)  method=exact  error<=(\S+)  regime=case2\n", out)
+    terms = residue_terms(model, 1.6, 1.7)
+    reference = -(terms["company1"] + terms["company2"] + terms["cross"]) - mp_omega(model, 1.6, 1.7)
     assert abs(float(match[1]) - reference) <= float(match[2]) + 5e-13
 
 

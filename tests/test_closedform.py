@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruin2d import closedform
 from ruin2d.closedform import omega, ruin, survival
@@ -401,8 +403,7 @@ def test_omega_within_an_ulp_of_regime_seam(c1):
 # Where q + gamma2 and b, built from the model's raw parameters, once cancelled:
 # next to the seam to about sqrt(ulp) (these points were off by 3.1e-9, 2.9e-9 and
 # 8.7e-9 under bounds of 2.6e-9, 7.1e-12 and 8.5e-12), and at margins
-# e1 = (p1 - p2)/p2 below about 1e-8, where omega refused.  mp_omega needs 45
-# digits at e1 = 1e-9, where its cut ends cancel about 18 of them.
+# e1 = (p1 - p2)/p2 below about 1e-8, where omega refused.
 @pytest.mark.parametrize("lam, mu, c, x", [
     (1.0, 1.0, (4 + 5e-8, 2.0), (0.05, 0.06)),
     (1.0, 1.0, (4 - 5e-8, 2.0), (0.05, 0.06)),
@@ -413,13 +414,51 @@ def test_omega_within_an_ulp_of_regime_seam(c1):
     # p1 = p2^2 to the last bit, so end_gap is 0 and only the pole q = 0, 1e-9 past
     # q_minus_end, grades the first panel: without it omega was 1.0e-13, not -2.0e-9
     (1.0, 1.0, (1.0000000020000002, 1.000000001), (1.0, 3.0)),
+    # derive's end_gap was 4.4e-7 off here, and omega 2.2e-16 off under a bound of 3.1e-19
+    (1.0, 1.0, (1.000000003, 1.000000001), (1.0, 3.0)),
     (1.8513038178371457, 0.3553552766071365, (5.209729646525698, 5.209729640725913),
      (0.0831923393446468, 0.17850566084941116)),
-], ids=["seam+5e-8", "seam-5e-8", "seam-sweep", "seam-sweep-worst", "e1=1e-9", "nd-sweep"])
+], ids=["seam+5e-8", "seam-5e-8", "seam-sweep", "seam-sweep-worst", "e1=1e-9", "e1=2e-9",
+        "nd-sweep"])
 def test_omega_within_its_bound_where_the_cut_cancelled(lam, mu, c, x):
     model = RiskModel(lam=lam, claim=Exponential(mu), c1=c[0], c2=c[1])
     value, err = omega(model, *x, tol=1e-8)
-    assert abs(value - mp_omega(model, *x, dps=45)) <= err
+    assert abs(value - mp_omega(model, *x, dps=60)) <= err
+
+
+def exact_ruin(model, x1, x2):
+    """``(ruin, bound)`` of exact ``ruin`` at the CLI's default ``--tol``; None where it exits 4."""
+    try:
+        res = survival(model, x1, x2)
+    except ToleranceNotMet:
+        return None
+    return res.ruin, res.quadrature_error
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# Ruin does not change when time (lam, c -> k lam, k c) or money (c, u -> m c, m u and
+# mu -> mu/m) is rescaled, but the cut integral's prefactor (p2 - rho)/pi scales by k m.
+# Where it exceeded 1, quad's target was that much too loose, and 4 of 200 random models
+# exited 4 in their own units but answered once rescaled.
+@given(lam=log_uniform(0.01, 100.0), mu=log_uniform(0.01, 100.0), e1=log_uniform(1e-3, 30.0),
+       e2=log_uniform(1e-3, 30.0), y1=log_uniform(0.01, 32.0), dy=log_uniform(1e-3, 50.0),
+       k=log_uniform(0.01, 100.0), m=log_uniform(0.01, 100.0))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_exact_ruin_does_not_depend_on_the_units(lam, mu, e1, e2, y1, dy, k, m):
+    p2 = (lam / mu) * (1.0 + e2)
+    p1 = p2 * (1.0 + e1)
+    x1, x2 = y1 / mu, (y1 + dy) / mu  # mu x1 and mu (x2 - x1) are unit-free
+    drawn = RiskModel(lam=lam, claim=Exponential(mu), c1=p1, c2=p2)
+    rescaled = RiskModel(lam=k * lam, claim=Exponential(mu / m), c1=k * m * p1, c2=k * m * p2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy's IntegrationWarning: roundoff
+        a, b = exact_ruin(drawn, x1, x2), exact_ruin(rescaled, m * x1, m * x2)
+    assert (a is None) == (b is None), (a, b)
+    if a is not None:
+        assert abs(a[0] - b[0]) <= a[1] + b[1] + 1e-14
 
 
 @pytest.fixture()

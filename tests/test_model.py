@@ -113,20 +113,25 @@ def test_derive_p1_constants(p1):
     assert dc.regime == "case2"  # p2^2/p1 = 0.968 < rho
 
 
-@pytest.mark.parametrize("c1, c2", [(3.0, 2.0), (5.0, 2.2), (1.002, 1.001), (3.999, 2.0)])
+# margins where q_minus_end and end_gap, as differences of rounded square roots,
+# were off by up to 3.0 relative: e1 = 1e-9 and 2e-9, and 2.5e-8 from the seam c1 = 4
+@pytest.mark.parametrize("c1, c2", [(3.0, 2.0), (5.0, 2.2), (1.002, 1.001), (3.999, 2.0),
+                                    (1 + 2e-9, 1 + 1e-9), (1.000000003, 1.000000001),
+                                    (4.0000001, 2.0)])
 def test_cut_constants(c1, c2):
-    """``b_max`` is the peak of ``b`` on the cut; ``end_gap`` keeps its digits near the seam."""
+    """``b_max`` is the peak of ``b`` on the cut; the cut end and ``end_gap`` keep their digits."""
     import mpmath as mp
 
     model = RiskModel(lam=1.0, claim=Exponential(1.0), c1=c1, c2=c2)
     dc = derive(model)
     qs = np.linspace(dc.q_plus_end, dc.q_minus_end, 2001)
     assert max(transform.ab(model, float(q), dc).b for q in qs) == pytest.approx(dc.b_max, rel=1e-6)
-    with mp.workdps(40):
+    with mp.workdps(60):
         p1, p2 = mp.mpf(c1), mp.mpf(c2)
         q_minus_end = -((1 - mp.sqrt(p1)) ** 2) / (p1 - p2)
         end_gap = q_minus_end + (1 - 1 / p2)
-    assert dc.end_gap == pytest.approx(float(end_gap), rel=1e-13)
+    assert dc.q_minus_end == pytest.approx(float(q_minus_end), rel=1e-15, abs=0.0)
+    assert dc.end_gap == pytest.approx(float(end_gap), rel=1e-15, abs=0.0)
 
 
 def test_derive_rejects_invalid_model():
@@ -274,9 +279,9 @@ EXPONENTIAL_ONLY = {
     "transform.psi_tilde": lambda m: transform.psi_tilde(m, 1.0, 1.0),
     "transform.z_roots": lambda m: transform.z_roots(m, 1.0),
     "transform.ab": lambda m: transform.ab(m, -1.0),
-    "transform.kappa_roots": lambda m: transform.kappa_roots(m, 0.5),
     "transform.invert_2d": lambda m: transform.invert_2d(m, 1.0, 3.0),
     "onedim.ruin_prob_exp": lambda m: onedim.ruin_prob_exp(m, 1.0),
+    "onedim.theta_minus": lambda m: onedim.theta_minus(m, 0.5),
     "onedim.ruin_transform_exp": lambda m: onedim.ruin_transform_exp(m, 1.0, 0.5),
     "pde.solve": lambda m: pde.solve(m, steps=10),
 }

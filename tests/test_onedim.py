@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt, simulate_joint_ruin
 from ruin2d.model import Exponential, PhaseType, RiskModel
-from ruin2d.onedim import ruin_prob_exp, ruin_transform_exp, survival_one_company
+from ruin2d.onedim import ruin_prob_exp, ruin_transform_exp, survival_one_company, theta_minus
 
 from oracles import (
     DegenerateRoots,
@@ -44,6 +44,15 @@ def test_ruin_prob_exp_log_linear(x, h):
     gamma2 = 0.5
     lhs = math.log(ruin_prob_exp(m, x + h)) - math.log(ruin_prob_exp(m, x))
     assert lhs == pytest.approx(-gamma2 * h, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.25, 2.0, 40.0])
+def test_theta_minus_is_company_2s_negative_root(p1, s):
+    theta = theta_minus(p1, s)
+    assert -1.0 < theta < 0.0  # in (-mu, 0)
+    assert kappa(p1, 2, theta) == pytest.approx(s, rel=1e-12, abs=1e-14)
+    if s == 0.0:
+        assert theta == pytest.approx(-0.1 / 1.1, rel=1e-14, abs=0.0)  # -gamma2 = lam/p2 - mu
 
 
 def test_ruin_transform_reduces_at_s0(p0):

@@ -69,6 +69,14 @@ def test_omega_sweep_seam_band_within_bounds():
     assert (summary["outside"], summary["exit4"], summary["warned"]) == ("0", "0", "0")
 
 
+def test_omega_sweep_wide_units_answer():
+    # this draw has (p2 - rho)/pi = 34: its point at (0.0124, 0.126) once exited 4, with
+    # a cut integral error of 1.11e-8 against tol 1e-8, because quad's target left it out
+    summary = run_sweep("--region", "wide", "--models", "1", "--seed", "9")
+    assert summary["points"] == "3"
+    assert (summary["outside"], summary["exit4"], summary["warned"]) == ("0", "0", "0")
+
+
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
 
 
