@@ -30,8 +30,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, UnsupportedClaimLaw
-from .model import Empirical, Exponential, PhaseType, RiskModel
-from .onedim import ruin_prob_exp, survival_one_company
+from .model import Empirical, Exponential, PhaseType, RiskModel, derive, normalize
+from .onedim import survival_one_company
 
 __all__ = [
     "MCEstimate",
@@ -333,14 +333,25 @@ def simulate_joint_ruin(
 ) -> MCEstimate:
     """Frequency of joint ruin by ``horizon`` from raw reserves ``(u1, u2)``.
 
-    ``meta['lundberg_tail']`` is a crude bound on the post-horizon ruin mass:
-    company 2's ruin probability from its drifted mean reserve (exponential
-    claims only, else None).
+    ``meta['lundberg_tail']`` bounds the ruin mass after ``horizon = T`` for
+    exponential claims (else None).  Company ``i``, alive at ``T``, is ruined
+    later with probability ``C_i exp(-gamma_i X_i(T))``, at most
+    ``C_i exp(-r X_i(T))`` for ``0 <= r <= gamma_i``, whose mean is
+    ``C_i exp(-r x_i + T r (lam/(mu - r) - p_i))``.  The bound is the union
+    of both companies, ``min(1, sum_i ...)``, at the minimizing
+    ``r_i = min(gamma_i, mu - sqrt(lam mu T / (x_i + p_i T)))``; at ``T = 0``
+    it is ``psi_1 + psi_2``.
     """
     est = ruin_time_lt(model, u1, u2, 0.0, horizon, n, seed, threads=threads)
     tail = None
     if isinstance(model.claim, Exponential):
-        tail = ruin_prob_exp(model, u2 / model.delta2 + (model.p2 - model.rho) * horizon)
+        dc, lam, T = derive(model), model.lam, horizon
+        mu, tail = dc.mu, 0.0
+        for x, p, gamma, C in zip(normalize(model, u1, u2), (model.p1, model.p2),
+                                  (dc.gamma1, dc.gamma2), (dc.C1, dc.C2)):
+            r = min(gamma, mu - math.sqrt(lam * mu * T / (x + p * T))) if T > 0 else gamma
+            tail += C * math.exp(-r * x + T * r * (lam / (mu - r) - p))
+        tail = min(1.0, tail)
     meta = {"horizon": horizon, "lundberg_tail": tail}
     return _estimate(est.mean, est.std_error, est.n, est.seed, meta)
 

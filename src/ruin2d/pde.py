@@ -12,12 +12,13 @@ the problem is one-dimensional) and ``xi = 1`` on the oblique edge
 ``w = -delta1 r / c1`` (company 1 at zero reserve while descending).
 
 Choosing ``dw = (delta1/c1) dr`` puts the oblique edge exactly on grid nodes,
-so the domain is the lower-triangular index set ``{j <= i}``.  Both update
-formulas are trapezoidal (second order); interior nodes couple one unknown of
-each family and are solved pairwise along anti-diagonal wavefronts.  Each
-wavefront is read and written through basic strided slices of the flat grid
-arrays, with no index arrays or masks, and the march reproduces the bits of
-the earlier index-array kernel.
+so the domain is the lower-triangular index set ``{j <= i}``, the only one
+the march serves.  Both update formulas are trapezoidal (second order);
+interior nodes couple one unknown of each family and are solved pairwise along
+anti-diagonal wavefronts.  Each wavefront is read and written through basic
+strided slices of the flat grid arrays, with no index arrays or masks, and the
+march reproduces the bits of the index-array reference march in the tests,
+which also runs the rectangle checks against the Bessel series.
 """
 
 from __future__ import annotations
@@ -72,64 +73,48 @@ def _axpby(a, x, b, y, out, tmp):
     return np.add(np.multiply(x, a, out=out), np.multiply(y, b, out=tmp), out=out)
 
 
-def _march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_values):
-    """Wavefront march of the coupled trapezoidal updates.
+def march_triangle(coeffs, n, dr, dw, top_values):
+    """Wavefront march on the triangle ``{0 <= j <= i <= n}``.
 
-    ``top_values[i]`` prescribes ``A`` on row ``j = 0``; ``start_index(j)``
-    (nondecreasing in ``j``) gives the column where row ``j`` begins, carrying
-    prescribed ``X = start_values[j]``.  Nodes left of ``start_index`` stay NaN.
-
-    Node ``(i, j)`` of wavefront ``i + j = s`` sits at flat offset
-    ``i W + j = s + i n_w`` (``W = n_w + 1``), so a run of interior nodes is
-    one strided slice of the flat arrays; its left neighbours are that slice
-    shifted by ``-1`` and its upper neighbours by ``-W``.
+    ``top_values[i]`` prescribes ``A`` on row ``j = 0`` and ``X = 1`` holds on
+    the oblique edge ``j = i``; nodes above the edge stay NaN.  Node ``(i, j)``
+    of wavefront ``i + j = s`` sits at flat offset ``i (n + 1) + j = s + i n``,
+    so the wavefront's interior is one strided slice of the flat arrays; its
+    left neighbours are that slice shifted by ``-1`` and its upper neighbours
+    by ``-(n + 1)``.  Wavefront ``s`` holds the rows ``j <= s // 2``.
     """
     ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = _step_factors(
         coeffs, dr, dw
     )
-    A = np.full((n_r + 1, n_w + 1), np.nan)
-    X = np.full((n_r + 1, n_w + 1), np.nan)
-    jj_all = np.arange(n_w + 1)
-    starts = np.array([start_index(j) for j in jj_all])
+    A = np.full((n + 1, n + 1), np.nan)
+    X = np.full((n + 1, n + 1), np.nan)
     A[:, 0] = top_values
-    X[starts, jj_all] = start_values
+    np.fill_diagonal(X, 1.0)
     det = ca_new * xb_new - cx_new * xa_new
     Af, Xf = A.reshape(-1), X.reshape(-1)
-    W = n_w + 1
-    # wavefront s holds the nodes j <= last[s]; row j starts on wavefront key[j]
-    key = jj_all + starts
-    last = (np.searchsorted(key, np.arange(n_r + n_w + 1), side="right") - 1).tolist()
-    key = key.tolist()
-    buffers = np.empty((4, n_w + 1))
-    for s in range(1, n_r + n_w + 1):
-        lo, hi = max(0, s - n_r), last[s]
-        if hi >= lo and key[hi] == s:
-            if hi > 0:  # row start: X given, A from the vertical update alone
-                k = s + (s - hi) * n_w
-                Af[k] = (ca_old * Af[k - 1] + cx_old * Xf[k - 1] + cx_new * Xf[k]) / ca_new
+    W = n + 1
+    buffers = np.empty((4, n + 1))
+    for s in range(1, 2 * n + 1):
+        lo, hi = max(0, s - n), s // 2
+        if s % 2 == 0:  # edge node (s/2, s/2): X given, A from the vertical update alone
+            k = hi * (n + 2)
+            Af[k] = (ca_old * Af[k - 1] + cx_old * Xf[k - 1] + cx_new * Xf[k]) / ca_new
             hi -= 1
-        if lo == 0 and hi >= 0:  # top row: A given, X from the horizontal update alone
+        if lo == 0:  # top row: A given, X from the horizontal update alone
             k = s * W
             Xf[k] = (xb_old * Xf[k - W] + xa_old * Af[k - W] + xa_new * Af[k]) / xb_new
             lo = 1
         if hi < lo:
             continue
         # interior: solve the 2x2 pair on rows i = s - hi .. s - lo
-        a, b, m = s + (s - hi) * n_w, s + (s - lo) * n_w + 1, hi - lo + 1
-        here, left, up = slice(a, b, n_w), slice(a - 1, b - 1, n_w), slice(a - W, b - W, n_w)
+        a, b, m = s + (s - hi) * n, s + (s - lo) * n + 1, hi - lo + 1
+        here, left, up = slice(a, b, n), slice(a - 1, b - 1, n), slice(a - W, b - W, n)
         r1, r2, t1, t2 = buffers[:, :m]
         _axpby(ca_old, Af[left], cx_old, Xf[left], r1, t1)
         _axpby(xb_old, Xf[up], xa_old, Af[up], r2, t1)
         np.divide(_axpby(xb_new, r1, cx_new, r2, t1, t2), det, out=Af[here])
         np.divide(_axpby(ca_new, r2, xa_new, r1, t2, t1), det, out=Xf[here])
     return A, X
-
-
-def march_triangle(coeffs, n, dr, dw, top_values):
-    """March on the triangle ``{0 <= j <= i <= n}`` with ``X = 1`` on the oblique edge ``j = i``."""
-    return _march(
-        coeffs, n, n, dr, dw, top_values, start_index=lambda j: j, start_values=np.ones(n + 1)
-    )
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def test_derive_p0_constants(p0):
     assert dc.regime == "case1"
     assert dc.d == pytest.approx(-1.0)
     assert dc.b_max == math.sqrt(1.0 / 3.0)
-    assert dc.end_gap == pytest.approx(-((2.0 - math.sqrt(3.0)) ** 2) / 2.0, rel=1e-15)
+    assert dc.end_gap == pytest.approx(-((2.0 - math.sqrt(3.0)) ** 2) / 2.0, rel=1e-15, abs=0)
 
 
 def test_derive_p1_constants(p1):

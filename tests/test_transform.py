@@ -204,7 +204,7 @@ def test_g_value_and_poles(p0):
     # sharper pin computed from the root itself
     z1 = z_roots(p0, -0.4).z1
     expected = (p0.p2 - p0.rho) * (1.0 + z1 - 0.4) / (-0.4 * (2.0 - 1.0 + 2.0 * -0.4))
-    assert g(p0, -0.4) == pytest.approx(expected, rel=1e-12)
+    assert g(p0, -0.4) == pytest.approx(expected, rel=1e-12, abs=0)
     with pytest.raises(PoleError):
         g(p0, 0.0)
     with pytest.raises(PoleError):
@@ -290,7 +290,7 @@ def test_psi_tilde_p0(p0):
     # direct re-evaluation through the root identities
     pair = z_roots(p0, 1.0)
     expected = (1.0 + 2.0) * (p0.p2 - p0.rho) / (1.0 * p0.p1 * (pair.z1 - 1.0) * pair.z2)
-    assert psi_tilde(p0, 1.0, 1.0) == pytest.approx(expected, rel=1e-13)
+    assert psi_tilde(p0, 1.0, 1.0) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("model_name", ["p0", "p1"])
