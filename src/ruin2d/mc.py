@@ -7,8 +7,9 @@ function of ``(seed, k)``.  A chunk runs as consecutive path blocks of about
 :data:`BLOCK` claims; each block draws its own Poisson counts, spacings and
 claim sizes from the chunk's stream, in block order, and is reduced before the
 next block is drawn, so memory per thread is bounded independently of the
-horizon.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks are merged
-in chunk order, so every estimate is bit-reproducible for a fixed
+horizon.  The blocks of a chunk draw into and compute in one reused set of
+per-claim buffers.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks
+are merged in chunk order, so every estimate is bit-reproducible for a fixed
 ``(seed, n)`` and parallel fan-out over chunks cannot change the result.  How
 a chunk turns its stream into paths is versioned by :data:`STREAM_VERSION`
 (now 3), which every estimate records in ``meta``.
@@ -67,22 +68,28 @@ def stream(seed: int, k: int) -> np.random.Generator:
     )
 
 
-def sample_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. claim sizes from the model's claim law."""
+def sample_claims(claim, rng: np.random.Generator, size: int, out=None) -> np.ndarray:
+    """Draw ``size`` i.i.d. claim sizes from the model's claim law, into ``out`` if given."""
     if isinstance(claim, Exponential):
-        return rng.exponential(1.0 / claim.mu, size=size)
+        # standard draws times the scale: the bits of rng.exponential(1 / mu, size)
+        out = rng.standard_exponential(size, out=out)
+        out *= 1.0 / claim.mu
+        return out
     if isinstance(claim, PhaseType):
-        return _sample_phasetype(claim, rng, size)
+        return _sample_phasetype(claim, rng, np.empty(size) if out is None else out)
     if isinstance(claim, Empirical):
-        out = np.asarray(claim.sampler(rng, size), dtype=float)
-        if out.shape != (size,):
+        draws = np.asarray(claim.sampler(rng, size), dtype=float)
+        if draws.shape != (size,):
             raise DomainError("empirical sampler returned wrong shape")
+        if out is None:
+            return draws
+        out[...] = draws
         return out
     raise UnsupportedClaimLaw(f"cannot sample {type(claim).__name__} claims")
 
 
-def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Absorption times via the embedded jump chain."""
+def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Absorption times via the embedded jump chain, written to ``out``."""
     m = len(claim.beta)
     rates = -np.diag(claim.B)
     trans = claim.B / rates[:, None]
@@ -93,8 +100,8 @@ def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, size: int) -> 
     cum[:, -1] = 1.0
     init = np.concatenate([claim.beta, [max(0.0, 1.0 - claim.beta.sum())]])
     init = init / init.sum()
-    state = rng.choice(m + 1, size=size, p=init)
-    out = np.zeros(size)
+    state = rng.choice(m + 1, size=out.size, p=init)
+    out.fill(0.0)
     active = state < m
     while active.any():
         idx = np.flatnonzero(active)
@@ -105,22 +112,6 @@ def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, size: int) -> 
         state[idx] = nxt
         active[idx] = nxt < m
     return out
-
-
-def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
-                       cum_up: np.ndarray, cum_claims: np.ndarray):
-    """Post-jump reserves of both companies at the claim epochs.
-
-    Shared by direct simulation and the fluid estimator so the two agree
-    bit-for-bit (same operations in the same order).
-    """
-    U1 = model.c1 * cum_up
-    U1 += u1
-    U1 -= model.delta1 * cum_claims
-    U2 = model.c2 * cum_up
-    U2 += u2
-    U2 -= model.delta2 * cum_claims
-    return U1, U2
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +129,38 @@ def _path_blocks(model: RiskModel, horizons, n: int) -> Iterable[slice]:
         yield slice(lo, min(lo + per_block, n))
 
 
-def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
-    """Flat arrays of sorted claim epochs and within-path claim cumsums of one block.
+class _Workspace:
+    """Per-claim buffers that the blocks of one chunk reuse.
+
+    They grow only when a block draws more claims than any block before it, so
+    a chunk allocates them about once.  ``draws`` and ``sizes`` take a block's
+    spacings and claim sizes, and are scratch once those are summed;
+    ``epochs`` and ``claims`` hold the running sums after a leading zero;
+    ``low`` and ``other`` hold the ruin test.
+    """
+
+    def __init__(self):
+        self.cap = -1
+
+    def fit(self, tot: int) -> None:
+        """Views of ``tot`` claims; an eighth to spare covers the spread of later blocks."""
+        if tot > self.cap:
+            self.cap = tot + tot // 8
+            # one array per buffer: a single allocation of all four raises
+            # glibc's adaptive mmap and trim thresholds, and the freed
+            # workspaces then stay resident (+6 MB peak RSS over a
+            # 25-second run of the benchmark's MC workload)
+            self._floats = [np.empty(self.cap + 1) for _ in range(4)]
+            self._flags = [np.empty(self.cap, dtype=bool) for _ in range(2)]
+        draws, sizes, epochs, claims = self._floats
+        self.draws, self.sizes = draws[:tot], sizes[:tot]
+        self.epochs, self.claims = epochs[:tot + 1], claims[:tot + 1]
+        self.epochs[0] = self.claims[0] = 0.0
+        self.low, self.other = (flags[:tot] for flags in self._flags)
+
+
+def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int, ws: _Workspace):
+    """Sorted claim epochs and within-path claim totals of one block, in ``ws``.
 
     ``horizons`` is scalar or per-path.  Given its Poisson count ``k``, path
     ``i`` draws ``k + 1`` standard exponential spacings; their normalized
@@ -147,72 +168,90 @@ def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
     ch. V), so the epochs come out sorted without a sort.  Claim sizes are
     i.i.d., so they are used in draw order.
 
-    Returns ``(starts, has, t, s_within, totals)`` where ``starts[has]`` index
-    the first epoch of each nonempty path, ``t`` are epochs sorted within
-    paths, ``s_within`` the running claim totals at those epochs and
-    ``totals`` the per-path total claim amounts.
+    Returns ``(path, t, s, totals)``: ``path`` is the path of each claim, in
+    path order, ``t`` the claim epochs, sorted within each path, and ``s`` the
+    path's running claim totals at them (``t`` and ``s`` are views into
+    ``ws``, valid until its next block); ``totals`` are the per-path total
+    claim amounts.
     """
     if np.ndim(horizons) == 0:
         counts = rng.poisson(model.lam * horizons, size=n)
     else:
-        horizons = np.asarray(horizons, dtype=float)
         counts = rng.poisson(model.lam * horizons)
-    tot = int(counts.sum())
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    has = counts > 0
-    # segmented cumsums: a global cumsum (after a leading zero) minus its
-    # value at the path's start, computed in place
-    cg = np.empty(tot + 1)
-    cg[0] = 0.0
-    rng.standard_exponential(out=cg[1:])
+    bounds = np.zeros(n + 1, dtype=np.intp)  # path j owns claims bounds[j]:bounds[j + 1]
+    np.cumsum(counts, out=bounds[1:])
+    tot = int(bounds[-1])
+    ws.fit(tot)
+    rng.standard_exponential(out=ws.draws)
     closing = rng.standard_exponential(n)
-    sizes = sample_claims(model.claim, rng, tot)
-    np.cumsum(cg[1:], out=cg[1:])
-    cs = np.empty(tot + 1)
-    cs[0] = 0.0
-    np.cumsum(sizes, out=cs[1:])
-    g0 = cg[starts]
-    span = cg[ends] - g0 + closing
+    sample_claims(model.claim, rng, tot, out=ws.sizes)
+    # segmented cumsums: a global cumsum after a leading zero, minus its value
+    # at the path's start; out of place, as an in-place cumsum holds the GIL
+    cg, cs = ws.epochs, ws.claims
+    np.cumsum(ws.draws, out=cg[1:])
+    np.cumsum(ws.sizes, out=cs[1:])
+    cg_b, cs_b = cg.take(bounds), cs.take(bounds)  # the sums where each path starts and ends
+    g0, s0 = cg_b[:-1], cs_b[:-1]
+    span = cg_b[1:] - g0 + closing
+    totals = cs_b[1:] - s0
+    path = np.repeat(np.arange(n), counts)
+
+    def per_claim(values):
+        """Each claim's value of its path, in the spent ``draws`` buffer."""
+        return np.take(values, path, out=ws.draws, mode="clip")
+
     # partial <= span, so partial / span <= 1 and the epochs stay in [0, horizon]
     t = cg[1:]
-    t -= np.repeat(g0, counts)
-    t /= np.repeat(span, counts)
-    t *= np.repeat(horizons, counts) if np.ndim(horizons) else horizons
-    s0 = cs[starts]
-    totals = cs[ends] - s0
-    s_within = cs[1:]
-    s_within -= np.repeat(s0, counts)
-    return starts, has, t, s_within, totals
+    t -= per_claim(g0)
+    t /= per_claim(span)
+    t *= per_claim(horizons) if np.ndim(horizons) else horizons
+    s = cs[1:]
+    s -= per_claim(s0)
+    return path, t, s, totals
+
+
+def _below(ws: _Workspace, t, s, c: float, u: float, delta: float, out: np.ndarray) -> np.ndarray:
+    """``out = c t + u < delta s``: where the reserve ``u + c t - delta s`` is negative.
+
+    IEEE subtraction keeps the sign of ``a - b``, so this is the sign of the
+    reserve without forming it.
+    """
+    a = np.multiply(t, c, out=ws.draws)
+    a += u
+    if delta != 1.0:  # delta s is s itself at delta = 1
+        s = np.multiply(s, delta, out=ws.sizes)
+    return np.less(a, s, out=out)
 
 
 def _joint_tau_chunk(model, u1, u2, horizon, rng, n):
-    """First joint-ruin time within ``horizon`` per path (inf if none)."""
+    """First joint-ruin time within ``horizon`` per path (inf if none).
+
+    A path's epochs are nondecreasing, so its ruin time is the epoch of its
+    first hit.
+    """
     tau = np.full(n, np.inf)
+    ws = _Workspace()
     for block in _path_blocks(model, horizon, n):
-        starts, has, t, s_within, _ = _epoch_panel(
-            model, horizon, rng, block.stop - block.start)
-        if t.size:
-            U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
-            hit = np.minimum(U1, U2, out=U1) < 0.0
-            tau[block][has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
+        path, t, s, _ = _epoch_panel(model, horizon, rng, block.stop - block.start, ws)
+        hit = _below(ws, t, s, model.c1, u1, model.delta1, ws.low)
+        hit |= _below(ws, t, s, model.c2, u2, model.delta2, ws.other)
+        idx = np.flatnonzero(hit)
+        ruined, first = np.unique(path[idx], return_index=True)
+        tau[block][ruined] = t[idx[first]]
     return tau
 
 
 def _company1_chunk(model, x1, horizons, rng, n):
     """Normalized company-1 sweep: (alive flags, terminal values X1(T))."""
-    p1 = model.p1
     horizons = np.asarray(horizons, dtype=float)
     alive = np.ones(n, dtype=bool)
     totals = np.empty(n)
+    ws = _Workspace()
     for block in _path_blocks(model, horizons, n):
         h = horizons[block] if horizons.ndim else horizons
-        starts, has, t, s_within, totals[block] = _epoch_panel(
-            model, h, rng, block.stop - block.start)
-        if t.size:
-            X = x1 + p1 * t - s_within
-            alive[block][has] = np.minimum.reduceat(X, starts[has]) >= 0.0
-    x_T = x1 + p1 * np.broadcast_to(horizons, (n,)) - totals
+        path, t, s, totals[block] = _epoch_panel(model, h, rng, block.stop - block.start, ws)
+        alive[block][path[_below(ws, t, s, model.p1, x1, 1.0, ws.low)]] = False
+    x_T = x1 + model.p1 * np.broadcast_to(horizons, (n,)) - totals
     return alive, x_T
 
 
@@ -315,8 +354,8 @@ def ruin_time_lt(
     def worker(k, size):
         rng = stream(seed, k)
         tau = _joint_tau_chunk(model, u1, u2, horizon, rng, size)
-        finite = np.isfinite(tau)
-        return np.where(finite, np.exp(-s * np.where(finite, tau, 0.0)), 0.0)
+        # exp(-s inf) is 0 for s > 0; at s = 0 the transform is the hit indicator
+        return np.exp(-s * tau) if s > 0 else np.isfinite(tau).astype(float)
 
     meta = {"horizon": horizon, "s": s, "bias_bound": math.exp(-s * horizon) if s > 0 else 1.0}
     return _accumulate(_map_chunks(worker, n, threads), seed, meta)
@@ -424,8 +463,10 @@ def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
             claim_clock = np.cumsum(
                 sample_claims(model.claim, rng, m * width).reshape(m, width), axis=1)
             claim_clock += claims[rows, None]
-            U1, U2 = reserves_at_epochs(model, u1, u2, up_clock, claim_clock)
-            low = (np.minimum(U1, U2, out=U1) < 0.0) & (up_clock <= horizon)
+            # a reserve u + c I - delta C is negative exactly where c I + u < delta C
+            low = model.c1 * up_clock + u1 < model.delta1 * claim_clock
+            low |= model.c2 * up_clock + u2 < model.delta2 * claim_clock
+            low &= up_clock <= horizon
             hit = low.any(axis=1)
             ruined[rows] = hit
             up[rows] = up_clock[:, -1]

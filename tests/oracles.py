@@ -6,10 +6,12 @@ Laplace exponents and the residual factor ``g`` of the transform, the residue
 terms of the closed form and its cut integral to 30 digits (``mp_omega``), and
 the model's JSON and coordinate round trips.
 The oracles call the shipped kernels they check (``mc.stream``,
-``mc.reserves_at_epochs``, ``mc._company1_chunk``, ``transform.z_roots``,
-...) rather than copies of them, so a test through an oracle still tests the
-code that users run.  Company 1's roots of ``kappa_1(theta) = q``, which no
-shipped code needs, are computed here.
+``mc._company1_chunk``, ``transform.z_roots``, ...) rather than copies of
+them, so a test through an oracle still tests the code that users run.  Company
+1's roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
+here.  The exceptions are the stream-3 MC chunk kernels as they were first
+written (``reference_epoch_panel`` and the two chunk sweeps after it): the
+shipped kernels must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -314,6 +316,98 @@ def survival_lt_check(model: RiskModel, theta: float, company: int = 2) -> float
 # Monte Carlo: single paths, the fluid embedding and the killed sweep.
 # ---------------------------------------------------------------------------
 
+def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
+                       cum_up: np.ndarray, cum_claims: np.ndarray):
+    """Post-jump reserves of both companies at the claim epochs.
+
+    Shared by the single-path oracles and the fluid embedding, so that their
+    ruin times agree bit for bit.
+    """
+    U1 = model.c1 * cum_up
+    U1 += u1
+    U1 -= model.delta1 * cum_claims
+    U2 = model.c2 * cum_up
+    U2 += u2
+    U2 -= model.delta2 * cum_claims
+    return U1, U2
+
+
+def _reference_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Claim sizes as stream 3 first drew them: ``rng.exponential(1/mu)`` for exponential claims."""
+    if isinstance(claim, Exponential):
+        return rng.exponential(1.0 / claim.mu, size=size)
+    return mc.sample_claims(claim, rng, size)
+
+
+def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
+    """One block's ``(starts, has, t, s_within, totals)`` as stream 3 defines them.
+
+    Poisson counts, ``k + 1`` standard exponential spacings per path, the
+    closing spacings and the claim sizes are drawn in that order; the epochs
+    are the normalized partial sums of the spacings (``t`` sorted within
+    paths) and ``s_within`` the running claim totals at them.
+    """
+    if np.ndim(horizons) == 0:
+        counts = rng.poisson(model.lam * horizons, size=n)
+    else:
+        horizons = np.asarray(horizons, dtype=float)
+        counts = rng.poisson(model.lam * horizons)
+    tot = int(counts.sum())
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    has = counts > 0
+    cg = np.empty(tot + 1)
+    cg[0] = 0.0
+    rng.standard_exponential(out=cg[1:])
+    closing = rng.standard_exponential(n)
+    sizes = _reference_claims(model.claim, rng, tot)
+    np.cumsum(cg[1:], out=cg[1:])
+    cs = np.empty(tot + 1)
+    cs[0] = 0.0
+    np.cumsum(sizes, out=cs[1:])
+    g0 = cg[starts]
+    span = cg[ends] - g0 + closing
+    t = cg[1:]
+    t -= np.repeat(g0, counts)
+    t /= np.repeat(span, counts)
+    t *= np.repeat(horizons, counts) if np.ndim(horizons) else horizons
+    s0 = cs[starts]
+    totals = cs[ends] - s0
+    s_within = cs[1:]
+    s_within -= np.repeat(s0, counts)
+    return starts, has, t, s_within, totals
+
+
+def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
+    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 3."""
+    tau = np.full(n, np.inf)
+    for block in mc._path_blocks(model, horizon, n):
+        starts, has, t, s_within, _ = reference_epoch_panel(
+            model, horizon, rng, block.stop - block.start)
+        if t.size:
+            U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
+            hit = np.minimum(U1, U2, out=U1) < 0.0
+            tau[block][has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
+    return tau
+
+
+def reference_company1_chunk(model, x1, horizons, rng, n):
+    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 3."""
+    p1 = model.p1
+    horizons = np.asarray(horizons, dtype=float)
+    alive = np.ones(n, dtype=bool)
+    totals = np.empty(n)
+    for block in mc._path_blocks(model, horizons, n):
+        h = horizons[block] if horizons.ndim else horizons
+        starts, has, t, s_within, totals[block] = reference_epoch_panel(
+            model, h, rng, block.stop - block.start)
+        if t.size:
+            X = x1 + p1 * t - s_within
+            alive[block][has] = np.minimum.reduceat(X, starts[has]) >= 0.0
+    x_T = x1 + p1 * np.broadcast_to(horizons, (n,)) - totals
+    return alive, x_T
+
+
 @dataclass(frozen=True)
 class PathRecord:
     """A realized compound-Poisson path on ``[0, horizon]``."""
@@ -345,7 +439,7 @@ def path_ruin_time(path: PathRecord, u1: float, u2: float, model: RiskModel) -> 
     """Joint ruin time of the original path, checked at claim epochs."""
     cum_tau = np.cumsum(path.interarrivals)
     cum_sig = np.cumsum(path.claim_sizes)
-    U1, U2 = mc.reserves_at_epochs(model, u1, u2, cum_tau, cum_sig)
+    U1, U2 = reserves_at_epochs(model, u1, u2, cum_tau, cum_sig)
     low = np.minimum(U1, U2) < 0.0
     if not low.any():
         return math.inf
@@ -427,7 +521,7 @@ class FluidPath:
     def minimum_reserves(self) -> tuple[float, float]:
         """Running minima over the whole embedding, one per company."""
         up, claims = self._claim_cums()
-        U1, U2 = mc.reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
+        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
         m1 = float(np.min(U1)) if U1.size else self.u1
         m2 = float(np.min(U2)) if U2.size else self.u2
         return min(m1, self.u1), min(m2, self.u2)
@@ -435,7 +529,7 @@ class FluidPath:
     def ruin_time_embedded(self) -> float:
         """First time the embedded pair leaves the positive quadrant (inf if never)."""
         up, claims = self._claim_cums()
-        U1, U2 = mc.reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
+        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
         low = np.minimum(U1, U2) < 0.0
         if not low.any():
             return math.inf
@@ -454,7 +548,7 @@ class FluidPath:
     def ruin_time_original(self) -> float:
         """``I(tau~)``: the original joint ruin time recovered from the embedding."""
         up, claims = self._claim_cums()
-        U1, U2 = mc.reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
+        U1, U2 = reserves_at_epochs(self.model, self.u1, self.u2, up, claims)
         low = np.minimum(U1, U2) < 0.0
         if not low.any():
             return math.inf

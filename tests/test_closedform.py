@@ -437,7 +437,8 @@ def log_uniform(lo, hi):
 # mu -> mu/m) or one company's share (c_i, delta_i, u_i -> k_i c_i, k_i delta_i, k_i u_i)
 # is rescaled, but the cut integral's prefactor (p2 - rho)/pi scales by k m.  Where it
 # exceeded 1, quad's target was that much too loose, and 4 of 200 random models exited
-# 4 in their own units but answered once rescaled.
+# 4 in their own units but answered once rescaled.  The canonical units, k = 1/(mu p2)
+# and m = mu, set mu = p2 = 1 and leave lam = 1/(1 + e2), p1 = 1 + e1 and u = mu u.
 @given(lam=log_uniform(0.01, 100.0), mu=log_uniform(0.01, 100.0), e1=log_uniform(1e-3, 30.0),
        e2=log_uniform(1e-3, 30.0), y1=log_uniform(0.01, 32.0), dy=log_uniform(1e-3, 50.0),
        k=log_uniform(0.01, 100.0), m=log_uniform(0.01, 100.0),
@@ -450,11 +451,13 @@ def test_exact_ruin_does_not_depend_on_the_units(lam, mu, e1, e2, y1, dy, k, m, 
     drawn = RiskModel(lam=lam, claim=Exponential(mu), c1=p1, c2=p2)
     rescaled = RiskModel(lam=k * lam, claim=Exponential(mu / m), c1=k1 * k * m * p1,
                          c2=k2 * k * m * p2, delta1=k1, delta2=k2)
+    canonical = RiskModel(lam=lam / (mu * p2), claim=Exponential(1.0), c1=p1 / p2, c2=1.0)
     a = exact_ruin(drawn, x1, x2)
-    b = exact_ruin(rescaled, *normalize(rescaled, k1 * m * x1, k2 * m * x2))
-    assert (a is None) == (b is None), (a, b)
-    if a is not None:
-        assert abs(a[0] - b[0]) <= a[1] + b[1] + 1e-14
+    for b in (exact_ruin(rescaled, *normalize(rescaled, k1 * m * x1, k2 * m * x2)),
+              exact_ruin(canonical, mu * x1, mu * x2)):
+        assert (a is None) == (b is None), (a, b)
+        if a is not None:
+            assert abs(a[0] - b[0]) <= a[1] + b[1] + 1e-14
 
 
 @st.composite

@@ -16,6 +16,7 @@ from ruin2d.mc import (
     CHUNK,
     STREAM_VERSION,
     MCEstimate,
+    _Workspace,
     _accumulate,
     _chunk_sizes,
     _company1_chunk,
@@ -31,7 +32,7 @@ from ruin2d.mc import (
     simulate_joint_ruin_fluid,
     stream,
 )
-from ruin2d.model import Empirical, RiskModel
+from ruin2d.model import Empirical, Exponential, RiskModel
 from ruin2d.onedim import ruin_transform_exp
 
 from conftest import z_score
@@ -39,6 +40,8 @@ from oracles import (
     fluid_embed,
     killed_position_frequencies,
     path_ruin_time,
+    reference_company1_chunk,
+    reference_joint_tau_chunk,
     resolvent_density,
     sample_path,
 )
@@ -177,8 +180,11 @@ def test_per_path_horizons_straddle_blocks(p0):
     assert max(blocks) > 1
 
 
-@pytest.mark.parametrize("kernel", [_joint_tau_chunk, _fluid_ruin_chunk],
-                         ids=["direct", "fluid"])
+@pytest.mark.parametrize("kernel", [
+    _joint_tau_chunk,
+    _fluid_ruin_chunk,
+    lambda model, u1, u2, horizon, rng, n: _company1_chunk(model, u1, horizon, rng, n),
+], ids=["direct", "fluid", "company1"])
 def test_chunk_memory_independent_of_horizon(p0, kernel):
     def peak(horizon):
         tracemalloc.start()
@@ -191,6 +197,48 @@ def test_chunk_memory_independent_of_horizon(p0, kernel):
     assert peak(800.0) <= 1.5 * peak(200.0)
 
 
+# the margins of SCALED are e1 = 0.30 and e2 = 0.29, with rho = 13/7
+SCALED = RiskModel(lam=1.3, claim=Exponential(mu=0.7), c1=5.0, c2=3.0, delta1=1.6, delta2=1.25)
+
+
+@pytest.fixture(params=["p0", "p1", "scaled", "erlang2"])
+def any_model(request):
+    return SCALED if request.param == "scaled" else request.getfixturevalue(
+        "erlang2_model" if request.param == "erlang2" else request.param)
+
+
+@pytest.mark.parametrize("horizon, n", [
+    (0.0, 500),
+    (0.5, 3_000),
+    (50.0, 3_000),
+    (float(BLOCK), 3),          # one path per block
+], ids=["zero", "short", "long", "one-path-blocks"])
+@pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
+def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
+    # the chunk kernels as stream 3 first wrote them, in tests/oracles.py
+    tau = _joint_tau_chunk(any_model, 1.0, 2.0, horizon, stream(seed, k), n)
+    assert np.array_equal(tau, reference_joint_tau_chunk(
+        any_model, 1.0, 2.0, horizon, stream(seed, k), n))
+    alive, x_T = _company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
+    ref_alive, ref_x_T = reference_company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
+    assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
+    if horizon > 0.0:
+        assert 0 < np.isfinite(tau).sum() < n or n == 3
+        assert 0 < alive.sum() < n or n == 3
+
+
+@pytest.mark.parametrize("seed, k", [(17, 0), (5, 2)])
+def test_killed_sweep_matches_reference_bits(any_model, seed, k):
+    # per-path horizons, some zero, in blocks sized by the longest
+    n = 2_000
+    kill = np.random.default_rng(seed).exponential(40.0, size=n)
+    kill[::7] = 0.0
+    alive, x_T = _company1_chunk(any_model, 0.5, kill, stream(seed, k), n)
+    ref_alive, ref_x_T = reference_company1_chunk(any_model, 0.5, kill, stream(seed, k), n)
+    assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
+    assert len(list(_path_blocks(any_model, kill, n))) > 1
+
+
 @pytest.mark.parametrize("horizons", [
     7.5,
     0.0,
@@ -200,23 +248,25 @@ def test_epoch_panel_sorted_within_horizon(p0, horizons):
     n = 2_000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        starts, has, t, s_within, totals = _epoch_panel(p0, horizons, stream(4, 0), n)
+        path, t, s, totals = _epoch_panel(p0, horizons, stream(4, 0), n, _Workspace())
     h = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
-    counts = np.diff(np.append(starts, t.size))
-    assert np.array_equal(has, counts > 0)
-    pid = np.repeat(np.arange(n), counts)
-    assert np.all(t >= 0.0) and np.all(t <= h[pid])
-    same_path = pid[1:] == pid[:-1]
+    counts = np.bincount(path, minlength=n)
+    assert path.size == t.size == s.size and np.all(np.diff(path) >= 0)
+    assert np.all(t >= 0.0) and np.all(t <= h[path])
+    same_path = path[1:] == path[:-1]
     assert np.all(np.diff(t)[same_path] >= 0.0)
-    assert np.all(np.diff(s_within)[same_path] > 0.0)
+    assert np.all(np.diff(s)[same_path] > 0.0)
+    nonempty = counts > 0
+    assert np.array_equal(totals[nonempty], s[np.cumsum(counts)[nonempty] - 1])
     assert np.all(counts[h == 0.0] == 0) and np.all(totals[counts == 0] == 0.0)
 
 
 def test_epoch_panel_uniform_order_statistics(p0):
     # given k claims on [0, H], the epochs are the sorted values of k uniforms
     n, horizon = 20_000, 4.0
-    starts, has, t, _, _ = _epoch_panel(p0, horizon, stream(6, 0), n)
-    counts = np.diff(np.append(starts, t.size))
+    path, t, _, _ = _epoch_panel(p0, horizon, stream(6, 0), n, _Workspace())
+    counts = np.bincount(path, minlength=n)
+    starts = np.cumsum(counts) - counts
     assert kstest(t / horizon, "uniform").pvalue > 1e-3
     three = starts[counts == 3]
     assert kstest(t[three] / horizon, "beta", args=(1, 3)).pvalue > 1e-3
