@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """Convergence study of the characteristic-grid transform solver.
 
-Sweeps the column count, reporting the error against the exact survival
-probability at s = 0 and the observed convergence order between consecutive
-resolutions.  The trapezoidal march should show second-order decay until
-interpolation error or round-off takes over.
+Sweeps the column count on the grid ``ruin --method pde`` solves on
+(``r_max = max(1, 1.05 r)`` for the query's ``r``), reporting the error against
+the exact ruin probability at s = 0, the observed convergence order between
+consecutive resolutions, the step-halving estimate and the ratio of the true
+error to that estimate.  The trapezoidal march should show second-order decay
+until interpolation error or round-off takes over; a ratio above 1 is an
+estimate that understates the error.
 """
 
 import argparse
+import math
 import sys
 
 from ruin2d.closedform import ruin
@@ -29,20 +33,19 @@ def main(argv=None) -> int:
     x1, x2 = args.point
     target = ruin(model, x1, x2)
     r_need, _ = to_grid_coords(model, x1, x2)
-    r_max = 1.1 * r_need
+    r_max = max(1.0, 1.05 * r_need)
 
     print(f"target ruin({x1}, {x2}) = {target:.10f}   (r_max = {r_max:.2f})")
-    print(f"{'steps':>7} {'error':>12} {'order':>7} {'halving estimate':>17}")
+    print(f"{'steps':>7} {'error':>12} {'order':>7} {'halving estimate':>17} {'true/estimate':>14}")
     prev_err = None
     for steps in args.steps:
         grid = solve(model, s=0.0, r_max=r_max, steps=steps)
         err = abs(evaluate(grid, x1, x2) - target)
         order = ""
         if prev_err is not None and err > 0:
-            import math
-
             order = f"{math.log2(prev_err / err):7.2f}"
-        print(f"{steps:7d} {err:12.3e} {order:>7} {grid.error_estimate:17.3e}")
+        ratio = err / grid.error_estimate if grid.error_estimate > 0 else math.inf
+        print(f"{steps:7d} {err:12.3e} {order:>7} {grid.error_estimate:17.3e} {ratio:14.2f}")
         prev_err = err
     return 0
 

@@ -68,11 +68,6 @@ def _step_factors(coeffs: GoursatCoefficients, dr: float, dw: float):
     )
 
 
-def _axpby(a, x, b, y, out, tmp):
-    """``a x + b y`` into ``out`` (``tmp`` is scratch), rounded as ``(a x) + (b y)``."""
-    return np.add(np.multiply(x, a, out=out), np.multiply(y, b, out=tmp), out=out)
-
-
 def march_triangle(coeffs, n, dr, dw, top_values):
     """Wavefront march on the triangle ``{0 <= j <= i <= n}``.
 
@@ -82,38 +77,46 @@ def march_triangle(coeffs, n, dr, dw, top_values):
     so the wavefront's interior is one strided slice of the flat arrays; its
     left neighbours are that slice shifted by ``-1`` and its upper neighbours
     by ``-(n + 1)``.  Wavefront ``s`` holds the rows ``j <= s // 2``.
+
+    The cost is mostly fixed per wavefront: the top row ``X(i, 0)`` is a
+    Python-float recurrence before the loop, and the interior's ufuncs take the
+    factors as 0-d arrays, which numpy does not convert per call.  Every node
+    keeps the reference march's bits.
     """
-    ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = _step_factors(
-        coeffs, dr, dw
-    )
+    factors = _step_factors(coeffs, dr, dw)
+    ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = factors
+    det = ca_new * xb_new - cx_new * xa_new
     A = np.full((n + 1, n + 1), np.nan)
     X = np.full((n + 1, n + 1), np.nan)
     A[:, 0] = top_values
     np.fill_diagonal(X, 1.0)
-    det = ca_new * xb_new - cx_new * xa_new
+    top = A[:, 0].tolist()
+    x = [1.0]
+    for i in range(1, n + 1):  # top row: A given, X from the horizontal update alone
+        x.append((xb_old * x[-1] + xa_old * top[i - 1] + xa_new * top[i]) / xb_new)
+    X[:, 0] = x
+    # 0-d copies of the factors for the interior's ufuncs
+    Ca_new, Cx_new, Ca_old, Cx_old, Xb_new, Xa_new, Xb_old, Xa_old, Det = (
+        np.array(v) for v in (*factors, det)
+    )
     Af, Xf = A.reshape(-1), X.reshape(-1)
     W = n + 1
-    buffers = np.empty((4, n + 1))
-    for s in range(1, 2 * n + 1):
-        lo, hi = max(0, s - n), s // 2
-        if s % 2 == 0:  # edge node (s/2, s/2): X given, A from the vertical update alone
-            k = hi * (n + 2)
-            Af[k] = (ca_old * Af[k - 1] + cx_old * Xf[k - 1] + cx_new * Xf[k]) / ca_new
-            hi -= 1
-        if lo == 0:  # top row: A given, X from the horizontal update alone
-            k = s * W
-            Xf[k] = (xb_old * Xf[k - W] + xa_old * Af[k - W] + xa_new * Af[k]) / xb_new
-            lo = 1
+    R1, R2, T1, T2 = np.empty((4, n + 1))
+    mul, add, div = np.multiply, np.add, np.divide
+    for s in range(2, 2 * n + 1):
+        if s % 2 == 0:  # edge node (s/2, s/2): X = 1 given, A from the vertical update alone
+            k = s // 2 * (n + 2)
+            Af[k] = (ca_old * Af.item(k - 1) + cx_old * Xf.item(k - 1) + cx_new) / ca_new
+        lo, hi = 1 if s <= n else s - n, (s - 1) // 2
         if hi < lo:
             continue
         # interior: solve the 2x2 pair on rows i = s - hi .. s - lo
         a, b, m = s + (s - hi) * n, s + (s - lo) * n + 1, hi - lo + 1
-        here, left, up = slice(a, b, n), slice(a - 1, b - 1, n), slice(a - W, b - W, n)
-        r1, r2, t1, t2 = buffers[:, :m]
-        _axpby(ca_old, Af[left], cx_old, Xf[left], r1, t1)
-        _axpby(xb_old, Xf[up], xa_old, Af[up], r2, t1)
-        np.divide(_axpby(xb_new, r1, cx_new, r2, t1, t2), det, out=Af[here])
-        np.divide(_axpby(ca_new, r2, xa_new, r1, t2, t1), det, out=Xf[here])
+        r1, r2, t1, t2 = R1[:m], R2[:m], T1[:m], T2[:m]
+        add(mul(Af[a - 1:b - 1:n], Ca_old, r1), mul(Xf[a - 1:b - 1:n], Cx_old, t1), r1)
+        add(mul(Xf[a - W:b - W:n], Xb_old, r2), mul(Af[a - W:b - W:n], Xa_old, t1), r2)
+        div(add(mul(r1, Xb_new, t1), mul(r2, Cx_new, t2), t1), Det, Af[a:b:n])
+        div(add(mul(r2, Ca_new, t1), mul(r1, Xa_new, t2), t1), Det, Xf[a:b:n])
     return A, X
 
 
@@ -203,9 +206,8 @@ def solve(
         raise DomainError("need a finite positive r_max and at least 2 steps")
     chi_c, _, _, _ = _solve_once(model, s, r_max, steps)
     chi_f, xi_f, dr, dw = _solve_once(model, s, r_max, 2 * steps)
-    shared_fine = chi_f[::2, ::2]
-    diff = np.abs(shared_fine - chi_c)
-    err = float(np.nanmax(diff)) / 3.0
+    diff = np.subtract(chi_f[::2, ::2], chi_c, out=chi_c)  # in place: no grid-sized temporaries
+    err = float(np.nanmax(np.abs(diff, out=diff))) / 3.0
     if tol is not None and err > tol:
         raise ToleranceNotMet(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
     return CharacteristicGrid(

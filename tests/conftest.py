@@ -19,6 +19,12 @@ def p1():
 
 
 @pytest.fixture(scope="session")
+def nd():
+    """Near-degenerate: p1 and p2 within 0.1% of each other and of rho."""
+    return RiskModel(lam=1.0, claim=Exponential(mu=1.0), c1=1.002, c2=1.001)
+
+
+@pytest.fixture(scope="session")
 def erlang2_model():
     """Two-stage Erlang claims with mean 1; p2 = 2, rho = 1."""
     claim = PhaseType(beta=[1.0, 0.0], B=[[-2.0, 2.0], [0.0, -2.0]])

@@ -634,6 +634,32 @@ def test_pde_csv(p0_file, capsys, tmp_path):
     assert len(lines) > 3
 
 
+PDE_OUTPUT_MOVED = (
+    "a PDE output changed: these bytes move only with a deliberate change to the march's "
+    "rounding, the grid the CLI solves on, pde.evaluate or the step-halving estimate "
+    "(ROADMAP direction 7); record each moved line in CHANGES.md and pin it")
+
+PDE_GOLDEN = [
+    (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0"],
+     "ruin = 0.19402357467  method=pde  error<=3.7347676396e-07  s=0"),
+    (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0.5"],
+     "ruin_lt = 0.133259947927  method=pde  error<=3.34269018525e-07  s=0.5"),
+    (["ruin", *P1_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0"],
+     "ruin = 0.712509401151  method=pde  error<=7.70098738112e-08  s=0"),
+    (["ruin", *P1_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0.5"],
+     "ruin_lt = 0.237643048035  method=pde  error<=1.72052715741e-07  s=0.5"),
+    (["pde", *P0_INLINE, "--point", "1", "3", "--rmax", "8", "--steps", "150"],
+     "psi(1,3;s=0) = 0.194028196601  error<=3.14636053724e-06"),
+]
+
+
+@pytest.mark.parametrize("argv, line", PDE_GOLDEN,
+                         ids=["P0-s0", "P0-s0.5", "P1-s0", "P1-s0.5", "point"])
+def test_pde_output_pinned(capsys, argv, line):
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (0, line + "\n"), PDE_OUTPUT_MOVED
+
+
 def test_ruin_invert_method(p0_file, capsys):
     code, out, _ = run_cli(
         ["ruin", "--model", p0_file, "--u", "1", "2", "--method", "invert"], capsys

@@ -199,9 +199,9 @@ def assert_same_bits(got, want):
         assert np.array_equal(g, w, equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 40, 400, 401])
-@pytest.mark.parametrize("s", [0.0, 0.5])
-@pytest.mark.parametrize("name", ["p0", "p1"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 40, 400, 401, 800])
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("name", ["p0", "p1", "nd"])
 def test_triangle_march_matches_reference_bits(request, name, s, n):
     model = request.getfixturevalue(name)
     dr = 6.0 / n
