@@ -25,7 +25,7 @@ import itertools
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -58,7 +58,7 @@ class MCEstimate:
     std_error: float
     n: int
     seed: int
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def stream(seed: int, k: int) -> np.random.Generator:
@@ -118,13 +118,9 @@ def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, out: np.ndarra
 # Vectorized chunk kernels.
 # ---------------------------------------------------------------------------
 
-def _path_blocks(model: RiskModel, horizons, n: int) -> Iterable[slice]:
-    """Consecutive path ranges of a chunk, each holding about :data:`BLOCK` claims.
-
-    The paths per block follow from the chunk's longest horizon, so that with
-    per-path horizons no block expects more than about :data:`BLOCK` claims.
-    """
-    per_block = max(1, BLOCK // (math.ceil(model.lam * float(np.max(horizons))) + 1))
+def _path_blocks(model: RiskModel, horizon: float, n: int) -> Iterable[slice]:
+    """Consecutive path ranges of a chunk, each expecting about :data:`BLOCK` claims."""
+    per_block = max(1, BLOCK // (math.ceil(model.lam * horizon) + 1))
     for lo in range(0, n, per_block):
         yield slice(lo, min(lo + per_block, n))
 
@@ -159,14 +155,15 @@ class _Workspace:
         self.low, self.other = (flags[:tot] for flags in self._flags)
 
 
-def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int, ws: _Workspace):
+def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: int,
+                 ws: _Workspace):
     """Sorted claim epochs and within-path claim totals of one block, in ``ws``.
 
-    ``horizons`` is scalar or per-path.  Given its Poisson count ``k``, path
-    ``i`` draws ``k + 1`` standard exponential spacings; their normalized
-    partial sums are the order statistics of ``k`` uniforms (Devroye 1986,
-    ch. V), so the epochs come out sorted without a sort.  Claim sizes are
-    i.i.d., so they are used in draw order.
+    Given its Poisson count ``k``, path ``i`` draws ``k + 1`` standard
+    exponential spacings; their normalized partial sums are the order
+    statistics of ``k`` uniforms (Devroye 1986, ch. V), so the epochs come out
+    sorted without a sort.  Claim sizes are i.i.d., so they are used in draw
+    order.
 
     Returns ``(path, t, s, totals)``: ``path`` is the path of each claim, in
     path order, ``t`` the claim epochs, sorted within each path, and ``s`` the
@@ -174,10 +171,7 @@ def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int, w
     ``ws``, valid until its next block); ``totals`` are the per-path total
     claim amounts.
     """
-    if np.ndim(horizons) == 0:
-        counts = rng.poisson(model.lam * horizons, size=n)
-    else:
-        counts = rng.poisson(model.lam * horizons)
+    counts = rng.poisson(model.lam * horizon, size=n)
     bounds = np.zeros(n + 1, dtype=np.intp)  # path j owns claims bounds[j]:bounds[j + 1]
     np.cumsum(counts, out=bounds[1:])
     tot = int(bounds[-1])
@@ -204,7 +198,7 @@ def _epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int, w
     t = cg[1:]
     t -= per_claim(g0)
     t /= per_claim(span)
-    t *= per_claim(horizons) if np.ndim(horizons) else horizons
+    t *= horizon
     s = cs[1:]
     s -= per_claim(s0)
     return path, t, s, totals
@@ -223,36 +217,25 @@ def _below(ws: _Workspace, t, s, c: float, u: float, delta: float, out: np.ndarr
     return np.less(a, s, out=out)
 
 
-def _joint_tau_chunk(model, u1, u2, horizon, rng, n):
-    """First joint-ruin time within ``horizon`` per path (inf if none).
+def _first_ruin_chunk(model, lines, horizon, rng, n):
+    """First ruin time within ``horizon`` per path (inf if none), and its claim total.
 
-    A path's epochs are nondecreasing, so its ruin time is the epoch of its
-    first hit.
+    A path is ruined where the reserve ``u + c t - delta S`` of any
+    ``(c, u, delta)`` of ``lines`` is negative.  A path's epochs are
+    nondecreasing, so its ruin time is the epoch of its first hit.
     """
     tau = np.full(n, np.inf)
+    totals = np.empty(n)
     ws = _Workspace()
     for block in _path_blocks(model, horizon, n):
-        path, t, s, _ = _epoch_panel(model, horizon, rng, block.stop - block.start, ws)
-        hit = _below(ws, t, s, model.c1, u1, model.delta1, ws.low)
-        hit |= _below(ws, t, s, model.c2, u2, model.delta2, ws.other)
+        path, t, s, totals[block] = _epoch_panel(model, horizon, rng, block.stop - block.start, ws)
+        hit = _below(ws, t, s, *lines[0], ws.low)
+        for line in lines[1:]:
+            hit |= _below(ws, t, s, *line, ws.other)
         idx = np.flatnonzero(hit)
         ruined, first = np.unique(path[idx], return_index=True)
         tau[block][ruined] = t[idx[first]]
-    return tau
-
-
-def _company1_chunk(model, x1, horizons, rng, n):
-    """Normalized company-1 sweep: (alive flags, terminal values X1(T))."""
-    horizons = np.asarray(horizons, dtype=float)
-    alive = np.ones(n, dtype=bool)
-    totals = np.empty(n)
-    ws = _Workspace()
-    for block in _path_blocks(model, horizons, n):
-        h = horizons[block] if horizons.ndim else horizons
-        path, t, s, totals[block] = _epoch_panel(model, h, rng, block.stop - block.start, ws)
-        alive[block][path[_below(ws, t, s, model.p1, x1, 1.0, ws.low)]] = False
-    x_T = x1 + model.p1 * np.broadcast_to(horizons, (n,)) - totals
-    return alive, x_T
+    return tau, totals
 
 
 def _chunk_sizes(n: int) -> Iterable[tuple[int, int]]:
@@ -295,6 +278,12 @@ def _estimate(mean: float, se: float, n: int, seed: int, meta: dict) -> MCEstima
     """The one place an estimate is built, so every ``meta`` carries the stream version."""
     return MCEstimate(mean=mean, std_error=se, n=n, seed=seed,
                       meta={**meta, "stream_version": STREAM_VERSION})
+
+
+def _run(values, n: int, seed: int, threads: int, meta: dict) -> MCEstimate:
+    """The estimate from ``values(rng, size)`` of each chunk, drawn from ``stream(seed, k)``."""
+    chunks = _map_chunks(lambda k, size: values(stream(seed, k), size), n, threads)
+    return _accumulate(chunks, seed, meta)
 
 
 def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
@@ -350,15 +339,15 @@ def ruin_time_lt(
     this is exactly the finite-horizon ruin frequency on the same draws.
     """
     _check_domain(u1, u2, horizon, s)
+    lines = ((model.c1, u1, model.delta1), (model.c2, u2, model.delta2))
 
-    def worker(k, size):
-        rng = stream(seed, k)
-        tau = _joint_tau_chunk(model, u1, u2, horizon, rng, size)
+    def values(rng, size):
+        tau, _ = _first_ruin_chunk(model, lines, horizon, rng, size)
         # exp(-s inf) is 0 for s > 0; at s = 0 the transform is the hit indicator
         return np.exp(-s * tau) if s > 0 else np.isfinite(tau).astype(float)
 
     meta = {"horizon": horizon, "s": s, "bias_bound": math.exp(-s * horizon) if s > 0 else 1.0}
-    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
+    return _run(values, n, seed, threads, meta)
 
 
 def simulate_joint_ruin(
@@ -425,13 +414,12 @@ def conditional_survival(
         exact = float(survival_one_company(model, x1))
         return _estimate(exact, 0.0, n, seed, meta)
 
-    def worker(k, size):
-        rng = stream(seed, k)
-        alive, x_T = _company1_chunk(model, x1, T, rng, size)
-        vals = survival_one_company(model, np.maximum(x_T, 0.0))
-        return np.where(alive, vals, 0.0)
+    def values(rng, size):
+        tau, totals = _first_ruin_chunk(model, ((model.p1, x1, 1.0),), T, rng, size)
+        x_T = x1 + model.p1 * T - totals
+        return np.where(np.isinf(tau), survival_one_company(model, np.maximum(x_T, 0.0)), 0.0)
 
-    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
+    return _run(values, n, seed, threads, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +479,6 @@ def simulate_joint_ruin_fluid(
     from differently generated paths and cross-check each other.
     """
     _check_domain(u1, u2, horizon)
-
-    def worker(k, size):
-        rng = stream(seed, k)
-        return _fluid_ruin_chunk(model, u1, u2, horizon, rng, size)
-
     meta = {"horizon": horizon, "method": "fluid"}
-    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
+    return _run(lambda rng, size: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
+                n, seed, threads, meta)

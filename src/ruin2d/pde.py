@@ -135,7 +135,7 @@ class CharacteristicGrid:
     w_step: float
     chi: np.ndarray
     xi: np.ndarray
-    error_estimate: Optional[float]
+    error_estimate: float
 
     @property
     def r_max(self) -> float:

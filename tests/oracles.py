@@ -6,12 +6,13 @@ Laplace exponents and the residual factor ``g`` of the transform, the residue
 terms of the closed form and its cut integral to 30 digits (``mp_omega``), and
 the model's JSON and coordinate round trips.
 The oracles call the shipped kernels they check (``mc.stream``,
-``mc._company1_chunk``, ``transform.z_roots``, ...) rather than copies of
-them, so a test through an oracle still tests the code that users run.  Company
-1's roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
+``mc.sample_claims``, ``transform.z_roots``, ...) rather than copies of them,
+so a test through an oracle still tests the code that users run.  Company 1's
+roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
 here.  The exceptions are the stream-3 MC chunk kernels as they were first
 written (``reference_epoch_panel`` and the two chunk sweeps after it): the
-shipped kernels must reproduce them bit for bit.
+shipped kernels must reproduce them bit for bit.  ``killed_position_frequencies``
+runs on the company-1 reference sweep, the only sweep with per-path horizons.
 """
 
 from __future__ import annotations
@@ -392,12 +393,15 @@ def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
 
 
 def reference_company1_chunk(model, x1, horizons, rng, n):
-    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 3."""
+    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 3.
+
+    ``horizons`` is scalar or per-path; blocks are sized by the longest.
+    """
     p1 = model.p1
     horizons = np.asarray(horizons, dtype=float)
     alive = np.ones(n, dtype=bool)
     totals = np.empty(n)
-    for block in mc._path_blocks(model, horizons, n):
+    for block in mc._path_blocks(model, float(np.max(horizons)), n):
         h = horizons[block] if horizons.ndim else horizons
         starts, has, t, s_within, totals[block] = reference_epoch_panel(
             model, h, rng, block.stop - block.start)
@@ -466,7 +470,7 @@ def killed_position_frequencies(
     for k, size in mc._chunk_sizes(n):
         rng = mc.stream(seed, k)
         kill = rng.exponential(1.0 / q, size=size)
-        alive, x_T = mc._company1_chunk(model, x1, kill, rng, size)
+        alive, x_T = reference_company1_chunk(model, x1, kill, rng, size)
         hist, _ = np.histogram(x_T[alive], bins=edges)
         hits += hist
     freq = hits / n

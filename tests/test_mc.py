@@ -19,10 +19,9 @@ from ruin2d.mc import (
     _Workspace,
     _accumulate,
     _chunk_sizes,
-    _company1_chunk,
     _epoch_panel,
+    _first_ruin_chunk,
     _fluid_ruin_chunk,
-    _joint_tau_chunk,
     _map_chunks,
     _path_blocks,
     conditional_survival,
@@ -161,29 +160,16 @@ def test_block_edges_thread_invariant(p0, estimator, horizon, n):
     assert runs[0].n == n
 
 
-def test_per_path_horizons_straddle_blocks(p0):
-    # killed sweep with Exp(1/40) horizons: blocks are sized by the longest
-    # horizon of the chunk, and paths of every length share each block
-    x1, n = 1.0, 2 * CHUNK + 11
-
-    def worker(k, size):
-        rng = stream(17, k)
-        kill = rng.exponential(40.0, size=size)
-        blocks.append(len(list(_path_blocks(p0, kill, size))))
-        alive, x_T = _company1_chunk(p0, x1, kill, rng, size)
-        return np.where(alive, x_T, 0.0)
-
-    blocks = []
-    runs = [_accumulate(_map_chunks(worker, n, threads), seed=17, meta={})
-            for threads in (1, 2, 3)]
-    assert runs[0] == runs[1] == runs[2]
-    assert max(blocks) > 1
+def _joint_lines(model, u1, u2):
+    return (model.c1, u1, model.delta1), (model.c2, u2, model.delta2)
 
 
 @pytest.mark.parametrize("kernel", [
-    _joint_tau_chunk,
+    lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
+        model, _joint_lines(model, u1, u2), horizon, rng, n),
     _fluid_ruin_chunk,
-    lambda model, u1, u2, horizon, rng, n: _company1_chunk(model, u1, horizon, rng, n),
+    lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
+        model, ((model.p1, u1, 1.0),), horizon, rng, n),
 ], ids=["direct", "fluid", "company1"])
 def test_chunk_memory_independent_of_horizon(p0, kernel):
     def peak(horizon):
@@ -216,49 +202,37 @@ def any_model(request):
 @pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
 def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
     # the chunk kernels as stream 3 first wrote them, in tests/oracles.py
-    tau = _joint_tau_chunk(any_model, 1.0, 2.0, horizon, stream(seed, k), n)
+    lines = _joint_lines(any_model, 1.0, 2.0)
+    tau, joint_totals = _first_ruin_chunk(any_model, lines, horizon, stream(seed, k), n)
     assert np.array_equal(tau, reference_joint_tau_chunk(
         any_model, 1.0, 2.0, horizon, stream(seed, k), n))
-    alive, x_T = _company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
+    # company 1 alone, as conditional_survival reads it
+    tau1, totals = _first_ruin_chunk(
+        any_model, ((any_model.p1, 1.0, 1.0),), horizon, stream(seed, k), n)
+    alive, x_T = np.isinf(tau1), 1.0 + any_model.p1 * horizon - totals
     ref_alive, ref_x_T = reference_company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
     assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
+    assert np.array_equal(joint_totals, totals)
     if horizon > 0.0:
         assert 0 < np.isfinite(tau).sum() < n or n == 3
         assert 0 < alive.sum() < n or n == 3
 
 
-@pytest.mark.parametrize("seed, k", [(17, 0), (5, 2)])
-def test_killed_sweep_matches_reference_bits(any_model, seed, k):
-    # per-path horizons, some zero, in blocks sized by the longest
-    n = 2_000
-    kill = np.random.default_rng(seed).exponential(40.0, size=n)
-    kill[::7] = 0.0
-    alive, x_T = _company1_chunk(any_model, 0.5, kill, stream(seed, k), n)
-    ref_alive, ref_x_T = reference_company1_chunk(any_model, 0.5, kill, stream(seed, k), n)
-    assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
-    assert len(list(_path_blocks(any_model, kill, n))) > 1
-
-
-@pytest.mark.parametrize("horizons", [
-    7.5,
-    0.0,
-    np.array([0.0, 3.0, 0.0, 12.0, 0.25] * 400),
-], ids=["scalar", "zero", "per-path"])
-def test_epoch_panel_sorted_within_horizon(p0, horizons):
+@pytest.mark.parametrize("horizon", [7.5, 0.0], ids=["scalar", "zero"])
+def test_epoch_panel_sorted_within_horizon(p0, horizon):
     n = 2_000
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        path, t, s, totals = _epoch_panel(p0, horizons, stream(4, 0), n, _Workspace())
-    h = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
+        path, t, s, totals = _epoch_panel(p0, horizon, stream(4, 0), n, _Workspace())
     counts = np.bincount(path, minlength=n)
     assert path.size == t.size == s.size and np.all(np.diff(path) >= 0)
-    assert np.all(t >= 0.0) and np.all(t <= h[path])
+    assert np.all(t >= 0.0) and np.all(t <= horizon)
     same_path = path[1:] == path[:-1]
     assert np.all(np.diff(t)[same_path] >= 0.0)
     assert np.all(np.diff(s)[same_path] > 0.0)
     nonempty = counts > 0
     assert np.array_equal(totals[nonempty], s[np.cumsum(counts)[nonempty] - 1])
-    assert np.all(counts[h == 0.0] == 0) and np.all(totals[counts == 0] == 0.0)
+    assert (horizon > 0.0 or path.size == 0) and np.all(totals[counts == 0] == 0.0)
 
 
 def test_epoch_panel_uniform_order_statistics(p0):

@@ -3,7 +3,9 @@
 Every name in a module's ``__all__`` must be referenced somewhere in
 ``src/``, ``scripts/`` or ``perfbench/`` other than by its own definition, its
 ``__all__`` entry or a re-export in ``ruin2d/__init__.py``.  Reference
-implementations that only the tests call live in ``tests/oracles.py``.  Every
+implementations that only the tests call live in ``tests/oracles.py``, and so
+every private top-level function, class and constant of ``src/ruin2d/`` must be
+referenced in those same directories beyond its own definition.  Every
 field of a dataclass or ``NamedTuple`` in ``src/`` must be read as an
 attribute somewhere in those same directories.  Every parameter default of
 an exported function must be overridden by some call in them: an option that
@@ -83,6 +85,30 @@ def test_every_module_has_exports():
 @pytest.mark.parametrize("module, name", EXPORTS)
 def test_export_has_a_caller(module, name):
     assert name in referenced(), f"ruin2d.{module}.{name} is exported but nothing calls it"
+
+
+def private_names(path: Path) -> list[str]:
+    """The private functions, classes and constants defined at the top level of ``path``."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+PRIVATE = [(path.stem, name) for path in sorted(PACKAGE.glob("*.py")) for name in private_names(path)]
+
+
+def test_private_names_found():
+    assert {("mc", "_Workspace"), ("mc", "_run"), ("pde", "_solve_once")} <= set(PRIVATE)
+
+
+@pytest.mark.parametrize("module, name", PRIVATE)
+def test_private_name_has_a_caller(module, name):
+    assert name in referenced(), f"ruin2d.{module}.{name} is used only by tests: move it to them"
 
 
 @functools.cache
