@@ -12,7 +12,6 @@ from .closedform import SurvivalResult, ruin, survival
 from .mc import MCEstimate, conditional_survival, ruin_time_lt, simulate_joint_ruin
 from .model import (
     DerivedConstants,
-    Empirical,
     Exponential,
     PhaseType,
     RiskModel,
@@ -26,7 +25,6 @@ __all__ = [
     "RiskModel",
     "Exponential",
     "PhaseType",
-    "Empirical",
     "DerivedConstants",
     "derive",
     "validate",

@@ -135,7 +135,7 @@ def omega(
         if bound < 0.1 * tol:
             return 0.0, bound
     # imported here so that a process that never integrates starts without scipy;
-    # the fixed-node rule of ROADMAP direction 6 removes quad altogether
+    # the ROADMAP's scipy-free cut integral on fixed nodes removes quad altogether
     from scipy.integrate import quad
 
     n_panels = max(1, min(math.ceil(x1 * dc.b_max / math.pi), _PANEL_BUDGET))

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError, UnsupportedClaimLaw
-from .model import Empirical, Exponential, PhaseType, RiskModel, derive, normalize
+from .model import Exponential, PhaseType, RiskModel, derive, normalize
 from .onedim import survival_one_company
 
 __all__ = [
@@ -77,14 +77,6 @@ def sample_claims(claim, rng: np.random.Generator, size: int, out=None) -> np.nd
         return out
     if isinstance(claim, PhaseType):
         return _sample_phasetype(claim, rng, np.empty(size) if out is None else out)
-    if isinstance(claim, Empirical):
-        draws = np.asarray(claim.sampler(rng, size), dtype=float)
-        if draws.shape != (size,):
-            raise DomainError("empirical sampler returned wrong shape")
-        if out is None:
-            return draws
-        out[...] = draws
-        return out
     raise UnsupportedClaimLaw(f"cannot sample {type(claim).__name__} claims")
 
 
@@ -400,11 +392,6 @@ def conditional_survival(
     degenerate ``T = 0`` case with zero variance; an infinite ``x2`` makes
     ``T`` infinite and is refused.
     """
-    if isinstance(model.claim, Empirical):
-        raise UnsupportedClaimLaw(
-            "conditional estimator needs the exact one-dimensional survival "
-            "(exponential or phase-type claims)"
-        )
     if x2 < x1:
         raise DomainError("conditional estimator requires x2 >= x1 (upper cone)")
     T = (x2 - x1) / (model.p1 - model.p2)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .errors import DomainError, UnsupportedClaimLaw
 __all__ = [
     "Exponential",
     "PhaseType",
-    "Empirical",
     "RiskModel",
     "ValidationReport",
     "DerivedConstants",
@@ -69,15 +67,7 @@ class PhaseType:
         return float(self.beta @ np.linalg.solve(-self.B, np.ones(len(self.beta))))
 
 
-@dataclass(frozen=True)
-class Empirical:
-    """Claim sizes drawn from a user-supplied sampler (Monte Carlo only)."""
-
-    sampler: Callable[[np.random.Generator, int], np.ndarray]
-    mean: float
-
-
-ClaimLaw = Exponential | PhaseType | Empirical
+ClaimLaw = Exponential | PhaseType
 
 
 @dataclass(frozen=True)
@@ -141,9 +131,6 @@ def _claim_law_violations(claim: ClaimLaw) -> list[str]:
             np.linalg.inv(B)
         except np.linalg.LinAlgError:
             out.append("phase-type B must be invertible")
-    elif isinstance(claim, Empirical):
-        if not (math.isfinite(claim.mean) and claim.mean > 0):
-            out.append("empirical claim mean must be finite and positive")
     else:
         out.append(f"unknown claim law {type(claim).__name__}")
     return out

@@ -77,18 +77,15 @@ def _phasetype_generator(model: RiskModel) -> tuple[np.ndarray, np.ndarray, np.n
 def _phasetype_ruin_normalized(model: RiskModel, z: np.ndarray) -> np.ndarray:
     """Vectorized ``eta exp((B + b eta) z) 1`` over normalized reserves ``z``.
 
-    Diagonalizes the defective generator once; falls back to per-value matrix
-    exponentials when the eigenbasis is ill-conditioned.
+    Diagonalizes the generator once when its eigenbasis is well conditioned;
+    a defective or near-defective one falls back to per-value matrix exponentials.
     """
     eta, gen, ones = _phasetype_generator(model)
     z = np.asarray(z, dtype=float)
     vals, vecs = np.linalg.eig(gen)
-    try:
-        left = np.linalg.solve(vecs, ones.astype(complex))
-    except np.linalg.LinAlgError:
-        left = None
-    if left is not None and np.linalg.cond(vecs) < 1e10:
-        coeff = (eta @ vecs) * left
+    # a singular basis gets a huge or infinite condition number, not an error
+    if np.linalg.cond(vecs) < 1e10:
+        coeff = (eta @ vecs) * np.linalg.solve(vecs, ones.astype(complex))
         out = np.real(np.exp(np.outer(z, vals)) @ coeff).reshape(z.shape)
         return np.clip(out, 0.0, 1.0)
     import scipy.linalg  # here, not at module level: scipy's import dominates a cold start

@@ -24,8 +24,8 @@ import numpy as np
 import scipy.linalg
 
 from ruin2d import mc, onedim, transform
-from ruin2d.errors import DomainError, Ruin2dError, UnsupportedClaimLaw
-from ruin2d.model import DerivedConstants, Exponential, PhaseType, RiskModel, derive
+from ruin2d.errors import DomainError, Ruin2dError
+from ruin2d.model import DerivedConstants, Exponential, RiskModel, derive
 
 
 class PoleError(DomainError):
@@ -53,14 +53,12 @@ def model_to_dict(model: RiskModel) -> dict:
     """The JSON form that :func:`ruin2d.model.model_from_dict` reads back."""
     if isinstance(model.claim, Exponential):
         claim: dict = {"type": "exponential", "mu": model.claim.mu}
-    elif isinstance(model.claim, PhaseType):
+    else:
         claim = {
             "type": "phase-type",
             "beta": model.claim.beta.tolist(),
             "B": model.claim.B.tolist(),
         }
-    else:
-        raise UnsupportedClaimLaw("empirical claim laws have no file representation")
     return {
         "lambda": model.lam,
         "claim": claim,

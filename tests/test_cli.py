@@ -440,7 +440,7 @@ def test_derive_output_pinned(capsys, tmp_path, erlang2_model, name):
 EXACT_OUTPUT_MOVED = (
     "an exact-path output changed: these bytes move only with a deliberate change to the "
     "cut integral closedform.omega (its integrand, its panel layout or the cut constants it "
-    "reads from derive, or ROADMAP direction 6); "
+    "reads from derive, or the scipy-free cut integral of the ROADMAP); "
     "check each moved line against mp_omega within its error<=, record it in CHANGES.md "
     "and pin it")
 
@@ -637,7 +637,8 @@ def test_pde_csv(p0_file, capsys, tmp_path):
 PDE_OUTPUT_MOVED = (
     "a PDE output changed: these bytes move only with a deliberate change to the march's "
     "rounding, the grid the CLI solves on, pde.evaluate or the step-halving estimate "
-    "(ROADMAP direction 7); record each moved line in CHANGES.md and pin it")
+    "(the ROADMAP's PDE point values on the query's own column); record each moved line "
+    "in CHANGES.md and pin it")
 
 PDE_GOLDEN = [
     (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0"],

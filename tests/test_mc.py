@@ -3,6 +3,7 @@ import threading
 import tracemalloc
 import warnings
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from ruin2d.mc import (
     simulate_joint_ruin_fluid,
     stream,
 )
-from ruin2d.model import Empirical, Exponential, RiskModel
-from ruin2d.onedim import ruin_transform_exp
+from ruin2d.model import Exponential, RiskModel, validate
+from ruin2d.onedim import ruin_transform_exp, survival_one_company
 
 from conftest import z_score
 from oracles import (
@@ -329,13 +330,21 @@ def test_conditional_supports_phasetype(erlang2_model):
     assert ultimate_ruin - naive.mean <= band + tail
 
 
+# claim objects that are not a library law: a bare mean, and a sampler-style
+# ("empirical") law that JSON cannot carry
+FOREIGN_CLAIMS = {
+    "mean": SimpleNamespace(mean=1.0),
+    "sampler": SimpleNamespace(sampler=lambda rng, n: rng.exponential(1.0, n), mean=1.0),
+}
+
+
 def test_conditional_rejects_wrong_cone_and_empirical(p0):
     with pytest.raises(DomainError):
         conditional_survival(p0, 2.0, 1.0, 100, seed=0)
-    emp = Empirical(sampler=lambda rng, n: rng.exponential(1.0, n), mean=1.0)
-    m = RiskModel(lam=1.0, claim=emp, c1=3.0, c2=2.0)
+    m = RiskModel(lam=1.0, claim=FOREIGN_CLAIMS["sampler"], c1=3.0, c2=2.0)
+    # at x2 = x1 the crossing time is 0 and no claim is drawn
     with pytest.raises(UnsupportedClaimLaw):
-        conditional_survival(m, 1.0, 2.0, 100, seed=0)
+        conditional_survival(m, 2.0, 2.0, 100, seed=0)
 
 
 ESTIMATORS = {
@@ -364,12 +373,17 @@ def test_estimators_refuse_out_of_domain_input(p0, estimator, name, value):
             ESTIMATORS[estimator](p0, **{**VALID, name: value})
 
 
-def test_empirical_law_simulates(p0):
-    emp = Empirical(sampler=lambda rng, n: rng.exponential(1.0, n), mean=1.0)
-    m = RiskModel(lam=1.0, claim=emp, c1=3.0, c2=2.0)
-    est = simulate_joint_ruin(m, 0.0, 0.0, 60.0, 100_000, seed=8)
-    # law matches P0, so the same ruin probability applies
-    assert est.mean == pytest.approx(0.5, abs=4.0 * est.std_error + 1e-3)
+@pytest.mark.parametrize("claim", FOREIGN_CLAIMS.values(), ids=FOREIGN_CLAIMS.keys())
+def test_foreign_claim_law_is_refused(claim):
+    m = RiskModel(lam=1.0, claim=claim, c1=3.0, c2=2.0)
+    assert validate(m).violations == ("unknown claim law SimpleNamespace",)
+    with pytest.raises(UnsupportedClaimLaw):
+        sample_claims(claim, stream(0, 0), 4)
+    with pytest.raises(UnsupportedClaimLaw):
+        survival_one_company(m, 1.0)
+    for estimator in ESTIMATORS.values():
+        with pytest.raises(UnsupportedClaimLaw):
+            estimator(m, **VALID)
 
 
 def test_ruin_time_lt_monotone_in_s(p0):

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
+import typing
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from ruin2d import closedform, onedim, pde, transform
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.model import (
-    Empirical,
+    ClaimLaw,
     Exponential,
     PhaseType,
     RiskModel,
@@ -233,13 +235,21 @@ def test_json_round_trip(tmp_path, p0, erlang2_model):
     assert loaded == p0
 
 
-def test_empirical_law_validation():
-    emp = Empirical(sampler=lambda rng, n: rng.exponential(1.0, n), mean=1.0)
-    m = RiskModel(lam=1.0, claim=emp, c1=3.0, c2=2.0)
-    assert validate(m).ok
-    bad = RiskModel(lam=1.0, claim=Empirical(sampler=emp.sampler, mean=math.inf),
-                    c1=3.0, c2=2.0)
-    assert not validate(bad).ok
+# one instance of each claim law; a law with no entry here fails the guard below
+CLAIM_LAW_EXAMPLES = {
+    Exponential: Exponential(mu=1.5),
+    PhaseType: PhaseType(beta=[0.4, 0.5], B=[[-3.0, 1.0], [0.5, -2.0]]),
+}
+
+
+@pytest.mark.parametrize("law", typing.get_args(ClaimLaw), ids=lambda law: law.__name__)
+def test_every_claim_law_has_a_file_form(law):
+    m = RiskModel(lam=0.7, claim=CLAIM_LAW_EXAMPLES[law], c1=3.0, c2=2.0, delta1=0.4, delta2=0.6)
+    again = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
+    assert type(again.claim) is law
+    for f in dataclasses.fields(law):
+        np.testing.assert_array_equal(getattr(again.claim, f.name), getattr(m.claim, f.name))
+    assert dataclasses.replace(again, claim=m.claim) == m
 
 
 def test_phasetype_invariant_checks():
