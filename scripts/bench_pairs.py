@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Alternating perfbench pairs of a base revision and the working tree.
+
+    python3 scripts/bench_pairs.py --base REV --workload W --pairs N --seconds S
+
+Exports ``REV`` with ``git archive`` into a temporary directory, and copies
+the working tree's files that git tracks or would add next to it, so that
+neither side runs from a tree with caches the other lacks.  Then runs
+``perfbench/run.py --workload W --seconds S`` ``N`` times in each tree, on
+seeds 1..N, alternating which side runs first.  Writes ``BENCH_<W>.json`` at
+the root of the checkout: the machine (nproc, Python, numpy and scipy), both
+revisions, each pair's end-to-end metrics (the ``end_to_end`` names of
+BENCHMARK.json), ``correct`` and ``failed``, and per side the median and
+quartiles of every metric with the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MACHINE_KEYS = ("nproc", "affinity", "python", "numpy", "scipy", "platform")
+
+
+def parse_run(stdout: str) -> dict:
+    """``{"machine", "correct", "attempted", "failed", "metrics"}`` of one perfbench run.
+
+    ``metrics`` maps each metric name to its value; ``machine`` is the run's
+    ``# machine`` line without the run settings.
+    """
+    lines = stdout.splitlines()
+    result = json.loads(lines[-1])
+    machine = next(json.loads(line.removeprefix("# machine "))
+                   for line in lines if line.startswith("# machine "))
+    return {
+        "machine": {k: machine.get(k) for k in MACHINE_KEYS},
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+    }
+
+
+def _spread(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
+                 change_rev: str, pairs: list) -> dict:
+    """The ``BENCH_<workload>.json`` record.
+
+    ``metrics`` maps each end-to-end metric to ``"lower"`` or ``"higher"``
+    (which is better); ``pairs`` holds ``{"seed", "first", "base", "change"}``
+    per pair, where each side is a :func:`parse_run` result.
+    """
+    summary = {}
+    for name, better in metrics.items():
+        base = [p["base"]["metrics"][name] for p in pairs]
+        change = [p["change"]["metrics"][name] for p in pairs]
+        sign = 1.0 if better == "lower" else -1.0
+        summary[name] = {
+            "better": better,
+            "base": _spread(base),
+            "change": _spread(change),
+            "change_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+        }
+    return {
+        "workload": workload,
+        "seconds": seconds,
+        "machine": pairs[0]["change"]["machine"],
+        "base": base_rev,
+        "change": change_rev,
+        "pairs": [
+            {"seed": p["seed"], "first": p["first"],
+             **{side: {"correct": p[side]["correct"], "attempted": p[side]["attempted"],
+                       "failed": p[side]["failed"],
+                       "metrics": {k: p[side]["metrics"][k] for k in metrics}}
+                for side in ("base", "change")}}
+            for p in pairs
+        ],
+        "summary": summary,
+    }
+
+
+def _git(*argv) -> str:
+    return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True, check=True,
+        timeout=20 * seconds + 600,
+    )
+    return parse_run(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    base_rev = _git("rev-parse", args.base)
+    change_rev = _git("rev-parse", "HEAD") + ("-dirty" if _git("status", "--porcelain") else "")
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        archive = Path(tmp) / "base.tar"
+        _git("archive", "--output", str(archive), base_rev)
+        with tarfile.open(archive) as tar:
+            tar.extractall(Path(tmp) / "tree", filter="data")
+        trees = {"base": Path(tmp) / "tree", "change": Path(tmp) / "change"}
+        for name in _git("ls-files", "--cached", "--others", "--exclude-standard").splitlines():
+            if (ROOT / name).is_file():  # a tracked file deleted in the working tree is not
+                (trees["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, trees["change"] / name)
+        for k in range(args.pairs):
+            seed = k + 1
+            order = ("base", "change") if k % 2 == 0 else ("change", "base")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = _run(trees[side], args.workload, seed, args.seconds)
+            pairs.append(pair)
+            print(f"pair {k + 1}/{args.pairs} seed {seed}: " + "  ".join(
+                f"{name} {pair['base']['metrics'][name]:.4g} -> "
+                f"{pair['change']['metrics'][name]:.4g}" for name in metrics), flush=True)
+    record = build_record(args.workload, args.seconds, metrics, base_rev, change_rev, pairs)
+    out = ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,13 +9,13 @@ Exit codes: 0 success; 2 invalid argument (a negative reserve, discount,
 horizon, seed or sweep bound, a non-finite number, ``--tol <= 0``,
 ``--paths < 1`` or not whole, a ``table`` point count ``N`` below 1 or
 not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
-``--p``/``--q <= 0``, ``--steps < 2``, ``--rmax <= 0``, a negative
-``--dump-stride``) or invalid model (unreadable or malformed input, or
-failed validation); 3 capability mismatch (the method does not support the
-claim law, discount or reserves) or any other refusal of the library; 4
-numerical tolerance failure.  :func:`main` alone returns an exit code: it
-builds and validates the model, passes it to the command, and turns a
-:class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
+``--p``/``--q <= 0``, ``ruin --steps < 4``, ``pde --steps < 2``,
+``--rmax <= 0``, a negative ``--dump-stride``) or invalid model (unreadable
+or malformed input, or failed validation); 3 capability mismatch (the method
+does not support the claim law, discount or reserves) or any other refusal of
+the library; 4 numerical tolerance failure.  :func:`main` alone returns an
+exit code: it builds and validates the model, passes it to the command, and
+turns a :class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
 :class:`~ruin2d.errors.Ruin2dError` into 3.  Commands return nothing and
 signal failure only by raising.
 """
@@ -237,13 +237,14 @@ def cmd_ruin(model: RiskModel, args) -> None:
         print(f"ruin = {_fmt(1.0 - val)}  method=invert  error<=1e-3 (cross-check grade)")
     elif method == "pde":
         label = "ruin" if s == 0.0 else "ruin_lt"
-        r_needed, w = pde.to_grid_coords(model, u1, u2)
-        if w > 0:
-            # lower cone: the transform is company 2's discounted value
+        r, w = pde.to_grid_coords(model, u1, u2)
+        if w > 0 or r <= 0:
+            # lower cone or the apex: the transform is company 2's discounted value
             val = onedim.ruin_transform_exp(model, x2, s)
             print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
             return
-        grid = pde.solve(model, s=s, r_max=max(1.0, 1.05 * r_needed), steps=args.steps)
+        # the point is on the last column, where evaluate extrapolates the grid pair
+        grid = pde.solve(model, s=s, r_max=r, steps=args.steps // 2)
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
     else:
@@ -354,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
     p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--horizon", type=_at_least(0), default=200.0)
-    p.add_argument("--steps", type=_at_least(2, int), default=400)
+    p.add_argument("--steps", type=_at_least(4, int), default=400,
+                   help="with --method pde: columns of the finer of the two grids "
+                        "(an odd count uses one fewer)")
     p.add_argument("--ultimate", action="store_true",
                    help="with --method mc: use the unbiased conditional estimator")
     p.add_argument("--threads", type=_at_least(1, int))

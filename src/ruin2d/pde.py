@@ -125,7 +125,8 @@ class CharacteristicGrid:
     """Solved transform values on the triangular ``(r, w)`` grid.
 
     ``chi[i, j]`` approximates the ruin-time transform at
-    ``(r, w) = (i dr, -j dw)``; valid entries have ``j <= i``.
+    ``(r, w) = (i dr, -j dw)``; valid entries have ``j <= i``.  ``chi_gap[k, l]``
+    is the fine value minus the coarse one at the shared node ``(2k, 2l)``.
     """
 
     model: RiskModel
@@ -135,6 +136,7 @@ class CharacteristicGrid:
     w_step: float
     chi: np.ndarray
     xi: np.ndarray
+    chi_gap: np.ndarray
     error_estimate: float
 
     @property
@@ -193,12 +195,12 @@ def solve(
 ) -> CharacteristicGrid:
     """Solve the transform system on ``{r <= r_max}`` with ``steps`` columns.
 
-    Runs the march at ``steps`` and ``2 * steps`` and keeps the fine grid; the
-    a-posteriori error estimate is the maximum disagreement at shared nodes
-    divided by 3 (second-order Richardson).  Raises :class:`DomainError` for
-    an ``s`` or ``r_max`` that is not finite, a negative ``s``, ``r_max <= 0``
-    or ``steps < 2``, and :class:`ToleranceNotMet` when ``tol`` is given and
-    not met.
+    Runs the march at ``steps`` and ``2 * steps`` and keeps the fine grid and
+    the disagreement at shared nodes; the a-posteriori error estimate is its
+    maximum divided by 3 (second-order Richardson).  Raises
+    :class:`DomainError` for an ``s`` or ``r_max`` that is not finite, a
+    negative ``s``, ``r_max <= 0`` or ``steps < 2``, and
+    :class:`ToleranceNotMet` when ``tol`` is given and not met.
     """
     if not 0 <= s < math.inf:  # NaN fails too
         raise DomainError("discount rate s must be finite and nonnegative")
@@ -206,8 +208,8 @@ def solve(
         raise DomainError("need a finite positive r_max and at least 2 steps")
     chi_c, _, _, _ = _solve_once(model, s, r_max, steps)
     chi_f, xi_f, dr, dw = _solve_once(model, s, r_max, 2 * steps)
-    diff = np.subtract(chi_f[::2, ::2], chi_c, out=chi_c)  # in place: no grid-sized temporaries
-    err = float(np.nanmax(np.abs(diff, out=diff))) / 3.0
+    gap = np.subtract(chi_f[::2, ::2], chi_c, out=chi_c)  # in place: no grid-sized temporaries
+    err = max(float(np.nanmax(gap)), -float(np.nanmin(gap))) / 3.0
     if tol is not None and err > tol:
         raise ToleranceNotMet(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")
     return CharacteristicGrid(
@@ -218,6 +220,7 @@ def solve(
         w_step=dw,
         chi=chi_f,
         xi=xi_f,
+        chi_gap=gap,
         error_estimate=err,
     )
 
@@ -230,12 +233,35 @@ def to_grid_coords(model: RiskModel, u1: float, u2: float) -> tuple[float, float
     return r, w
 
 
-def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
-    """Interpolate the solved transform at raw reserves ``(u1, u2)``.
+def _column_value(column: np.ndarray, f: float) -> float:
+    """Lagrange interpolant in ``w`` through the four nodes of ``column`` nearest ``f``.
 
-    Bilinear in ``(r, w)`` on full cells; barycentric on the half cells along
-    the oblique edge.  Raises :class:`DomainError` below the cone boundary,
-    beyond ``r_max`` or at a non-finite point.
+    A column of fewer than four nodes takes all of them.
+    """
+    m = min(4, len(column))
+    k0 = min(max(int(f) - 1, 0), len(column) - m)
+    values = column[k0:k0 + m].tolist()
+    total = 0.0
+    for k in range(m):
+        weight = 1.0
+        for l in range(m):
+            if l != k:
+                weight *= (f - k0 - l) / (k - l)
+        total += weight * values[k]
+    return total
+
+
+def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
+    """The solved transform at raw reserves ``(u1, u2)``.
+
+    On the last column ``r = r_max`` the value is extrapolated: the fine
+    column's cubic in ``w`` plus a third of the cubic of ``chi_gap``'s last
+    column, that is ``(4 fine - coarse) / 3``, whose error is far below
+    ``error_estimate``.  Elsewhere it is interpolated, bilinear in ``(r, w)``
+    on full cells and barycentric on the half cells along the oblique edge,
+    and ``error_estimate`` does not see the interpolation error.  Raises
+    :class:`DomainError` below the cone boundary, beyond ``r_max`` or at a
+    non-finite point.
     """
     model = grid.model
     r, w = to_grid_coords(model, u1, u2)
@@ -248,6 +274,9 @@ def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
         raise DomainError(f"r={r} outside [0, {grid.r_max}]")
     fi = min(max(r / grid.r_step, 0.0), float(grid.n))
     fj = min(max(-w / grid.w_step, 0.0), fi)
+    if abs(r - grid.r_max) <= tol:
+        fine = _column_value(grid.chi[grid.n], fj)
+        return fine + _column_value(grid.chi_gap[-1], fj / 2.0) / 3.0
     i = min(int(fi), grid.n - 1)
     j = min(int(fj), grid.n - 1)
     si, sj = fi - i, fj - j

@@ -607,6 +607,12 @@ def test_ruin_pde_method(p0_file, capsys):
     assert "method=pde" in out and "s=0.5" in out
 
 
+def test_ruin_pde_odd_steps_use_one_fewer_column(capsys):
+    argv = ["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--steps"]
+    assert run_cli([*argv, "41"], capsys) == run_cli([*argv, "40"], capsys)
+    assert run_cli([*argv, "41"], capsys) != run_cli([*argv, "42"], capsys)
+
+
 def test_pde_point(p0_file, capsys):
     code, out, _ = run_cli(
         [
@@ -636,19 +642,18 @@ def test_pde_csv(p0_file, capsys, tmp_path):
 
 PDE_OUTPUT_MOVED = (
     "a PDE output changed: these bytes move only with a deliberate change to the march's "
-    "rounding, the grid the CLI solves on, pde.evaluate or the step-halving estimate "
-    "(the ROADMAP's PDE point values on the query's own column); record each moved line "
-    "in CHANGES.md and pin it")
+    "rounding, the grid the CLI solves on, pde.evaluate or the step-halving estimate; "
+    "record each moved line in CHANGES.md and pin it")
 
 PDE_GOLDEN = [
     (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0"],
-     "ruin = 0.19402357467  method=pde  error<=3.7347676396e-07  s=0"),
+     "ruin = 0.194023325798  method=pde  error<=1.35502818455e-06  s=0"),
     (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0.5"],
-     "ruin_lt = 0.133259947927  method=pde  error<=3.34269018525e-07  s=0.5"),
+     "ruin_lt = 0.133259841483  method=pde  error<=1.18968080006e-06  s=0.5"),
     (["ruin", *P1_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0"],
-     "ruin = 0.712509401151  method=pde  error<=7.70098738112e-08  s=0"),
+     "ruin = 0.71250926975  method=pde  error<=2.79400918402e-07  s=0"),
     (["ruin", *P1_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0.5"],
-     "ruin_lt = 0.237643048035  method=pde  error<=1.72052715741e-07  s=0.5"),
+     "ruin_lt = 0.237642741177  method=pde  error<=6.24237946982e-07  s=0.5"),
     (["pde", *P0_INLINE, "--point", "1", "3", "--rmax", "8", "--steps", "150"],
      "psi(1,3;s=0) = 0.194028196601  error<=3.14636053724e-06"),
 ]
@@ -772,6 +777,11 @@ def test_inline_model(capsys):
          "argument --x2: N must be a whole number >= 1, got 1.9"),
         (["table", "--x1", "0", "1", "0", "--x2", "0", "1", "2"],
          "argument --x1: N must be a whole number >= 1, got 0"),
+        # ruin solves on steps // 2 and steps columns, and a grid needs 2
+        (["ruin", "--u", "1", "3", "--method", "pde", "--steps", "2"],
+         "argument --steps: must be >= 4, got 2"),
+        (["ruin", "--u", "1", "3", "--method", "pde", "--steps", "3"],
+         "argument --steps: must be >= 4, got 3"),
     ],
 )
 def test_invalid_arguments_exit2(p0_file, capsys, argv, message):
@@ -821,6 +831,12 @@ def test_model_input_errors_exit2(tmp_path, capsys, content, argv, message):
 
 def test_argument_bounds_are_inclusive(p0_file, capsys):
     code, out, _ = run_cli(["ruin", "--model", p0_file, "--u", "0", "0"], capsys)
+    assert code == 0 and out.startswith("ruin = ")
+    # the apex r = 0 has no grid to solve on: it takes the cone boundary's value
+    code, out, _ = run_cli(["ruin", "--model", p0_file, "--u", "0", "0", "--method", "pde"], capsys)
+    assert (code, out) == (0, "ruin = 0.5  method=exact (lower cone)  s=0\n")
+    code, out, _ = run_cli(["ruin", "--model", p0_file, "--u", "1", "3", "--method", "pde",
+                            "--steps", "4"], capsys)
     assert code == 0 and out.startswith("ruin = ")
     argv = ["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"]
     code, out, _ = run_cli([*argv, "--point", "0", "0"], capsys)
@@ -900,7 +916,8 @@ options:
   --paths PATHS
   --seed SEED
   --horizon HORIZON
-  --steps STEPS
+  --steps STEPS         with --method pde: columns of the finer of the two
+                        grids (an odd count uses one fewer)
   --ultimate            with --method mc: use the unbiased conditional
                         estimator
   --threads THREADS

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ruin2d import pde
-from ruin2d.closedform import ruin
+from ruin2d.cli import main
+from ruin2d.closedform import ruin, survival
 from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt
 from ruin2d.model import Exponential, RiskModel
@@ -224,11 +225,53 @@ def test_solve_matches_reference_kernel(p1, monkeypatch):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="the step-halving estimate sees node error only, not evaluate's interpolation error",
+    reason="the step-halving estimate sees node error only, not the bilinear interpolation "
+           "error of a point inside the grid",
 )
-def test_error_estimate_bounds_true_error_at_cli_default(p0, p1):
+def test_error_estimate_misses_bilinear_interpolation_error(p0, p1):
     u1, u2 = 0.3, 4.0
     for model in (p0, p1):
         r_needed, _ = to_grid_coords(model, u1, u2)
         grid = solve(model, s=0.0, r_max=max(1.0, 1.05 * r_needed), steps=400)
         assert abs(evaluate(grid, u1, u2) - ruin(model, u1, u2)) <= grid.error_estimate
+
+
+def test_last_column_is_extrapolated(p1):
+    grid = solve(p1, s=0.5, r_max=4.0, steps=30)
+    coarse, _, _, _ = pde._solve_once(p1, 0.5, 4.0, 30)
+    assert_same_bits((grid.chi_gap,), (grid.chi[::2, ::2] - coarse,))
+    # at a node of both grids the cubics take the node values, up to the rounding of
+    # the node's (u1, u2): the Richardson value (4 fine - coarse) / 3
+    for k in (0, 7, 30):
+        w = -2 * k * grid.w_step
+        u1, u2 = p1.delta1 * grid.r_max + p1.c1 * w, p1.delta2 * grid.r_max + p1.c2 * w
+        want = (4 * grid.chi[60, 2 * k] - coarse[30, k]) / 3
+        assert evaluate(grid, u1, u2) == pytest.approx(want, abs=1e-14)
+
+
+# ruin --method pde at the raw reserves u and --steps; the tuple names its model by
+# (lam, mu, c1, c2).  Each case but (20, 40) was outside its printed bound when the CLI
+# interpolated bilinearly on a grid with r_max = 1.05 r.
+CLI_PDE_CASES = {
+    "P0-(0.3,4)": ((1, 1, 3, 2), (0.3, 4.0), 400),
+    "P1-(0.3,4)": ((2, 1, 5, 2.2), (0.3, 4.0), 400),
+    "ND-(1,2)": ((1, 1, 1.002, 1.001), (1.0, 2.0), 400),
+    "P0-(0.05,8)": ((1, 1, 3, 2), (0.05, 8.0), 400),
+    "P0-(20,40)": ((1, 1, 3, 2), (20.0, 40.0), 400),
+    "c63-28": ((3.8, 0.24, 63, 28), (1.6, 1.7), 1600),
+}
+
+
+@pytest.mark.parametrize("params, u, steps", CLI_PDE_CASES.values(), ids=CLI_PDE_CASES)
+def test_error_estimate_bounds_true_error_at_cli_default(capsys, params, u, steps):
+    lam, mu, c1, c2 = params
+    argv = ["ruin", "--lam", str(lam), "--mu", str(mu), "--c", str(c1), str(c2),
+            "--u", str(u[0]), str(u[1]), "--method", "pde", "--steps", str(steps)]
+    assert main(argv) == 0
+    fields = capsys.readouterr().out.split()
+    assert fields[:2] == ["ruin", "="] and fields[3] == "method=pde"
+    value, bound = float(fields[2]), float(fields[4].removeprefix("error<="))
+    exact = survival(RiskModel(lam=lam, claim=Exponential(mu), c1=c1, c2=c2), *u, tol=1e-12)
+    assert abs(value - exact.ruin) <= bound - exact.quadrature_error
+    if params in ((1, 1, 3, 2), (2, 1, 5, 2.2)) and u == (0.3, 4.0):
+        assert abs(value - exact.ruin) <= 1e-8

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -21,8 +23,58 @@ def test_pde_convergence_runs_from_checkout():
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()]
-    assert [row[0] for row in rows if row and row[0].isdigit()] == ["25", "50"]
+    rows = [row for row in map(str.split, proc.stdout.splitlines()) if row and row[0].isdigit()]
+    assert [row[0] for row in rows] == ["25", "50"]
+    assert all(float(row[-1]) <= 1.0 for row in rows)  # true error / printed bound
+
+
+def canned_perfbench_stdout(correct, failed, values):
+    """What perfbench/run.py prints: a readable report, then one JSON line."""
+    machine = {"workload": "point_queries", "seed": 1, "seconds": 25.0, "trace": 0,
+               "nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6",
+               "scipy": "1.17.1", "platform": "Linux-x86_64"}
+    units = {"setup_s": "s", "wall_cal": "cal", "cmd_p50_gmean_cal": "cal", "peak_rss_mb": "MB"}
+    result = {"correct": correct, "attempted": 100, "failed": failed,
+              "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+    return "\n".join(["# perfbench workload=point_queries seed=1",
+                      "# machine " + json.dumps(machine, sort_keys=True),
+                      "metric  wall_cal ...", json.dumps(result)]) + "\n"
+
+
+def test_bench_pairs_builds_a_record_from_two_runs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = bench_pairs.parse_run(canned_perfbench_stdout(True, 0, {
+        "setup_s": 0.20, "wall_cal": 16.0, "cmd_p50_gmean_cal": 0.27, "peak_rss_mb": 113.0}))
+    change = bench_pairs.parse_run(canned_perfbench_stdout(False, 2, {
+        "setup_s": 0.21, "wall_cal": 8.6, "cmd_p50_gmean_cal": 0.19, "peak_rss_mb": 120.0}))
+    assert base["machine"] == {"nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6",
+                               "scipy": "1.17.1", "platform": "Linux-x86_64"}
+    metrics = {"setup_s": "lower", "wall_cal": "lower", "cmd_p50_gmean_cal": "lower",
+               "peak_rss_mb": "lower"}
+    pair = {"seed": 1, "first": "change", "base": base, "change": change}
+    record = bench_pairs.build_record("point_queries", 25.0, metrics, "abc", "def", [pair])
+    assert json.loads(json.dumps(record)) == record
+    assert (record["workload"], record["seconds"], record["base"], record["change"]) == (
+        "point_queries", 25.0, "abc", "def")
+    assert record["machine"] == base["machine"]
+    (row,) = record["pairs"]
+    assert (row["seed"], row["first"]) == (1, "change")
+    assert (row["base"]["correct"], row["change"]["correct"], row["change"]["failed"]) == (
+        True, False, 2)
+    assert row["change"]["metrics"]["wall_cal"] == 8.6
+    wall = record["summary"]["wall_cal"]
+    assert wall["base"] == {"median": 16.0, "q1": 16.0, "q3": 16.0}
+    assert wall["change"]["median"] == 8.6 and wall["change_wins"] == 1
+    assert record["summary"]["peak_rss_mb"]["change_wins"] == 0
+    # quartiles over four pairs, whose base wall_cal reads 14, 15, 16 and 17
+    pairs = [{**pair, "base": {**base, "metrics": {**base["metrics"], "wall_cal": w}}}
+             for w in (16.0, 14.0, 17.0, 15.0)]
+    record = bench_pairs.build_record("point_queries", 25.0, metrics, "abc", "def", pairs)
+    assert record["summary"]["wall_cal"]["base"] == pytest.approx(
+        {"median": 15.5, "q1": 14.75, "q3": 16.25})
+    assert record["summary"]["wall_cal"]["change_wins"] == 4
 
 
 def test_crosscheck_grid_runs_from_checkout():
