@@ -243,7 +243,7 @@ def cmd_ruin(model: RiskModel, args) -> None:
             val = onedim.ruin_transform_exp(model, x2, s)
             print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
             return
-        # the point is on the last column, where evaluate extrapolates the grid pair
+        # r_max = r puts the point on the last column, with no interpolation in r
         grid = pde.solve(model, s=s, r_max=r, steps=args.steps // 2)
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
@@ -390,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--s", type=_at_least(0), default=0.0)
     p.add_argument("--rmax", type=_at_least(0, strict=True), default=10.0)
-    p.add_argument("--steps", type=_at_least(2, int), default=400)
+    p.add_argument("--steps", type=_at_least(2, int), default=400,
+                   help="columns of the coarser of the two grids: marches STEPS "
+                        "and 2 STEPS columns (ruin --steps counts the finer one's)")
     p.add_argument("--tol", type=_at_least(0, strict=True), default=None)
     p.add_argument("--point", type=_at_least(0), nargs=2, metavar=("U1", "U2"))
     p.add_argument("--dump-stride", type=_at_least(0, int), default=0,

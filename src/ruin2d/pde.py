@@ -126,7 +126,8 @@ class CharacteristicGrid:
 
     ``chi[i, j]`` approximates the ruin-time transform at
     ``(r, w) = (i dr, -j dw)``; valid entries have ``j <= i``.  ``chi_gap[k, l]``
-    is the fine value minus the coarse one at the shared node ``(2k, 2l)``.
+    is the fine value minus the coarse one at the shared node ``(2k, 2l)``;
+    :func:`evaluate` extrapolates with a third of it at every point.
     """
 
     model: RiskModel
@@ -233,35 +234,45 @@ def to_grid_coords(model: RiskModel, u1: float, u2: float) -> tuple[float, float
     return r, w
 
 
-def _column_value(column: np.ndarray, f: float) -> float:
-    """Lagrange interpolant in ``w`` through the four nodes of ``column`` nearest ``f``.
+def _cubic(node, count: int, f: float, lo: int = 0) -> float:
+    """Lagrange interpolant at ``f`` through the four of ``count`` nodes nearest ``f``.
 
-    A column of fewer than four nodes takes all of them.
+    ``node(k)`` is the value at node ``k``.  The stencil starts no lower than
+    node ``lo``; fewer than four nodes are all taken.
     """
-    m = min(4, len(column))
-    k0 = min(max(int(f) - 1, 0), len(column) - m)
-    values = column[k0:k0 + m].tolist()
+    m = min(4, count)
+    k0 = min(max(int(f) - 1, lo), count - m)
     total = 0.0
     for k in range(m):
         weight = 1.0
         for l in range(m):
             if l != k:
                 weight *= (f - k0 - l) / (k - l)
-        total += weight * values[k]
+        total += weight * node(k0 + k)
     return total
+
+
+def _tensor_cubic(tri: np.ndarray, fi: float, fj: float) -> float:
+    """Tensor cubic of the triangular ``tri`` at fractional index ``(fi, fj)``.
+
+    Each of four columns is interpolated in ``w`` through its valid nodes
+    ``[:i + 1]``, then the four values in ``r``.  Where the grid allows, the
+    first column is 3 or later, so that each column has four nodes: a
+    stencil on the shorter columns near the apex extrapolates far outside
+    ``error_estimate``.
+    """
+    return _cubic(lambda i: _cubic(tri[i].item, i + 1, fj), len(tri), fi, lo=3)
 
 
 def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
     """The solved transform at raw reserves ``(u1, u2)``.
 
-    On the last column ``r = r_max`` the value is extrapolated: the fine
-    column's cubic in ``w`` plus a third of the cubic of ``chi_gap``'s last
-    column, that is ``(4 fine - coarse) / 3``, whose error is far below
-    ``error_estimate``.  Elsewhere it is interpolated, bilinear in ``(r, w)``
-    on full cells and barycentric on the half cells along the oblique edge,
-    and ``error_estimate`` does not see the interpolation error.  Raises
-    :class:`DomainError` below the cone boundary, beyond ``r_max`` or at a
-    non-finite point.
+    Everywhere on the grid the value is the Richardson extrapolation
+    ``(4 fine - coarse) / 3``: the tensor cubic of the fine grid plus a third
+    of the tensor cubic of ``chi_gap``.  Its error, interpolation included,
+    is far below ``error_estimate``, which bounds the fine grid's node error.
+    Raises :class:`DomainError` below the cone boundary, beyond ``r_max`` or
+    at a non-finite point.
     """
     model = grid.model
     r, w = to_grid_coords(model, u1, u2)
@@ -274,22 +285,4 @@ def evaluate(grid: CharacteristicGrid, u1: float, u2: float) -> float:
         raise DomainError(f"r={r} outside [0, {grid.r_max}]")
     fi = min(max(r / grid.r_step, 0.0), float(grid.n))
     fj = min(max(-w / grid.w_step, 0.0), fi)
-    if abs(r - grid.r_max) <= tol:
-        fine = _column_value(grid.chi[grid.n], fj)
-        return fine + _column_value(grid.chi_gap[-1], fj / 2.0) / 3.0
-    i = min(int(fi), grid.n - 1)
-    j = min(int(fj), grid.n - 1)
-    si, sj = fi - i, fj - j
-    chi = grid.chi
-    if j < i:
-        c00, c10 = chi[i, j], chi[i + 1, j]
-        c01, c11 = chi[i, j + 1], chi[i + 1, j + 1]
-        return float(
-            (1 - si) * (1 - sj) * c00 + si * (1 - sj) * c10
-            + (1 - si) * sj * c01 + si * sj * c11
-        )
-    # diagonal half cell: vertices (i,i), (i+1,i), (i+1,i+1)
-    lam1 = 1.0 - si          # weight of (i, i)
-    lam3 = sj                # weight of (i+1, i+1)
-    lam2 = 1.0 - lam1 - lam3
-    return float(lam1 * chi[i, i] + lam2 * chi[i + 1, i] + lam3 * chi[i + 1, i + 1])
+    return _tensor_cubic(grid.chi, fi, fj) + _tensor_cubic(grid.chi_gap, fi / 2.0, fj / 2.0) / 3.0

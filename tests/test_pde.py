@@ -222,30 +222,47 @@ def test_solve_matches_reference_kernel(p1, monkeypatch):
     assert got.error_estimate == want.error_estimate
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the step-halving estimate sees node error only, not the bilinear interpolation "
-           "error of a point inside the grid",
-)
-def test_error_estimate_misses_bilinear_interpolation_error(p0, p1):
-    u1, u2 = 0.3, 4.0
-    for model in (p0, p1):
-        r_needed, _ = to_grid_coords(model, u1, u2)
-        grid = solve(model, s=0.0, r_max=max(1.0, 1.05 * r_needed), steps=400)
-        assert abs(evaluate(grid, u1, u2) - ruin(model, u1, u2)) <= grid.error_estimate
+def test_error_estimate_bounds_interior_points(p0, p1, nd):
+    rng = np.random.default_rng(28)
+    grids = [(p0, 8.0, 150), (p0, 5.0, 60), (p0, 12.0, 400), (p1, 8.0, 150), (p1, 5.0, 60),
+             (p1, 12.0, 400), (nd, 8.0, 150), (nd, 5.0, 60)]
+    for model, r_max, steps in grids:
+        grid = solve(model, s=0.0, r_max=r_max, steps=steps)
+        # anywhere, in the first columns near the apex, and in the half cells along the
+        # oblique edge (the last cell of a column, between j = floor(i) and the edge)
+        fi = np.concatenate([rng.uniform(0, grid.n, 15), rng.uniform(0, 4, 10),
+                             rng.uniform(0, grid.n, 10)])
+        fj = np.concatenate([rng.uniform(0, fi[:25]), rng.uniform(np.floor(fi[25:]), fi[25:])])
+        for r, w in zip(fi * grid.r_step, -fj * grid.w_step):
+            u1 = max(model.delta1 * r + model.c1 * w, 0.0)
+            u2 = model.delta2 * r + model.c2 * w
+            exact = survival(model, u1, u2, tol=1e-12)
+            assert abs(evaluate(grid, u1, u2) - exact.ruin) <= (
+                grid.error_estimate - exact.quadrature_error), (u1, u2)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4, 5])
+def test_evaluate_is_finite_on_tiny_grids(p0, p1, nd, steps):
+    for model in (p0, p1, nd):
+        grid = solve(model, s=0.5, r_max=2.0, steps=steps)
+        for fi in np.linspace(0.0, grid.n, 4 * grid.n + 1):  # the apex to the last column
+            for fj in (0.0, fi / 3, fi):  # the cone boundary, inside, the oblique edge
+                r, w = fi * grid.r_step, -fj * grid.w_step
+                u1, u2 = model.delta1 * r + model.c1 * w, model.delta2 * r + model.c2 * w
+                assert np.isfinite(evaluate(grid, u1, u2)), (fi, fj)
 
 
 def test_last_column_is_extrapolated(p1):
     grid = solve(p1, s=0.5, r_max=4.0, steps=30)
     coarse, _, _, _ = pde._solve_once(p1, 0.5, 4.0, 30)
     assert_same_bits((grid.chi_gap,), (grid.chi[::2, ::2] - coarse,))
-    # at a node of both grids the cubics take the node values, up to the rounding of
-    # the node's (u1, u2): the Richardson value (4 fine - coarse) / 3
-    for k in (0, 7, 30):
-        w = -2 * k * grid.w_step
-        u1, u2 = p1.delta1 * grid.r_max + p1.c1 * w, p1.delta2 * grid.r_max + p1.c2 * w
-        want = (4 * grid.chi[60, 2 * k] - coarse[30, k]) / 3
+    # at a node (2k, 2l) of both grids the cubics take the node values, up to the rounding
+    # of the node's (u1, u2): the Richardson value (4 fine - coarse) / 3.  From column 3 on,
+    # the stencils hold the node, on the last column and inside the grid alike.
+    for k, l in ((30, 0), (30, 7), (30, 30), (3, 0), (3, 3), (7, 2), (15, 15), (22, 9), (29, 28)):
+        r, w = 2 * k * grid.r_step, -2 * l * grid.w_step
+        u1, u2 = p1.delta1 * r + p1.c1 * w, p1.delta2 * r + p1.c2 * w
+        want = (4 * grid.chi[2 * k, 2 * l] - coarse[k, l]) / 3
         assert evaluate(grid, u1, u2) == pytest.approx(want, abs=1e-14)
 
 
