@@ -50,6 +50,9 @@ BLOCK = 1 << 16
 # 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings;
 # 3: SFC64 streams, each chunk drawn and reduced in path blocks.
 STREAM_VERSION = 3
+# Expected claims per path, lam * horizon, above which a simulation is refused:
+# a path's claims are held at once, at about 60 bytes each per thread.
+_MAX_MEAN_CLAIMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -304,12 +307,17 @@ def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
 # Estimators.
 # ---------------------------------------------------------------------------
 
-def _check_domain(u1: float, u2: float, horizon: float, s: float = 0.0) -> None:
-    """Refuse a negative or NaN reserve, and a horizon or ``s`` outside ``[0, inf)``."""
+def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, s: float = 0.0) -> None:
+    """Refuse a negative or NaN reserve, a horizon or ``s`` outside ``[0, inf)``,
+    and more than :data:`_MAX_MEAN_CLAIMS` expected claims by the horizon.
+    """
     if not (u1 >= 0 and u2 >= 0):  # NaN fails both comparisons
         raise DomainError("reserves must be nonnegative")
     if not 0 <= horizon < math.inf:
         raise DomainError(f"simulation horizon must be finite and nonnegative, got {horizon}")
+    if model.lam * horizon > _MAX_MEAN_CLAIMS:
+        raise DomainError(f"lam * horizon = {model.lam * horizon:.6g} expected claims per path "
+                          f"exceeds the {_MAX_MEAN_CLAIMS} that a simulation holds")
     if not 0 <= s < math.inf:
         raise DomainError("discount rate must be finite and nonnegative")
 
@@ -330,7 +338,7 @@ def ruin_time_lt(
     ``exp(-s * horizon)``, reported in ``meta['bias_bound']``.  At ``s = 0``
     this is exactly the finite-horizon ruin frequency on the same draws.
     """
-    _check_domain(u1, u2, horizon, s)
+    _check_domain(model, u1, u2, horizon, s)
     lines = ((model.c1, u1, model.delta1), (model.c2, u2, model.delta2))
 
     def values(rng, size):
@@ -395,7 +403,7 @@ def conditional_survival(
     if x2 < x1:
         raise DomainError("conditional estimator requires x2 >= x1 (upper cone)")
     T = (x2 - x1) / (model.p1 - model.p2)
-    _check_domain(x1, x2, T)
+    _check_domain(model, x1, x2, T)
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
@@ -465,7 +473,7 @@ def simulate_joint_ruin_fluid(
     :func:`simulate_joint_ruin`, so the two estimate the same probability
     from differently generated paths and cross-check each other.
     """
-    _check_domain(u1, u2, horizon)
+    _check_domain(model, u1, u2, horizon)
     meta = {"horizon": horizon, "method": "fluid"}
     return _run(lambda rng, size: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
                 n, seed, threads, meta)

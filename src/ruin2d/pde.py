@@ -200,16 +200,21 @@ def solve(
     the disagreement at shared nodes; the a-posteriori error estimate is its
     maximum divided by 3 (second-order Richardson).  Raises
     :class:`DomainError` for an ``s`` or ``r_max`` that is not finite, a
-    negative ``s``, ``r_max <= 0`` or ``steps < 2``, and
+    negative ``s``, ``r_max <= 0``, ``steps < 2`` or a grid with a
+    non-finite node, and
     :class:`ToleranceNotMet` when ``tol`` is given and not met.
     """
     if not 0 <= s < math.inf:  # NaN fails too
         raise DomainError("discount rate s must be finite and nonnegative")
     if not (steps >= 2 and 0 < r_max < math.inf):
         raise DomainError("need a finite positive r_max and at least 2 steps")
-    chi_c, _, _, _ = _solve_once(model, s, r_max, steps)
-    chi_f, xi_f, dr, dw = _solve_once(model, s, r_max, 2 * steps)
-    gap = np.subtract(chi_f[::2, ::2], chi_c, out=chi_c)  # in place: no grid-sized temporaries
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        chi_c, _, _, _ = _solve_once(model, s, r_max, steps)
+        chi_f, xi_f, dr, dw = _solve_once(model, s, r_max, 2 * steps)
+        gap = np.subtract(chi_f[::2, ::2], chi_c, out=chi_c)  # in place: no grid-sized temporaries
+    # the nodes j > i are NaN: a grid is finite when it has as many finite values as valid nodes
+    if any(np.count_nonzero(np.isfinite(a)) != len(a) * (len(a) + 1) // 2 for a in (chi_f, xi_f, gap)):
+        raise DomainError(f"the march overflows double precision at r_max={r_max}, steps={steps}")
     err = max(float(np.nanmax(gap)), -float(np.nanmin(gap))) / 3.0
     if tol is not None and err > tol:
         raise ToleranceNotMet(f"step-halving estimate {err:.2e} exceeds tol {tol:.2e}")

@@ -108,11 +108,18 @@ def psi_tilde(model: RiskModel, p, q, dc: DerivedConstants | None = None):
     """Double Laplace transform of the survival probability, exponential claims.
 
     ``(mu + p + q)(p2 - rho) / (p p1 (z1(q) - p) z2(q))`` for ``Re p, Re q > 0``.
-    Complex arrays ``p`` and ``q`` broadcast against each other.
+    Complex arrays ``p`` and ``q`` broadcast against each other.  Raises
+    :class:`DomainError` where the value does not come out a finite double.
     """
     dc = dc or derive(model)
-    roots = z_roots(model, q, dc)
-    val = (dc.mu + p + q) * (dc.p2 - dc.rho) / (p * dc.p1 * (roots.z1 - p) * roots.z2)
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
+        roots = z_roots(model, q, dc)
+        try:
+            val = (dc.mu + p + q) * (dc.p2 - dc.rho) / (p * dc.p1 * (roots.z1 - p) * roots.z2)
+        except ZeroDivisionError:  # a Python-float denominator that underflowed to 0
+            val = math.inf
+    if not np.isfinite(val).all():
+        raise DomainError("psi_tilde(p, q) does not come out a finite double at these p and q")
     if not any(isinstance(v, complex) or np.iscomplexobj(v) for v in (p, q)):
         return val.real if isinstance(val, complex) else val
     return val
@@ -122,79 +129,44 @@ def psi_tilde(model: RiskModel, p, q, dc: DerivedConstants | None = None):
 # Numeric double inversion (Bromwich discretization with Euler summation).
 # ---------------------------------------------------------------------------
 
-def _euler_weights(m: int) -> np.ndarray:
-    w = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
-    return w / 2.0 ** m
+def _bromwich(t: float, m: int, a: float, k: np.ndarray):
+    """Abscissas and Euler-summed weights of the Bromwich terms ``k`` at ``t``.
 
-
-def _invert_real(fhat, t: float, m: int, a: float) -> float:
-    """Invert at ``t`` a transform of a real-valued function.
-
-    Alternating-series discretization of the Bromwich integral at abscissa
-    ``a/(2t)`` with binomial (Euler) acceleration of the partial sums
-    ``s_m .. s_2m``; conjugate symmetry halves the evaluations.  ``fhat`` is
-    called once, on the vector of all ``2m + 1`` abscissas, so an ``fhat``
-    that is itself an inversion (the outer sum of :func:`invert_2d`) can
-    evaluate its whole grid in one call.
+    The alternating series at abscissa ``a/(2t)`` (Abate & Whitt 1995) is
+    averaged over its partial sums ``s_m .. s_2m`` with binomial weights.
+    The average is linear, so term ``k`` weighs ``(-1)^k e^{a/2} / (2t)``
+    times 1 up to ``|k| = m``, ``sum_{i >= |k| - m} C(m, i) / 2^m`` up to
+    ``2m`` and 0 beyond, and the inversion is ``sum_k weight_k fhat(abscissa_k)``.
     """
-    base = a / (2.0 * t)
-    step = math.pi / t
-    k = np.arange(2 * m + 1)
-    values = fhat(base + 1j * k * step)
-    seq = np.real(values) * (-1.0) ** k
-    seq[0] *= 0.5
-    partial = np.cumsum(seq)
-    est = float(np.dot(_euler_weights(m), partial[m:]))
-    return math.exp(a / 2.0) / t * est
-
-
-def _invert_complex(fhat, t: float, m: int, a: float):
-    """As :func:`_invert_real` but without conjugate symmetry, along the last axis.
-
-    Needed for the inner inversion, whose target (a transform slice in the
-    other variable) is complex-valued; sums ``k = -2m .. 2m`` symmetrically,
-    adding the pair ``k = -n, n`` to the partial sum in order of ``n``.
-    ``fhat`` maps the ``4m + 1`` abscissas to an array whose last axis runs
-    over them; every leading index is inverted at once.
-    """
-    base = a / (2.0 * t)
-    step = math.pi / t
-    k = np.arange(-2 * m, 2 * m + 1)
-    signed = fhat(base + 1j * k * step) * (-1.0) ** np.abs(k)
-    center = 2 * m
-    pairs = np.empty(signed.shape[:-1] + (center + 1,), dtype=complex)
-    pairs[..., 0] = signed[..., center]
-    pairs[..., 1:] = signed[..., :center][..., ::-1] + signed[..., center + 1:]
-    partial = np.cumsum(pairs, axis=-1)
-    return cmath.exp(a / 2.0) / (2.0 * t) * (partial[..., m:] @ _euler_weights(m))
-
-
-def _invert_2d_once(model, dc, x1, x2, m):
-    def inner(q_vec):
-        return _invert_complex(
-            lambda p_vec: psi_tilde(model, p_vec, q_vec[:, None], dc), x1, m, _A_INNER
-        )
-
-    return _invert_real(inner, x2, m, _A_OUTER)
+    binom = np.array([math.comb(m, i) for i in range(m + 1)] + [0]) / 2.0 ** m
+    tail = np.cumsum(binom[::-1])[::-1]  # tail[j] = sum_{i >= j} C(m, i) / 2^m
+    n = np.abs(k)
+    weights = tail[np.clip(n - m, 0, m + 1)] * (-1.0) ** n * (math.exp(a / 2.0) / (2.0 * t))
+    return a / (2.0 * t) + 1j * math.pi / t * k, weights
 
 
 def invert_2d(model: RiskModel, x1: float, x2: float, m: int = 25) -> float:
     """Numerically invert the double transform at ``(x1, x2)``, ``x2 > x1 > 0``.
 
-    Nested one-dimensional inversions (inner in the first variable, outer in
-    the second); the abscissas default to alias errors far below the 1e-3
-    accuracy this cross-check targets.  Each estimate evaluates
-    :func:`psi_tilde` once, on the ``(2m+1) x (4m+1)`` grid of outer
-    abscissas ``q`` against inner abscissas ``p``, and reduces it with one
-    cumulative sum and one Euler-weighted product per axis.  Emits
-    :class:`ConvergenceWarning` when estimates at ``m`` and ``m + 5`` terms
-    disagree by more than 1e-3.
+    One grid ``Psi`` of :func:`psi_tilde` over the :func:`_bromwich` abscissas
+    in ``p`` (at ``x1``) and ``q`` (at ``x2``), reduced to ``Re(w_q^T Psi w_p)``;
+    the target is real, so ``q`` runs over ``k >= 0`` with ``k > 0`` counted
+    twice.  The abscissas do not depend on ``m``: the grid is built for
+    ``m + 5`` terms, ``(2m + 11) x (4m + 21)`` points, and the estimate at
+    ``m + 5`` is a second pair of weights on it.  Emits
+    :class:`ConvergenceWarning` when it and the estimate at ``m`` disagree by
+    more than 1e-3, the accuracy this cross-check targets.
     """
     if not (x2 > x1 > 0):
         raise DomainError("invert method needs upper-cone reserves x2 > x1 > 0")
-    dc = derive(model)
-    value = _invert_2d_once(model, dc, x1, x2, m)
-    value_hi = _invert_2d_once(model, dc, x1, x2, m + 5)
+    kq, kp = np.arange(2 * m + 11), np.arange(-2 * m - 10, 2 * m + 11)
+    q, wq_hi = _bromwich(x2, m + 5, _A_OUTER, kq)
+    p, wp_hi = _bromwich(x1, m + 5, _A_INNER, kp)
+    # the weights are real, and the row of q term k > 0 stands for -k as well
+    grid = psi_tilde(model, p[None, :], q[:, None], derive(model)).real
+    grid[1:] *= 2.0
+    value = float(_bromwich(x2, m, _A_OUTER, kq)[1] @ grid @ _bromwich(x1, m, _A_INNER, kp)[1])
+    value_hi = float(wq_hi @ grid @ wp_hi)
     if abs(value - value_hi) > _CHECK_TOL:
         warnings.warn(
             f"double inversion at ({x1}, {x2}) moved by {abs(value - value_hi):.2e} "

@@ -149,6 +149,21 @@ def test_phasetype_exact_exit3(ph_file, capsys):
          "capability error: --s (ruin-time discount) needs --method naive, not conditional"),
         ("p0", ["pde", "--steps", "4", "--tol", "1e-12"], 4,
          "tolerance error: step-halving estimate 7.10e-03 exceeds tol 1.00e-12"),
+        ("p0", ["transform", "--p", "1e-300", "--q", "1e-300"], 3,
+         "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
+        ("p0", ["transform", "--p", "1e300", "--q", "1e300"], 3,
+         "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
+        ("p0", ["pde", "--rmax", "1e300", "--steps", "2", "--point", "1", "2"], 3,
+         "capability error: the march overflows double precision at r_max=1e+300, steps=2"),
+        ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--horizon", "1e300"], 3,
+         "capability error: lam * horizon = 1e+300 expected claims per path exceeds "
+         "the 1048576 that a simulation holds"),
+        ("p0", ["ruin", "--u", "1", "1e300", "--method", "mc", "--ultimate"], 3,
+         "capability error: lam * horizon = 1e+300 expected claims per path exceeds "
+         "the 1048576 that a simulation holds"),
+        ("p0", ["simulate", "--u", "1", "3", "--method", "fluid", "--horizon", "1048577"], 3,
+         "capability error: lam * horizon = 1.04858e+06 expected claims per path exceeds "
+         "the 1048576 that a simulation holds"),
     ],
 )
 def test_exit_codes(p0_file, ph_file, capsys, model, argv, code, message):

@@ -17,6 +17,7 @@ from ruin2d.mc import (
     CHUNK,
     STREAM_VERSION,
     MCEstimate,
+    _MAX_MEAN_CLAIMS,
     _Workspace,
     _accumulate,
     _chunk_sizes,
@@ -356,11 +357,16 @@ ESTIMATORS = {
 TAKES = {"direct": "u1 u2 horizon", "discounted": "u1 u2 horizon s",
          "fluid": "u1 u2 horizon", "conditional": "u1 u2"}
 VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5}
+# lam = 1: a horizon of 1e300 overflows numpy's Poisson draw, and just above
+# _MAX_MEAN_CLAIMS a path would hold over a million claims at once
+ABOVE_CAP = _MAX_MEAN_CLAIMS * (1 + 1e-9)
 BAD = [("u1", -1.0), ("u1", math.nan), ("u2", -1.0), ("u2", math.nan), ("horizon", -1.0),
-       ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan), ("s", math.inf)]
-# an infinite x2 makes the conditional estimator's crossing time infinite
+       ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan), ("s", math.inf),
+       ("horizon", 1e300), ("horizon", ABOVE_CAP)]
+# x2 sets the conditional estimator's crossing time x2 - x1 (p1 - p2 = 1)
 OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
-                 for name, value in BAD if name in takes.split()] + [("conditional", "u2", math.inf)]
+                 for name, value in BAD if name in takes.split()] + [
+    ("conditional", "u2", x2) for x2 in (math.inf, 1e300, ABOVE_CAP + 1.0)]
 
 
 @pytest.mark.parametrize(

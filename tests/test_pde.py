@@ -184,6 +184,8 @@ def test_evaluate_non_finite_point_out_of_footprint(p0, u1, u2):
 @pytest.mark.parametrize("s, r_max, steps", [
     (np.nan, 4.0, 10), (np.inf, 4.0, 10), (-0.5, 4.0, 10),
     (0.0, np.inf, 10), (0.0, np.nan, 10), (0.0, 0.0, 10), (0.0, 4.0, 1),
+    # grids whose march overflows, nodes that nanmax over the gap would skip
+    (0.0, 1e300, 2), (0.0, 1e30, 2), (0.0, 1e300, 40),
 ])
 def test_solve_refuses_out_of_domain_input(p0, s, r_max, steps):
     with pytest.raises(DomainError):

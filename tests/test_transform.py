@@ -14,8 +14,7 @@ from ruin2d.closedform import survival
 from ruin2d.errors import ConvergenceWarning, DomainError
 from ruin2d.model import Exponential, RiskModel, derive
 from ruin2d.transform import (
-    _euler_weights,
-    _invert_real,
+    _bromwich,
     _root_quadratic_parts,
     _sqrt_principal,
     ab,
@@ -84,8 +83,30 @@ def psi_tilde_general(
     raise ValueError("form must be 'simplified' or 'first'")
 
 
+def euler_weights(m):
+    w = np.array([math.comb(m, k) for k in range(m + 1)], dtype=float)
+    return w / 2.0 ** m
+
+
+def reference_invert_real(fhat, t, m, a):
+    """Euler summation of the partial sums ``s_m .. s_2m`` of a real target.
+
+    The alternating series of the Bromwich integral at abscissa ``a/(2t)``,
+    halved by conjugate symmetry, averaged with binomial weights.
+    """
+    base = a / (2.0 * t)
+    step = math.pi / t
+    k = np.arange(2 * m + 1)
+    values = fhat(base + 1j * k * step)
+    seq = np.real(values) * (-1.0) ** k
+    seq[0] *= 0.5
+    partial = np.cumsum(seq)
+    est = float(np.dot(euler_weights(m), partial[m:]))
+    return math.exp(a / 2.0) / t * est
+
+
 def reference_invert_complex(fhat, t, m, a):
-    """The scalar inner inversion the grid kernel replaced, kept as its oracle."""
+    """Euler summation of the symmetric partial sums of a complex target, one by one."""
     base = a / (2.0 * t)
     step = math.pi / t
     k = np.arange(-2 * m, 2 * m + 1)
@@ -98,7 +119,7 @@ def reference_invert_complex(fhat, t, m, a):
     for n in range(1, 2 * m + 1):
         acc += signed[center - n] + signed[center + n]
         partial[n] = acc
-    est = complex(np.dot(_euler_weights(m), partial[m:]))
+    est = complex(np.dot(euler_weights(m), partial[m:]))
     return cmath.exp(a / 2.0) / (2.0 * t) * est
 
 
@@ -112,7 +133,7 @@ def reference_invert_2d_once(model, dc, x1, x2, m, a_inner, a_outer):
             )
         return out
 
-    return _invert_real(inner, x2, m, a_outer)
+    return reference_invert_real(inner, x2, m, a_outer)
 
 
 def test_kappa_values(p0):
@@ -322,10 +343,27 @@ def test_general_transform_agrees_with_exponential_form(model_name, request):
 
 
 def test_euler_inversion_on_known_transform():
-    # unit test of the inversion kernel alone: L^-1[1/(p+1)^2] = x e^-x
+    # unit test of the Bromwich rule alone: L^-1[1/(p+1)^2] = x e^-x
+    k = np.arange(-50, 51)
     for t in (0.5, 1.0, 3.0):
-        got = _invert_real(lambda p: 1.0 / (p + 1.0) ** 2, t, m=25, a=18.4)
+        p, w = _bromwich(t, 25, 18.4, k)
+        got = float(np.real(w @ (1.0 / (p + 1.0) ** 2)))
         assert got == pytest.approx(t * math.exp(-t), abs=1e-7)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 25, 30])
+def test_bromwich_weights_are_the_euler_average_of_partial_sums(m):
+    # the weighted sum over k = -2m-3 .. 2m+3 (zero weight past 2m) reproduces
+    # the Euler average of the partial sums s_m .. s_2m, on a transform that
+    # tends to 1 rather than decaying, so that every weight shows
+    k = np.arange(-2 * m - 3, 2 * m + 4)
+    p, w = _bromwich(2.0, m, 18.4, k)
+    assert np.all(w[np.abs(k) > 2 * m] == 0.0)
+    assert np.all(np.abs(w[np.abs(k) <= m]) == math.exp(9.2) / 4.0)
+    fhat = lambda s: s / (s + 0.5)
+    got = float(np.real(w @ fhat(p)))
+    want = reference_invert_real(fhat, 2.0, m, 18.4)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * math.exp(9.2))
 
 
 def test_invert_2d_matches_closed_form(p0):
@@ -351,6 +389,10 @@ def test_invert_2d_domain(p0):
         invert_2d(p0, 2.0, 1.0)
     with pytest.raises(DomainError):
         invert_2d(p0, 0.0, 1.0)
+    # abscissas near 1e301 overflow psi_tilde: refused rather than nan
+    for x1, x2 in ((1e-300, 1.0), (1.0, 1e300)):
+        with pytest.raises(DomainError, match="finite double"):
+            invert_2d(p0, x1, x2)
 
 
 @pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
@@ -363,6 +405,29 @@ def test_invert_2d_matches_scalar_reference(model_name, request):
         got = invert_2d(m, x1, x2)
         ref = reference_invert_2d_once(m, dc, x1, x2, 25, 30.0, 18.4)
         assert got == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("m", [25, 10, 2])
+def test_invert_2d_evaluates_one_psi_tilde_grid(p0, monkeypatch, m):
+    shapes = []
+
+    def counted(model, p, q, dc=None):
+        shapes.append(np.broadcast(p, q).shape)
+        return psi_tilde(model, p, q, dc)
+
+    monkeypatch.setattr(transform, "psi_tilde", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)  # m = 2 truncates
+        invert_2d(p0, 1.0, 2.0, m=m)
+    assert shapes == [(2 * m + 11, 4 * m + 21)]
+
+
+@pytest.mark.parametrize("p, q", [(1e-300, 1e-300), (1e300, 1e300)])
+def test_psi_tilde_refuses_a_value_that_is_not_a_finite_double(p0, p, q):
+    with pytest.raises(DomainError, match="finite double"):
+        psi_tilde(p0, p, q)
+    with pytest.raises(DomainError, match="finite double"):
+        psi_tilde(p0, np.array([1.0, p], dtype=complex), np.array([1.0, q], dtype=complex))
 
 
 @pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
