@@ -3,9 +3,11 @@
 
     python3 scripts/bench_pairs.py --base REV --workload W --pairs N --seconds S
 
-Exports ``REV`` with ``git archive`` into a temporary directory, and copies
-the working tree's files that git tracks or would add next to it, so that
-neither side runs from a tree with caches the other lacks.  Then runs
+Builds both sides the same way: ``git archive`` of ``REV``, and of the tree
+that ``git add -A`` would commit from the working tree (written through a
+temporary index), each unpacked into a temporary directory.  The two
+directories are siblings with names of one length, so neither side runs from
+a tree with caches the other lacks or from a longer path.  Then runs
 ``perfbench/run.py --workload W --seconds S`` ``N`` times in each tree, on
 seeds 1..N, alternating which side runs first.  Writes ``BENCH_<W>.json`` at
 the root of the checkout: the machine (nproc, Python, numpy and scipy), both
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
+import os
 import statistics
 import subprocess
 import sys
@@ -92,9 +94,26 @@ def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
     }
 
 
-def _git(*argv) -> str:
+def _git(*argv, env=None) -> str:
     return subprocess.run(["git", *argv], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+                          text=True, env=env).stdout.strip()
+
+
+def _worktree_tree(index: Path) -> str:
+    """The id of the tree that ``git add -A`` would commit, through the index file ``index``."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    _git("read-tree", "HEAD", env=env)
+    _git("add", "-A", env=env)
+    return _git("write-tree", env=env)
+
+
+def _unpack(treeish: str, dest: Path) -> Path:
+    """``git archive`` of ``treeish``, a revision or a tree id, extracted into ``dest``."""
+    archive = dest.with_suffix(".tar")
+    _git("archive", "--output", str(archive), treeish)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -120,16 +139,10 @@ def main(argv=None) -> int:
     base_rev = _git("rev-parse", args.base)
     change_rev = _git("rev-parse", "HEAD") + ("-dirty" if _git("status", "--porcelain") else "")
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        archive = Path(tmp) / "base.tar"
-        _git("archive", "--output", str(archive), base_rev)
-        with tarfile.open(archive) as tar:
-            tar.extractall(Path(tmp) / "tree", filter="data")
-        trees = {"base": Path(tmp) / "tree", "change": Path(tmp) / "change"}
-        for name in _git("ls-files", "--cached", "--others", "--exclude-standard").splitlines():
-            if (ROOT / name).is_file():  # a tracked file deleted in the working tree is not
-                (trees["change"] / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, trees["change"] / name)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        tmp = Path(tmp)
+        trees = {"base": _unpack(base_rev, tmp / "base"),
+                 "change": _unpack(_worktree_tree(tmp / "index"), tmp / "work")}
         for k in range(args.pairs):
             seed = k + 1
             order = ("base", "change") if k % 2 == 0 else ("change", "base")

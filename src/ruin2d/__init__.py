@@ -8,7 +8,7 @@ Layers: :mod:`ruin2d.model` (parameters and derived constants),
 :mod:`ruin2d.cli` (command-line front end).
 """
 
-from .closedform import SurvivalResult, ruin, survival
+from .closedform import SurvivalResult, survival
 from .mc import MCEstimate, conditional_survival, ruin_time_lt, simulate_joint_ruin
 from .model import (
     DerivedConstants,
@@ -31,7 +31,6 @@ __all__ = [
     "normalize",
     "load_model",
     "survival",
-    "ruin",
     "SurvivalResult",
     "MCEstimate",
     "simulate_joint_ruin",

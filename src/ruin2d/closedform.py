@@ -16,7 +16,6 @@ two residue terms cancel exactly; otherwise (case 2) ``C2t = p2/p1`` and
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import DomainError, ToleranceNotMet
 from .model import DerivedConstants, RiskModel, derive
 from .transform import ab
 
-__all__ = ["SurvivalResult", "omega", "survival", "ruin"]
+__all__ = ["SurvivalResult", "omega", "survival"]
 
 # e^x underflows to subnormals around x = -745; beyond this the cut integral
 # is exactly zero at double precision.
@@ -202,18 +201,3 @@ def survival(model: RiskModel, x1: float, x2: float, tol: float = 1e-8) -> Survi
         value=value + om, ruin=psi - om, regime=dc.regime, omega=om, quadrature_error=om_err
     )
 
-
-def ruin(model: RiskModel, x1: float, x2: float) -> float:
-    """Joint ruin probability, clipped to ``[0, 1]``.
-
-    :attr:`SurvivalResult.ruin` sums the ruin terms directly instead of taking
-    ``1 - survival``, which rounds away every digit below about 1e-16.  It
-    integrates at :func:`survival`'s default tolerance; ``survival(...).ruin``
-    takes another.
-    """
-    value = survival(model, x1, x2).ruin
-    if value < -1e-9 or value > 1.0 + 1e-9:
-        warnings.warn(
-            f"ruin probability {value!r} outside [0, 1] beyond quadrature noise; clipping"
-        )
-    return min(max(value, 0.0), 1.0)

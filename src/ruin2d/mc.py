@@ -249,6 +249,7 @@ def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstima
     Each chunk contributes ``(n, mean, M2)`` and the parts are merged in
     chunk order (Chan, Golub & LeVeque 1979), which avoids the cancellation
     of ``sum(x**2) - n * mean**2`` when the variance is small against the mean.
+    One value says nothing of the spread, so its standard error is ``inf``.
     """
     n = 0
     mean = 0.0
@@ -265,7 +266,7 @@ def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstima
         n = total
     if n == 0:
         raise DomainError("no paths to average")
-    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0
+    se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
     return _estimate(mean, se, n, seed, meta)
 
 

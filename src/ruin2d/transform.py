@@ -14,7 +14,6 @@ integral evaluated by :mod:`ruin2d.closedform`.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -49,37 +48,30 @@ class RootPair:
     z2: complex
 
 
-def _sqrt_principal(z):
-    """Principal square root, cut along the negative half-line.
-
-    Every branch-sensitive computation in the package funnels through here:
-    ``cmath.sqrt`` for scalars, ``np.sqrt`` elementwise for arrays.
-    """
-    if isinstance(z, np.ndarray):
-        return np.sqrt(z.astype(complex, copy=False))
-    return cmath.sqrt(complex(z))
-
-
-def _root_quadratic_parts(dc: DerivedConstants, q):
-    """Coefficients of the monic-cleared quadratic behind the z-roots."""
-    beta = dc.p2 * q + dc.p1 * (q + dc.gamma1)
-    disc = beta * beta - 4.0 * dc.p1 * q * dc.p2 * (q + dc.gamma2)
-    return beta, disc
-
-
 def z_roots(model: RiskModel, q, dc: DerivedConstants | None = None) -> RootPair:
-    """Roots of ``kappa_1(z + q) = q (p1 - p2)`` for complex or real ``q``.
+    """Roots of ``kappa_1(z + q) = q (p1 - p2)`` for real or complex ``q``, elementwise.
 
-    Real ``q`` outside the cut yields two real values with ``z1 <= z2``.  A
-    complex array ``q`` gives elementwise roots of the same shape.
+    They solve ``p1 z^2 + beta z + p2 q (q + gamma2) = 0`` with
+    ``beta = p2 q + p1 (q + gamma1)``.  ``z1`` is the minus branch
+    ``(-beta - sqrt(disc)) / (2 p1)`` of the principal square root, ``z2`` the
+    plus branch.  The branch that adds like signs, as
+    ``Re(conj(beta) sqrt(disc)) >= 0`` tells, comes from that formula and the
+    other from Vieta's ``p1 z1 z2 = p2 q (q + gamma2)``, so neither cancels
+    (the plus branch's formula does as ``q -> 0``).  Real ``q`` off the cut
+    yields real ``z1 <= z2``.  A scalar runs as a 1-element array, so that it
+    rounds as the same element of a grid does.
     """
     dc = dc or derive(model)
-    beta, disc = _root_quadratic_parts(dc, q)
-    if not (isinstance(q, complex) or np.iscomplexobj(q)) and disc >= 0.0:
-        root = math.sqrt(disc)
-    else:
-        root = _sqrt_principal(disc)
-    return RootPair((-beta - root) / (2 * dc.p1), (-beta + root) / (2 * dc.p1))
+    qa = np.atleast_1d(q)
+    beta = dc.p2 * qa + dc.p1 * (qa + dc.gamma1)
+    four_p1_prod = 4.0 * dc.p1 * qa * dc.p2 * (qa + dc.gamma2)  # 4 p1^2 z1 z2
+    root = np.emath.sqrt(beta * beta - four_p1_prod)
+    minus = (np.conj(beta) * root).real >= 0.0  # -beta - root adds like signs
+    big = (beta + np.where(minus, root, -root)) / (-2.0 * dc.p1)
+    small = four_p1_prod / (4.0 * dc.p1 * dc.p1 * big)
+    shape = np.shape(q)
+    return RootPair(np.where(minus, big, small).reshape(shape)[()],
+                    np.where(minus, small, big).reshape(shape)[()])
 
 
 class CutPoint(NamedTuple):
@@ -108,21 +100,19 @@ def psi_tilde(model: RiskModel, p, q, dc: DerivedConstants | None = None):
     """Double Laplace transform of the survival probability, exponential claims.
 
     ``(mu + p + q)(p2 - rho) / (p p1 (z1(q) - p) z2(q))`` for ``Re p, Re q > 0``.
-    Complex arrays ``p`` and ``q`` broadcast against each other.  Raises
-    :class:`DomainError` where the value does not come out a finite double.
+    Arrays ``p`` and ``q`` broadcast against each other; scalars give a numpy
+    scalar, real where ``p`` and ``q`` are real.  Raises :class:`DomainError`
+    where the value does not come out a finite double.
     """
     dc = dc or derive(model)
+    shape = np.broadcast(p, q).shape
+    p, q = np.atleast_1d(p, q)
     with np.errstate(all="ignore"):  # an overflow is refused below, not warned of
         roots = z_roots(model, q, dc)
-        try:
-            val = (dc.mu + p + q) * (dc.p2 - dc.rho) / (p * dc.p1 * (roots.z1 - p) * roots.z2)
-        except ZeroDivisionError:  # a Python-float denominator that underflowed to 0
-            val = math.inf
+        val = (dc.mu + q + p) * ((dc.p2 - dc.rho) / (dc.p1 * roots.z2)) / ((roots.z1 - p) * p)
     if not np.isfinite(val).all():
         raise DomainError("psi_tilde(p, q) does not come out a finite double at these p and q")
-    if not any(isinstance(v, complex) or np.iscomplexobj(v) for v in (p, q)):
-        return val.real if isinstance(val, complex) else val
-    return val
+    return val.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

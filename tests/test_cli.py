@@ -164,6 +164,8 @@ def test_phasetype_exact_exit3(ph_file, capsys):
         ("p0", ["simulate", "--u", "1", "3", "--method", "fluid", "--horizon", "1048577"], 3,
          "capability error: lam * horizon = 1.04858e+06 expected claims per path exceeds "
          "the 1048576 that a simulation holds"),
+        ("p0", ["invert", "--x", "1e-300", "1"], 3,
+         "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
     ],
 )
 def test_exit_codes(p0_file, ph_file, capsys, model, argv, code, message):
@@ -232,10 +234,22 @@ def test_transform_command(p0_file, capsys):
     assert "0.638675" in out
 
 
+@pytest.mark.parametrize("q, line", [("1e-10", "psi_tilde(1,1e-10) = 7999999999.64"),
+                                     ("1e-300", "psi_tilde(1,1e-300) = 8e+299")])
+def test_transform_command_near_q_zero(q, line, capsys):
+    # z2(q) -> 0 with q: its digits come from Vieta's rule, not a cancelling sum
+    code, out, _ = run_cli(["transform", *P0_INLINE, "--p", "1", "--q", q], capsys)
+    assert (code, out) == (0, line + "\n")
+
+
 def test_invert_command(p0_file, capsys):
     code, out, _ = run_cli(["invert", "--model", p0_file, "--x", "1", "2"], capsys)
     assert code == 0
     assert "0.7782" in out
+    # far reserves of company 2: survival(1, x2) -> 1 - C1 e^{-gamma1} = 0.8288609603
+    code, out, _ = run_cli(["invert", "--model", p0_file, "--x", "1", "1e300"], capsys)
+    assert code == 0
+    assert float(re.search(r"= (\S+)", out)[1]) == pytest.approx(0.8288609603, abs=1e-3)
 
 
 def test_simulate_csv_shape(p0_file, capsys, tmp_path):
@@ -392,7 +406,14 @@ def test_mc_tail_bounds_the_ruin_after_the_horizon(p0, capsys):
     assert code == 0
     assert out.startswith("ruin(T=0) = 0  stderr=0  ")
     tail = float(re.search(r"tail<=(\S+)", out)[1])
-    assert tail >= closedform.ruin(p0, 1.0, 3.0)
+    assert tail >= closedform.survival(p0, 1.0, 3.0).ruin
+
+
+def test_mc_from_one_path_prints_no_standard_error(capsys):
+    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", "mc",
+                            "--paths", "1", "--horizon", "1"], capsys)
+    assert code == 0
+    assert out.startswith("ruin(T=1) = 0  stderr=inf  method=mc  n=1  ")
 
 
 P1_INLINE = ["--lam", "2", "--mu", "1", "--c", "5", "2.2"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruin2d import closedform
-from ruin2d.closedform import omega, ruin, survival
+from ruin2d.closedform import omega, survival
 from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import conditional_survival
 from ruin2d.model import Exponential, RiskModel, derive, normalize
@@ -104,19 +104,19 @@ def test_residue_zero_pole_coefficient_matches_g_limit(p0, p1):
 
 
 def test_ruin_at_origin(p0):
-    assert ruin(p0, 0.0, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert survival(p0, 0.0, 0.0).ruin == pytest.approx(0.5, abs=1e-12)
 
 
 def test_small_ruin_keeps_its_digits(p0):
     # 1 - survival loses the digits below 1e-16; in case 1 at x2 = 2 x1 the psi1 term leads
     dc = derive(p0)
-    assert ruin(p0, 60.0, 120.0) == pytest.approx(dc.C1 * math.exp(-dc.gamma1 * 60.0), rel=1e-12)
-    assert ruin(p0, 60.0, 50.0) == pytest.approx(dc.C2 * math.exp(-dc.gamma2 * 50.0), rel=1e-12)
+    assert survival(p0, 60.0, 120.0).ruin == pytest.approx(dc.C1 * math.exp(-dc.gamma1 * 60.0), rel=1e-12)
+    assert survival(p0, 60.0, 50.0).ruin == pytest.approx(dc.C2 * math.exp(-dc.gamma2 * 50.0), rel=1e-12)
 
 
 def test_ruin_monotone_in_reserves(p0):
-    assert ruin(p0, 1.0, 3.0) >= ruin(p0, 2.0, 3.0) >= ruin(p0, 2.0, 4.0)
-    assert ruin(p0, 30.0, 40.0) < 1e-8
+    assert survival(p0, 1.0, 3.0).ruin >= survival(p0, 2.0, 3.0).ruin >= survival(p0, 2.0, 4.0).ruin
+    assert survival(p0, 30.0, 40.0).ruin < 1e-8
 
 
 def test_survival_monotone_on_grid(p0):
@@ -161,7 +161,8 @@ def test_errors(p0, erlang2_model):
 
 
 @pytest.mark.parametrize("x1, x2", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
-@pytest.mark.parametrize("call", [survival, ruin, omega], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [survival, lambda *point: survival(*point).ruin, omega],
+                         ids=["survival", "ruin", "omega"])
 def test_nan_reserves_rejected(p0, call, x1, x2):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before quad could warn
@@ -176,7 +177,7 @@ def test_infinite_reserves_are_limits(p0):
     assert survival(p0, 1.0, math.inf).value == 1.0 - dc.C1 * math.exp(-dc.gamma1)
     assert survival(p0, math.inf, 1.0).value == 1.0 - dc.C2 * math.exp(-dc.gamma2)
     assert survival(p0, math.inf, math.inf).value == 1.0
-    assert ruin(p0, math.inf, math.inf) == 0.0
+    assert survival(p0, math.inf, math.inf).ruin == 0.0
     assert omega(p0, 1.0, math.inf) == (0.0, 0.0)
 
 
@@ -207,21 +208,6 @@ def test_unreachable_tolerance_raises(p0):
 
     with pytest.raises(ToleranceNotMet):
         omega(p0, 1.0, 2.0, tol=1e-16)
-
-
-def test_ruin_clips_with_warning(p0, monkeypatch):
-    import ruin2d.closedform as cf
-
-    class FakeRes:
-        ruin = -5e-9
-        regime = "case1"
-
-    monkeypatch.setattr(cf, "survival", lambda *a, **k: FakeRes())
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        val = cf.ruin(p0, 1.0, 2.0)
-    assert val == 0.0
-    assert rec and "outside" in str(rec[0].message)
 
 
 # ND is near-degenerate (p1 -> p2 -> rho); E1 has margin e1 = (p1 - p2)/p2 = 1e-5

@@ -121,6 +121,15 @@ def test_accumulate_merges_near_constant_chunks():
     assert est.std_error**2 * est.n == pytest.approx(np.var(flat, ddof=1), rel=1e-6, abs=0.0)
 
 
+def test_one_path_has_no_standard_error(p0):
+    # a single value bounds nothing: se = 0 would read as exact
+    assert _accumulate([np.array([0.25])], seed=0, meta={}).std_error == math.inf
+    assert simulate_joint_ruin(p0, 1.0, 3.0, 1.0, 1, seed=0).std_error == math.inf
+    assert conditional_survival(p0, 1.0, 2.0, 1, seed=0).std_error == math.inf
+    # the conditional estimator is exact at T = 0, whatever the number of paths
+    assert conditional_survival(p0, 1.0, 1.0, 1, seed=0).std_error == 0.0
+
+
 def test_every_estimate_records_stream_version(p0):
     ests = [
         simulate_joint_ruin(p0, 1.0, 2.0, 5.0, 100, seed=1),

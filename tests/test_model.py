@@ -285,7 +285,6 @@ EXPONENTIAL_ONLY = {
     "derive.end_gap": lambda m: derive(m).end_gap,
     "closedform.survival": lambda m: closedform.survival(m, 1.0, 3.0),
     "closedform.omega": lambda m: closedform.omega(m, 1.0, 3.0),
-    "closedform.ruin": lambda m: closedform.ruin(m, 1.0, 3.0),
     "transform.psi_tilde": lambda m: transform.psi_tilde(m, 1.0, 1.0),
     "transform.z_roots": lambda m: transform.z_roots(m, 1.0),
     "transform.ab": lambda m: transform.ab(m, -1.0),

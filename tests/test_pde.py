@@ -3,7 +3,7 @@ import pytest
 
 from ruin2d import pde
 from ruin2d.cli import main
-from ruin2d.closedform import ruin, survival
+from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, ToleranceNotMet, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt
 from ruin2d.model import Exponential, RiskModel
@@ -41,7 +41,7 @@ def test_oblique_edge_carries_unit_xi(p0):
 def test_matches_closed_form_at_s0(p0):
     grid = solve(p0, s=0.0, r_max=9.0, steps=300)
     got = evaluate(grid, 1.0, 3.0)
-    assert got == pytest.approx(ruin(p0, 1.0, 3.0), abs=1e-3)
+    assert got == pytest.approx(survival(p0, 1.0, 3.0).ruin, abs=1e-3)
     assert grid.error_estimate < 1e-4
 
 
@@ -54,7 +54,7 @@ def test_grid_agreement_on_cone_grid(p0, p1):
         r_need = max(to_grid_coords(m, *p)[0] for p in pts)
         grid = solve(m, s=0.0, r_max=1.05 * r_need, steps=300)
         for x1, x2 in pts:
-            assert evaluate(grid, x1, x2) == pytest.approx(ruin(m, x1, x2), abs=1e-3)
+            assert evaluate(grid, x1, x2) == pytest.approx(survival(m, x1, x2).ruin, abs=1e-3)
 
 
 def test_matches_mc_at_positive_s(p0):

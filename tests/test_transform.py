@@ -4,6 +4,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +14,7 @@ from ruin2d import transform
 from ruin2d.closedform import survival
 from ruin2d.errors import ConvergenceWarning, DomainError
 from ruin2d.model import Exponential, RiskModel, derive
-from ruin2d.transform import (
-    _bromwich,
-    _root_quadratic_parts,
-    _sqrt_principal,
-    ab,
-    invert_2d,
-    psi_tilde,
-    z_roots,
-)
+from ruin2d.transform import _bromwich, ab, invert_2d, psi_tilde, z_roots
 
 from oracles import CutError, PoleError, g, kappa, q_plus
 
@@ -389,10 +382,13 @@ def test_invert_2d_domain(p0):
         invert_2d(p0, 2.0, 1.0)
     with pytest.raises(DomainError):
         invert_2d(p0, 0.0, 1.0)
-    # abscissas near 1e301 overflow psi_tilde: refused rather than nan
-    for x1, x2 in ((1e-300, 1.0), (1.0, 1e300)):
-        with pytest.raises(DomainError, match="finite double"):
-            invert_2d(p0, x1, x2)
+    # p abscissas near 1e301 overflow psi_tilde: refused rather than nan
+    with pytest.raises(DomainError, match="finite double"):
+        invert_2d(p0, 1e-300, 1.0)
+    # q abscissas near 1e-299 give z2(q) from Vieta's rule, with no cancellation;
+    # survival(1, x2) tends to 1 - C1 e^{-gamma1} as x2 grows
+    dc = derive(p0)
+    assert invert_2d(p0, 1.0, 1e300) == pytest.approx(1.0 - dc.C1 * math.exp(-dc.gamma1), abs=1e-3)
 
 
 @pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
@@ -439,9 +435,11 @@ def test_psi_tilde_grid_matches_scalar_calls(model_name, request):
     grid = psi_tilde(m, p[None, :], q[:, None], dc)
     assert grid.shape == (q.size, p.size)
     # On ND the discriminant beta^2 - 4 p1 p2 q (q + gamma2) cancels by
-    # |beta|^2 / |disc| (up to ~2e4 here), which magnifies the last-bit
-    # difference between numpy's and Python's complex products.
-    beta, disc = _root_quadratic_parts(dc, q)
+    # |beta|^2 / |disc| (up to ~2e4 here), which would magnify any last-bit
+    # difference between a grid's products and a scalar's; a scalar runs the
+    # same array loops, so none shows.
+    beta = dc.p2 * q + dc.p1 * (q + dc.gamma1)
+    disc = beta * beta - 4.0 * dc.p1 * q * dc.p2 * (q + dc.gamma2)
     cancel = np.abs(beta) ** 2 / np.abs(disc) if m is ND else np.ones(q.size)
     for i, qv in enumerate(q):
         for j, pv in enumerate(p):
@@ -454,13 +452,56 @@ def test_psi_tilde_grid_matches_scalar_calls(model_name, request):
     [4.0, -4.0, 0.0, complex(-4.0, 0.0), complex(-4.0, -0.0), complex(-0.0, -0.0),
      np.complex128(complex(-2.5, -0.0)), complex(3.0, -1e-300), complex(-1e-12, 7.0)],
 )
-def test_sqrt_principal_scalar_is_cmath(z):
-    got = _sqrt_principal(z)
-    want = cmath.sqrt(complex(z))
-    assert type(got) is complex
-    assert (got.real, got.imag) == (want.real, want.imag)
-    assert math.copysign(1.0, got.imag) == math.copysign(1.0, want.imag)
-    assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
+def test_z_roots_scalar_is_the_grid_element(p0, z):
+    # a scalar runs as a 1-element array: it rounds as the same q in a longer
+    # array does, signs of zero included, and comes back a numpy scalar
+    qs = np.concatenate([[z], np.linspace(1.0, 9.0, 20)]).astype(np.asarray(z).dtype)
+    grid = z_roots(p0, qs)
+    pair = z_roots(p0, z)
+    for got, want in ((pair.z1, grid.z1[0]), (pair.z2, grid.z2[0])):
+        assert np.ndim(got) == 0 and type(got) is type(want)
+        for part in ("real", "imag"):
+            g, w = getattr(complex(got), part), getattr(complex(want), part)
+            assert (g, math.copysign(1.0, g)) == (w, math.copysign(1.0, w))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_z_roots_on_the_cut_follow_the_sign_of_a_zero_imaginary_part(p0, sign):
+    # z1(-1 +- i0) is a -+ i b, the limit of z1(-1 +- i eps)
+    pt = ab(p0, -1.0)
+    z1 = z_roots(p0, complex(-1.0, sign * 0.0)).z1
+    assert abs(z1 - complex(pt.a, -sign * pt.b)) <= 1e-14
+
+
+def mp_z_roots(model, q):
+    """``(z1, z2)`` from the quadratic formula at 400 digits, enough down to q = 1e-300."""
+    dc = derive(model)
+    q, p1, p2 = mp.mpf(q), mp.mpf(dc.p1), mp.mpf(dc.p2)
+    beta = p2 * q + p1 * (q + mp.mpf(dc.gamma1))
+    root = mp.sqrt(beta ** 2 - 4 * p1 * p2 * q * (q + mp.mpf(dc.gamma2)))
+    return (-beta - root) / (2 * p1), (-beta + root) / (2 * p1)
+
+
+@pytest.mark.parametrize("p, q", [(3.0, 1e-14), (1.0, 1e-10), (1.0, 1e-300), (2.0, 1e-5)])
+def test_psi_tilde_near_q_zero_matches_mpmath(p0, p, q):
+    # z2(q) -> 0 as q -> 0; the quadratic formula's plus branch cancels there
+    # (0.66% off at (3, 1e-14)), Vieta's rule does not
+    dc = derive(p0)
+    with mp.workdps(400):
+        z1, z2 = mp_z_roots(p0, q)
+        pm = mp.mpf(p)
+        want = (dc.mu + pm + q) * (dc.p2 - dc.rho) / (pm * dc.p1 * (z1 - pm) * z2)
+    assert psi_tilde(p0, p, q) == pytest.approx(float(want), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("model_name", ["p0", "p1", "nd"])
+def test_z_roots_near_q_zero_match_mpmath(model_name, request):
+    m = ND if model_name == "nd" else request.getfixturevalue(model_name)
+    for q in (1e-3, 1e-8, 1e-14, 1e-200):
+        with mp.workdps(400):
+            want = [float(z) for z in mp_z_roots(m, q)]
+        pair = z_roots(m, q)
+        assert [float(pair.z1), float(pair.z2)] == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("kwargs", [{"m": 2}, {"a_inner": 80.0}])
