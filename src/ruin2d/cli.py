@@ -229,7 +229,7 @@ def cmd_ruin(model: RiskModel, args) -> None:
     s = args.s
     method = _ruin_method(model, s, args.method)
     if method == "exact":
-        res = closedform.survival(model, x1, x2, tol=args.tol)
+        res = closedform.survival(model, x1, x2, tol=args.tol or 1e-8)
         print(f"ruin = {_fmt(res.ruin)}  method=exact  "
               f"error<={_fmt(res.quadrature_error)}  regime={res.regime}")
     elif method == "invert":
@@ -244,7 +244,7 @@ def cmd_ruin(model: RiskModel, args) -> None:
             print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
             return
         # r_max = r puts the point on the last column, with no interpolation in r
-        grid = pde.solve(model, s=s, r_max=r, steps=args.steps // 2)
+        grid = pde.solve(model, s=s, r_max=r, steps=args.steps // 2, tol=args.tol)
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
     else:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
     p.add_argument("--s", type=_at_least(0), default=0.0, help="ruin-time discount rate")
     p.add_argument("--method", choices=list(METHODS))
-    p.add_argument("--tol", type=_at_least(0, strict=True), default=1e-8)
+    p.add_argument("--tol", type=_at_least(0, strict=True))
     p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
     p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--horizon", type=_at_least(0), default=200.0)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedClaimLaw
 from .model import Exponential, PhaseType, RiskModel, derive
 
-__all__ = ["ruin_prob_exp", "theta_minus", "ruin_transform_exp", "survival_one_company"]
+__all__ = ["ruin_prob_exp", "ruin_transform_exp", "survival_one_company"]
 
 
 def _gamma_C(model: RiskModel, company: int) -> tuple[float, float]:
@@ -32,32 +32,35 @@ def ruin_prob_exp(model: RiskModel, x: float, company: int = 2) -> float:
     return C * math.exp(-gamma * x)
 
 
-def theta_minus(model: RiskModel, s: float) -> float:
-    """The negative root of company 2's ``kappa_2(theta) = s``, for ``s >= 0``.
+def _phi(model: RiskModel, s: float) -> float:
+    """``mu + theta`` for company 2's negative root ``theta`` of ``kappa_2(theta) = s``.
 
-    It solves ``p2 theta^2 + (p2 mu - lam - s) theta - s mu = 0``, whose
-    discriminant ``b^2 + 4 p2 s mu`` is nonnegative for ``s >= 0``.
+    It is the small root of ``p2 phi^2 - (p2 mu + lam + s) phi + lam mu = 0``,
+    taken from Vieta's rule so that no like-signed terms are subtracted; it
+    lies in ``(0, lam/p2]`` for ``s >= 0``.
     """
-    mu, p2 = derive(model).mu, model.p2
-    b = p2 * mu - model.lam - s
-    return (-b - math.sqrt(b * b + 4.0 * p2 * s * mu)) / (2.0 * p2)
+    mu, lam, p2 = derive(model).mu, model.lam, model.p2
+    total = p2 * mu + lam
+    disc = (p2 * mu - lam) ** 2 + s * (s + 2.0 * total)
+    return 2.0 * lam * mu / (total + s + math.sqrt(disc))
 
 
-def ruin_transform_exp(model: RiskModel, x: float, s: float) -> float:
+def ruin_transform_exp(model: RiskModel, x, s: float):
     """Discounted ruin-time transform ``E[e^{-s tau} 1{tau < inf}]`` for company 2.
 
-    Equals ``((mu + theta)/mu) exp(theta x)`` with ``theta`` from
-    :func:`theta_minus`; reduces to :func:`ruin_prob_exp` at ``s = 0``.
+    Equals ``(phi/mu) exp((phi - mu) x)`` with ``phi = mu + theta`` from
+    :func:`_phi`, elementwise over ``x``; reduces to :func:`ruin_prob_exp` at
+    ``s = 0``.  A scalar ``x`` runs as a 1-element array, so that it rounds as
+    the same element of a row does.
     """
-    if not x >= 0:  # NaN fails too
+    xa = np.array(x, dtype=float, ndmin=1)
+    if not np.all(xa >= 0):  # NaN fails too
         raise DomainError("reserve must be nonnegative")
     if not 0 <= s < math.inf:
         raise DomainError("discount rate must be finite and nonnegative")
     mu = derive(model).mu
-    theta = theta_minus(model, s)
-    if theta > 0 or theta <= -mu:
-        raise DomainError("negative root of kappa_2 outside (-mu, 0]")
-    return (mu + theta) / mu * math.exp(theta * x)
+    phi = _phi(model, s)
+    return (phi / mu * np.exp((phi - mu) * xa)).reshape(np.shape(x))[()]
 
 
 def _phasetype_generator(model: RiskModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
 from .model import RiskModel, derive
-from .onedim import ruin_transform_exp, theta_minus
+from .onedim import ruin_transform_exp
 
 __all__ = [
     "GoursatCoefficients",
@@ -154,11 +154,13 @@ class CharacteristicGrid:
 
     @property
     def h(self) -> np.ndarray:
-        """Exponentially rescaled field whose mixed derivative is ``-mu lam h``."""
+        """``e^{mu r - (lam + s) w} chi``, whose mixed derivative is ``-mu lam h``."""
         mu, lam = derive(self.model).mu, self.model.lam
         r = self.r_nodes[:, None]
         w = self.w_nodes[None, :]
-        return np.exp(mu * r) * np.exp(-(lam + self.s) * w) * self.chi
+        # in log space, so that h is finite wherever its value is; log 0 = -inf gives h = 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.sign(self.chi) * np.exp(mu * r - (lam + self.s) * w + np.log(np.abs(self.chi)))
 
 
 def _chi_system(model: RiskModel, s: float) -> GoursatCoefficients:
@@ -166,23 +168,10 @@ def _chi_system(model: RiskModel, s: float) -> GoursatCoefficients:
     return GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=mu, delta=-mu)
 
 
-def _boundary_row(model: RiskModel, s: float, r: np.ndarray) -> np.ndarray:
-    """Cone-boundary datum: the discounted one-dimensional transform.
-
-    At ``s = 0`` this is ``C2 exp(-gamma2 r)``; for ``s > 0`` the discounted
-    analogue is used so the datum stays consistent with the ruin-time law on
-    the boundary.  The root ``theta_minus(s)`` is solved once for the row, and
-    each node evaluates :func:`ruin_transform_exp`'s expression with the same bits.
-    """
-    factor = ruin_transform_exp(model, 0.0, s)  # (mu + theta) / mu, with its checks
-    theta = theta_minus(model, s)
-    return np.array([factor * math.exp(theta * rr) for rr in r.tolist()])
-
-
 def _solve_once(model: RiskModel, s: float, r_max: float, n: int):
     dr = r_max / n
     dw = (model.delta1 / model.c1) * dr
-    top = _boundary_row(model, s, np.arange(n + 1) * dr)
+    top = ruin_transform_exp(model, np.arange(n + 1) * dr, s)
     chi, xi = march_triangle(_chi_system(model, s), n, dr, dw, top)
     return chi, xi, dr, dw
 

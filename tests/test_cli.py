@@ -12,6 +12,7 @@ from ruin2d import closedform, mc, pde
 from ruin2d.cli import build_parser, main
 from ruin2d.errors import ToleranceNotMet
 from ruin2d.model import Exponential, RiskModel, derive, load_model
+from ruin2d.onedim import ruin_transform_exp
 
 from oracles import model_to_dict, mp_omega, residue_terms
 
@@ -715,6 +716,55 @@ PDE_GOLDEN = [
 def test_pde_output_pinned(capsys, argv, line):
     code, out, _ = run_cli(argv, capsys)
     assert (code, out) == (0, line + "\n"), PDE_OUTPUT_MOVED
+
+
+@pytest.mark.parametrize("s, line", [
+    ("1e3", "ruin_lt = 0.000367145698907  method=exact (lower cone)  s=1000"),
+    ("1e8", "ruin_lt = 3.67879433814e-09  method=exact (lower cone)  s=100000000"),
+    ("1e9", "ruin_lt = 3.67879440436e-10  method=exact (lower cone)  s=1000000000"),
+], ids=["1e3", "1e8", "1e9"])
+def test_ruin_pde_lower_cone_at_large_s(capsys, s, line):
+    # company 2's discounted ruin from a root that does not cancel as s grows;
+    # the values are 60-digit mpmath ones
+    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "3", "1", "--method", "pde", "--s", s],
+                           capsys)
+    assert (code, out) == (0, line + "\n")
+
+
+def test_ruin_pde_upper_cone_at_large_s(capsys):
+    code, out, err = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde",
+                              "--s", "1e9"], capsys)
+    assert (code, err) == (0, "")
+    value, bound = (float(v) for v in re.fullmatch(
+        r"ruin_lt = (\S+)  method=pde  error<=(\S+)  s=1000000000\n", out).groups())
+    # at least company 2's discounted ruin at x2 = 3; at most E[e^{-s T}] for the
+    # first claim's time T, lam / (lam + s), since no ruin comes before it
+    p0 = RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.0, c2=2.0)
+    assert ruin_transform_exp(p0, 3.0, 1e9) - bound <= value <= 1.0 / (1.0 + 1e9) + bound
+
+
+def test_ruin_pde_honours_tol(capsys):
+    argv = ["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde"]
+    code, out, err = run_cli([*argv, "--tol", "1e-12"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("tolerance error: step-halving estimate 1.36e-06 exceeds tol 1.00e-12")
+    assert run_cli([*argv, "--tol", "1e-5"], capsys) == run_cli(argv, capsys)
+
+
+def test_pde_dump_h_is_finite_where_its_value_is(capsys):
+    # at (r, w) = (1000, 0), chi = 3.56e-218 and e^{mu r} = e^1000 overflows alone
+    code, out, err = run_cli(["pde", *P0_INLINE, "--rmax", "1000", "--steps", "10",
+                              "--dump-stride", "10"], capsys)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert ("1000", "0", "7.01796108926e+216") in [(row["r"], row["w"], row["h"]) for row in rows]
+    for row in rows:
+        r, w, chi, h = (float(row[k]) for k in ("r", "w", "chi", "h"))
+        log_h = r - w + math.log(chi)  # mu = lam = 1, s = 0
+        if log_h < 709:
+            assert h == pytest.approx(math.exp(log_h), rel=1e-9)
+        elif log_h > 710:
+            assert h == math.inf
 
 
 def test_ruin_invert_method(p0_file, capsys):

@@ -290,7 +290,7 @@ EXPONENTIAL_ONLY = {
     "transform.ab": lambda m: transform.ab(m, -1.0),
     "transform.invert_2d": lambda m: transform.invert_2d(m, 1.0, 3.0),
     "onedim.ruin_prob_exp": lambda m: onedim.ruin_prob_exp(m, 1.0),
-    "onedim.theta_minus": lambda m: onedim.theta_minus(m, 0.5),
+    "onedim._phi": lambda m: onedim._phi(m, 0.5),
     "onedim.ruin_transform_exp": lambda m: onedim.ruin_transform_exp(m, 1.0, 0.5),
     "pde.solve": lambda m: pde.solve(m, steps=10),
 }

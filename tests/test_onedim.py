@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import ruin_time_lt, simulate_joint_ruin
-from ruin2d.model import Exponential, PhaseType, RiskModel
-from ruin2d.onedim import ruin_prob_exp, ruin_transform_exp, survival_one_company, theta_minus
+from ruin2d.model import Exponential, PhaseType, RiskModel, derive
+from ruin2d.onedim import _phi, ruin_prob_exp, ruin_transform_exp, survival_one_company
 
 from oracles import (
     DegenerateRoots,
@@ -46,13 +47,44 @@ def test_ruin_prob_exp_log_linear(x, h):
     assert lhs == pytest.approx(-gamma2 * h, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("s", [0.0, 0.25, 2.0, 40.0])
+@pytest.mark.parametrize("s", [0.0, 0.25, 2.0, 40.0, 1e3, 1e8, 1e15])
 def test_theta_minus_is_company_2s_negative_root(p1, s):
-    theta = theta_minus(p1, s)
-    assert -1.0 < theta < 0.0  # in (-mu, 0)
-    assert kappa(p1, 2, theta) == pytest.approx(s, rel=1e-12, abs=1e-14)
+    # kappa_2(phi - mu) at 60 digits from the float phi: a float theta = phi - mu
+    # would lose the digits of phi as s grows
+    phi = _phi(p1, s)
+    assert 0.0 < phi <= p1.lam / p1.p2  # theta in (-mu, -gamma2]
+    with mp.workdps(60):
+        theta = mp.mpf(phi) - derive(p1).mu
+        got = p1.p2 * theta - p1.lam * theta / mp.mpf(phi)
+    assert float(got) == pytest.approx(s, rel=1e-14, abs=1e-15)
     if s == 0.0:
-        assert theta == pytest.approx(-0.1 / 1.1, rel=1e-14, abs=0.0)  # -gamma2 = lam/p2 - mu
+        assert phi == pytest.approx(p1.lam / p1.p2, rel=1e-15, abs=0.0)  # -gamma2 = lam/p2 - mu
+
+
+def mp_ruin_transform(model, x: float, s: float) -> float:
+    """``(phi/mu) e^{(phi - mu) x}`` at 60 digits, from the quadratic formula's small root."""
+    with mp.workdps(60):
+        mu, lam, p2 = (mp.mpf(v) for v in (derive(model).mu, model.lam, model.p2))
+        b = p2 * mu + lam + s
+        phi = (b - mp.sqrt(b * b - 4 * p2 * lam * mu)) / (2 * p2)
+        return float(phi / mu * mp.exp((phi - mu) * x))
+
+
+TRANSFORM_S = [0.0, 1e-12, 1e-6, 0.01, 0.5, 3.0, 1e3, 1e6, 1e9, 1e12, 1e15]
+TRANSFORM_X = [0.0, 0.3, 1.0, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("s", TRANSFORM_S)
+@pytest.mark.parametrize("name", ["p0", "p1", "nd"])
+def test_ruin_transform_matches_mpmath(request, name, s):
+    # at large s the quadratic formula for theta, (-b - sqrt(b^2 + 4 p2 s mu)) / (2 p2)
+    # with b = p2 mu - lam - s, cancels: 12% off at s = 1e8 on P0
+    model = request.getfixturevalue(name)
+    row = ruin_transform_exp(model, np.array(TRANSFORM_X), s)
+    want = [mp_ruin_transform(model, x, s) for x in TRANSFORM_X]
+    assert row.tolist() == pytest.approx(want, rel=4e-15, abs=0.0)
+    # a scalar rounds as the same element of a row
+    assert [ruin_transform_exp(model, x, s) for x in TRANSFORM_X] == row.tolist()
 
 
 def test_ruin_transform_reduces_at_s0(p0):
@@ -225,9 +257,10 @@ def test_survival_lt_company_ordering(p0):
 @pytest.mark.parametrize("call", [
     lambda m: ruin_prob_exp(m, math.nan),
     lambda m: ruin_transform_exp(m, math.nan, 0.5),
+    lambda m: ruin_transform_exp(m, np.array([1.0, -1.0]), 0.5),
     lambda m: ruin_transform_exp(m, 1.0, math.nan),
     lambda m: ruin_transform_exp(m, 1.0, math.inf),
-], ids=["prob-x=nan", "transform-x=nan", "transform-s=nan", "transform-s=inf"])
+], ids=["prob-x=nan", "transform-x=nan", "transform-row-negative", "transform-s=nan", "transform-s=inf"])
 def test_out_of_domain_arguments_refused(p0, call):
     with pytest.raises(DomainError):
         call(p0)

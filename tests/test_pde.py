@@ -210,7 +210,7 @@ def test_triangle_march_matches_reference_bits(request, name, s, n):
     dr = 6.0 / n
     dw = model.delta1 / model.c1 * dr
     coeffs = pde._chi_system(model, s)
-    top = pde._boundary_row(model, s, np.arange(n + 1) * dr)
+    top = ruin_transform_exp(model, np.arange(n + 1) * dr, s)
     got = pde.march_triangle(coeffs, n, dr, dw, top)
     want = triangle_reference(coeffs, n, dr, dw, top)
     assert_same_bits(got, want)
