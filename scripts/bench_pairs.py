@@ -1,26 +1,34 @@
 #!/usr/bin/env python3
 """Alternating perfbench pairs of a base revision and the working tree.
 
-    python3 scripts/bench_pairs.py --base REV --workload W --pairs N --seconds S
+    python3 scripts/bench_pairs.py --base REV --workload W --pairs N --seconds S [--first-seed K]
 
 Builds both sides the same way: ``git archive`` of ``REV``, and of the tree
 that ``git add -A`` would commit from the working tree (written through a
-temporary index), each unpacked into a temporary directory.  The two
-directories are siblings with names of one length, so neither side runs from
-a tree with caches the other lacks or from a longer path.  Then runs
-``perfbench/run.py --workload W --seconds S`` ``N`` times in each tree, on
-seeds 1..N, alternating which side runs first.  Writes ``BENCH_<W>.json`` at
-the root of the checkout: the machine (nproc, Python, numpy and scipy), both
-revisions, each pair's end-to-end metrics (the ``end_to_end`` names of
-BENCHMARK.json), ``correct`` and ``failed``, and per side the median and
-quartiles of every metric with the number of pairs the change won.
+temporary index).  Each pair unpacks both archives afresh into two sibling
+directories, ``a`` and ``b``, and swaps which side gets which name on every
+pair, so that neither a tree's caches nor where its files land in memory
+stays with one side.  Then runs ``perfbench/run.py --workload W --seconds S``
+once in each tree, on seeds ``K..K+N-1`` (``K`` is 1 unless given), with the
+base first on pairs 0 and 3 of every four, so that each order meets each
+name.  Writes ``BENCH_<W>.json`` at the root of the checkout: the machine
+(nproc, Python, numpy and scipy), both revisions, each pair's directories,
+end-to-end metrics (the ``end_to_end`` names of BENCHMARK.json), ``correct``
+and ``failed``, and per metric the median and quartiles of each side, the
+number of pairs the change won, and the median of the paired ratios
+change/base with a distribution-free interval (sign-test order statistics).
+
+``--base HEAD`` on a clean tree runs the same code on both sides: that A/A
+control shows what the harness reads on identical code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,13 +65,34 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _ratio_summary(ratios: list, level: float = 0.95) -> dict:
+    """Median of the paired ratios and its sign-test interval.
+
+    The interval is the ``k``-th smallest and ``k``-th largest ratio, with
+    ``k`` the largest count such that ``P(Binomial(n, 1/2) < k) <= (1 - level)/2``;
+    its ``coverage`` is ``1 - 2 P(Binomial(n, 1/2) < k)`` whatever the
+    distribution of the ratios.  Below 6 pairs no such ``k`` exists at 95%, and
+    the interval is None.
+    """
+    n = len(ratios)
+    ordered = sorted(ratios)
+    k, tail = 0, 0.0
+    while k < n // 2 and tail + math.comb(n, k) / 2**n <= (1.0 - level) / 2:
+        tail += math.comb(n, k) / 2**n
+        k += 1
+    interval = ({"lo": ordered[k - 1], "hi": ordered[n - k], "coverage": 1.0 - 2.0 * tail}
+                if k else None)
+    return {"median": statistics.median(ordered), "interval": interval}
+
+
 def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
                  change_rev: str, pairs: list) -> dict:
     """The ``BENCH_<workload>.json`` record.
 
     ``metrics`` maps each end-to-end metric to ``"lower"`` or ``"higher"``
-    (which is better); ``pairs`` holds ``{"seed", "first", "base", "change"}``
-    per pair, where each side is a :func:`parse_run` result.
+    (which is better); ``pairs`` holds ``{"seed", "first", "dirs", "base",
+    "change"}`` per pair, where ``dirs`` maps each side to its directory name
+    and each side is a :func:`parse_run` result.
     """
     summary = {}
     for name, better in metrics.items():
@@ -75,6 +104,7 @@ def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
             "base": _spread(base),
             "change": _spread(change),
             "change_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+            "ratio": _ratio_summary([c / b for b, c in zip(base, change)]),
         }
     return {
         "workload": workload,
@@ -83,7 +113,7 @@ def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
         "base": base_rev,
         "change": change_rev,
         "pairs": [
-            {"seed": p["seed"], "first": p["first"],
+            {"seed": p["seed"], "first": p["first"], "dirs": p["dirs"],
              **{side: {"correct": p[side]["correct"], "attempted": p[side]["attempted"],
                        "failed": p[side]["failed"],
                        "metrics": {k: p[side]["metrics"][k] for k in metrics}}
@@ -107,13 +137,28 @@ def _worktree_tree(index: Path) -> str:
     return _git("write-tree", env=env)
 
 
-def _unpack(treeish: str, dest: Path) -> Path:
-    """``git archive`` of ``treeish``, a revision or a tree id, extracted into ``dest``."""
-    archive = dest.with_suffix(".tar")
-    _git("archive", "--output", str(archive), treeish)
+def _archive(treeish: str, dest: Path) -> Path:
+    """``git archive`` of ``treeish``, a revision or a tree id, written to ``dest``."""
+    _git("archive", "--output", str(dest), treeish)
+    return dest
+
+
+def _unpack(archive: Path, dest: Path) -> Path:
     with tarfile.open(archive) as tar:
         tar.extractall(dest, filter="data")
     return dest
+
+
+def plan(pairs: int, first_seed: int = 1) -> list:
+    """``{"seed", "first", "dirs"}`` of each pair: which side runs first, and in which directory.
+
+    The sides swap directory names on every pair, and the base runs first on
+    pairs 0 and 3 of every four, so every four pairs meet each order with each
+    name once.
+    """
+    return [{"seed": first_seed + k, "first": "base" if k % 4 in (0, 3) else "change",
+             "dirs": {"base": "ab"[k % 2], "change": "ba"[k % 2]}}
+            for k in range(pairs)]
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,6 +177,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -141,16 +187,17 @@ def main(argv=None) -> int:
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         tmp = Path(tmp)
-        trees = {"base": _unpack(base_rev, tmp / "base"),
-                 "change": _unpack(_worktree_tree(tmp / "index"), tmp / "work")}
-        for k in range(args.pairs):
-            seed = k + 1
-            order = ("base", "change") if k % 2 == 0 else ("change", "base")
-            pair = {"seed": seed, "first": order[0]}
+        archives = {"base": _archive(base_rev, tmp / "base.tar"),
+                    "change": _archive(_worktree_tree(tmp / "index"), tmp / "change.tar")}
+        for k, pair in enumerate(plan(args.pairs, args.first_seed)):
+            trees = {side: _unpack(archives[side], tmp / "trees" / name)
+                     for side, name in pair["dirs"].items()}
+            order = ("base", "change") if pair["first"] == "base" else ("change", "base")
             for side in order:
-                pair[side] = _run(trees[side], args.workload, seed, args.seconds)
+                pair[side] = _run(trees[side], args.workload, pair["seed"], args.seconds)
+            shutil.rmtree(tmp / "trees")
             pairs.append(pair)
-            print(f"pair {k + 1}/{args.pairs} seed {seed}: " + "  ".join(
+            print(f"pair {k + 1}/{args.pairs} seed {pair['seed']}: " + "  ".join(
                 f"{name} {pair['base']['metrics'][name]:.4g} -> "
                 f"{pair['change']['metrics'][name]:.4g}" for name in metrics), flush=True)
     record = build_record(args.workload, args.seconds, metrics, base_rev, change_rev, pairs)

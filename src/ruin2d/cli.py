@@ -12,7 +12,8 @@ not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
 ``--p``/``--q <= 0``, ``ruin --steps < 4``, ``pde --steps < 2``,
 ``--rmax <= 0``, a negative ``--dump-stride``) or invalid model (unreadable
 or malformed input, or failed validation); 3 capability mismatch (the method
-does not support the claim law, discount or reserves) or any other refusal of
+does not support the claim law, discount or reserves, or ``ruin``'s method
+does not read a ``--horizon`` or ``--tol`` given) or any other refusal of
 the library; 4 numerical tolerance failure.  :func:`main` alone returns an
 exit code: it builds and validates the model, passes it to the command, and
 turns a :class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
@@ -54,15 +55,18 @@ EXIT_TOLERANCE = 4
 
 _FMT = "%.12g"
 
-# ruin's methods: name -> (needs exponential claims, takes s > 0).  Without
-# --method, ruin uses the first one that applies; mc always applies, so
-# invert is never the default.
+# ruin's methods: name -> (needs exponential claims, takes s > 0, which of the
+# options --horizon and --tol it reads).  A method refuses a given option it
+# does not read.  Without --method, ruin uses the first one that applies and
+# reads every such option given; invert reads neither, so it is never the default.
 METHODS = {
-    "exact": (True, False),
-    "pde": (True, True),
-    "mc": (False, True),
-    "invert": (True, False),
+    "exact": (True, False, {"tol"}),
+    "pde": (True, True, {"tol"}),
+    "mc": (False, True, {"horizon"}),
+    "invert": (True, False, set()),
 }
+# the ruin-by-horizon of ruin --method mc without --horizon
+_MC_HORIZON = 200.0
 
 
 def _fmt(x) -> str:
@@ -165,29 +169,41 @@ def _validated_model(args) -> tuple[RiskModel | None, tuple[str, ...]]:
     return model, report.violations
 
 
-def _ruin_method(model: RiskModel, s: float, method) -> str:
-    """The method ``ruin`` runs: ``method``, else the default; raises if it does not apply."""
+def _ruin_method(model: RiskModel, s: float, method, given: set) -> str:
+    """The method ``ruin`` runs: ``method``, else the default; raises if it does not apply.
+
+    ``given`` names the options of :data:`METHODS` that the command line sets.
+    """
     exponential = isinstance(model.claim, Exponential)
 
     def applies(name):
-        needs_exponential, takes_s = METHODS[name]
+        needs_exponential, takes_s, _ = METHODS[name]
         return (exponential or not needs_exponential) and (takes_s or s == 0.0)
 
     if method is None:
-        return next(name for name in METHODS if applies(name))
+        method = next((name for name in METHODS
+                       if applies(name) and given <= METHODS[name][2]), None)
+        if method is None:
+            options = " and ".join(f"--{name}" for name in sorted(given))
+            raise UnsupportedClaimLaw(f"no method that applies here reads {options}")
+        return method
     if not applies(method):
         takes_s = METHODS[method][1]
         raise UnsupportedClaimLaw(
             f"{method} method needs exponential claims{'' if takes_s else ' and s=0'}"
         )
+    ignored = " or ".join(f"--{name}" for name in sorted(given - METHODS[method][2]))
+    if ignored:
+        raise UnsupportedClaimLaw(f"{method} method does not read {ignored}")
     return method
 
 
-def _mc_estimate(model: RiskModel, args, method: str, s):
+def _mc_estimate(model: RiskModel, args, method: str, s, horizon: float):
     """``(estimand, MCEstimate)`` of one MC estimator at the raw reserves ``args.u``.
 
     ``method`` is ``naive``, ``conditional`` or ``fluid``; ``s`` is the
-    ruin-time discount or None, and only the naive estimator takes one.
+    ruin-time discount or None, and only the naive estimator takes one;
+    ``horizon`` is the simulation horizon of all but the conditional one.
     """
     u1, u2 = args.u
     if s is not None and method != "naive":
@@ -201,14 +217,14 @@ def _mc_estimate(model: RiskModel, args, method: str, s):
         )
     if method == "fluid":
         return "ruin_by_horizon", mc.simulate_joint_ruin_fluid(
-            model, u1, u2, args.horizon, n, seed, threads=threads
+            model, u1, u2, horizon, n, seed, threads=threads
         )
     if s is not None:
         return "ruin_time_lt", mc.ruin_time_lt(
-            model, u1, u2, s, args.horizon, n, seed, threads=threads
+            model, u1, u2, s, horizon, n, seed, threads=threads
         )
     return "ruin_by_horizon", mc.simulate_joint_ruin(
-        model, u1, u2, args.horizon, n, seed, threads=threads
+        model, u1, u2, horizon, n, seed, threads=threads
     )
 
 
@@ -227,7 +243,8 @@ def cmd_ruin(model: RiskModel, args) -> None:
     u1, u2 = args.u
     x1, x2 = normalize(model, u1, u2)
     s = args.s
-    method = _ruin_method(model, s, args.method)
+    given = {name for name in ("horizon", "tol") if getattr(args, name) is not None}
+    method = _ruin_method(model, s, args.method, given)
     if method == "exact":
         res = closedform.survival(model, x1, x2, tol=args.tol or 1e-8)
         print(f"ruin = {_fmt(res.ruin)}  method=exact  "
@@ -248,7 +265,9 @@ def cmd_ruin(model: RiskModel, args) -> None:
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
     else:
-        kind, est = _mc_estimate(model, args, "conditional" if args.ultimate else "naive", s or None)
+        horizon = _MC_HORIZON if args.horizon is None else args.horizon
+        kind, est = _mc_estimate(model, args, "conditional" if args.ultimate else "naive",
+                                 s or None, horizon)
         if kind == "survival":
             print(
                 f"ruin = {_fmt(1.0 - est.mean)}  stderr={_fmt(est.std_error)}  "
@@ -263,7 +282,7 @@ def cmd_ruin(model: RiskModel, args) -> None:
             tail = est.meta.get("lundberg_tail")
             extra = f"  tail<={_fmt(tail)}" if tail is not None else ""
             print(
-                f"ruin(T={_fmt(args.horizon)}) = {_fmt(est.mean)}  "
+                f"ruin(T={_fmt(horizon)}) = {_fmt(est.mean)}  "
                 f"stderr={_fmt(est.std_error)}  method=mc  n={est.n}  seed={est.seed}{extra}"
             )
 
@@ -280,7 +299,7 @@ def cmd_invert(model: RiskModel, args) -> None:
 
 
 def cmd_simulate(model: RiskModel, args) -> None:
-    kind, est = _mc_estimate(model, args, args.method, args.s)
+    kind, est = _mc_estimate(model, args, args.method, args.s, args.horizon)
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -354,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_at_least(0, strict=True))
     p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
     p.add_argument("--seed", type=_at_least(0, int), default=0)
-    p.add_argument("--horizon", type=_at_least(0), default=200.0)
+    p.add_argument("--horizon", type=_at_least(0))
     p.add_argument("--steps", type=_at_least(4, int), default=400,
                    help="with --method pde: columns of the finer of the two grids "
                         "(an odd count uses one fewer)")

@@ -4,15 +4,19 @@ estimator, the fluid estimator, and ruin-time transform estimation.
 Randomness contract: paths are generated in fixed-size chunks of
 :data:`CHUNK` paths, and chunk ``k`` draws from an SFC64 stream that is a pure
 function of ``(seed, k)``.  A chunk runs as consecutive path blocks of about
-:data:`BLOCK` claims; each block draws its own Poisson counts, spacings and
-claim sizes from the chunk's stream, in block order, and is reduced before the
-next block is drawn, so memory per thread is bounded independently of the
-horizon.  The blocks of a chunk draw into and compute in one reused set of
-per-claim buffers.  Each chunk is reduced to ``(n, mean, M2)`` and the chunks
-are merged in chunk order, so every estimate is bit-reproducible for a fixed
-``(seed, n)`` and parallel fan-out over chunks cannot change the result.  How
-a chunk turns its stream into paths is versioned by :data:`STREAM_VERSION`
-(now 3), which every estimate records in ``meta``.
+:data:`BLOCK` claims.  Each block draws from the chunk's stream, in block
+order, one Poisson count ``K`` for all its paths, ``K + 1`` spacings and
+``K`` claim sizes (see :func:`_epoch_panel`), and is reduced before the next
+block is drawn, so memory per thread is bounded independently of the
+horizon.  The spacings, exponential claim sizes and the fluid estimator's
+gaps are exponential by inversion: ``-scale log1p(-U)`` of uniforms ``U``
+from ``rng.random``.  Each thread draws into and computes in one reused set of
+per-claim buffers for the whole estimate.  Each chunk is reduced to
+``(n, mean, M2)`` and the chunks are merged in chunk order, so every estimate
+is bit-reproducible for a fixed ``(seed, n)`` and parallel fan-out over
+chunks cannot change the result.  How a chunk turns its stream into paths is
+versioned by :data:`STREAM_VERSION` (now 4), which every estimate records in
+``meta``.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
 claims, so the running minimum over continuous time is attained immediately
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -48,8 +53,9 @@ CHUNK = 1 << 14
 # draws its own variates, so another value draws different paths.
 BLOCK = 1 << 16
 # 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings;
-# 3: SFC64 streams, each chunk drawn and reduced in path blocks.
-STREAM_VERSION = 3
+# 3: SFC64 streams, each chunk drawn and reduced in path blocks; 4: one Poisson
+# process per path block, and exponentials by inversion.
+STREAM_VERSION = 4
 # Expected claims per path, lam * horizon, above which a simulation is refused:
 # a path's claims are held at once, at about 60 bytes each per thread.
 _MAX_MEAN_CLAIMS = 1 << 20
@@ -71,13 +77,23 @@ def stream(seed: int, k: int) -> np.random.Generator:
     )
 
 
+def _exponentials(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """Exponential variates of mean ``scale`` into ``out``, by inversion: ``-scale log1p(-U)``."""
+    rng.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    out *= -scale
+    return out
+
+
 def sample_claims(claim, rng: np.random.Generator, size: int, out=None) -> np.ndarray:
-    """Draw ``size`` i.i.d. claim sizes from the model's claim law, into ``out`` if given."""
+    """Draw ``size`` i.i.d. claim sizes from the model's claim law, into ``out`` if given.
+
+    Exponential sizes are ``-log1p(-U)`` times ``1/mu``, of ``size`` uniforms
+    drawn by ``rng.random``, one uniform per claim in draw order.
+    """
     if isinstance(claim, Exponential):
-        # standard draws times the scale: the bits of rng.exponential(1 / mu, size)
-        out = rng.standard_exponential(size, out=out)
-        out *= 1.0 / claim.mu
-        return out
+        return _exponentials(rng, 1.0 / claim.mu, np.empty(size) if out is None else out)
     if isinstance(claim, PhaseType):
         return _sample_phasetype(claim, rng, np.empty(size) if out is None else out)
     raise UnsupportedClaimLaw(f"cannot sample {type(claim).__name__} claims")
@@ -121,13 +137,14 @@ def _path_blocks(model: RiskModel, horizon: float, n: int) -> Iterable[slice]:
 
 
 class _Workspace:
-    """Per-claim buffers that the blocks of one chunk reuse.
+    """Per-claim buffers that one thread's blocks reuse for a whole estimate.
 
     They grow only when a block draws more claims than any block before it, so
-    a chunk allocates them about once.  ``draws`` and ``sizes`` take a block's
-    spacings and claim sizes, and are scratch once those are summed;
-    ``epochs`` and ``claims`` hold the running sums after a leading zero;
-    ``low`` and ``other`` hold the ruin test.
+    a thread allocates them about once.  ``draws`` takes a block's ``K + 1``
+    spacings and ``sizes`` its claim sizes; both are scratch once summed.
+    ``epochs`` holds the running sum of the spacings, ``claims`` that of the
+    sizes after a leading zero, ``path`` each claim's path, and ``low`` and
+    ``other`` the ruin test.
     """
 
     def __init__(self):
@@ -137,66 +154,77 @@ class _Workspace:
         """Views of ``tot`` claims; an eighth to spare covers the spread of later blocks."""
         if tot > self.cap:
             self.cap = tot + tot // 8
-            # one array per buffer: a single allocation of all four raises
+            # one array per buffer: a single allocation of all of them raises
             # glibc's adaptive mmap and trim thresholds, and the freed
             # workspaces then stay resident (+6 MB peak RSS over a
             # 25-second run of the benchmark's MC workload)
             self._floats = [np.empty(self.cap + 1) for _ in range(4)]
+            self._path = np.empty(self.cap, dtype=np.intp)
             self._flags = [np.empty(self.cap, dtype=bool) for _ in range(2)]
         draws, sizes, epochs, claims = self._floats
-        self.draws, self.sizes = draws[:tot], sizes[:tot]
+        self.draws, self.sizes = draws[:tot + 1], sizes[:tot]
         self.epochs, self.claims = epochs[:tot + 1], claims[:tot + 1]
-        self.epochs[0] = self.claims[0] = 0.0
+        self.claims[0] = 0.0
+        self.path = self._path[:tot]
         self.low, self.other = (flags[:tot] for flags in self._flags)
 
 
 def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: int,
                  ws: _Workspace):
-    """Sorted claim epochs and within-path claim totals of one block, in ``ws``.
+    """Claim epochs and within-path claim totals of one block of ``n`` paths, in ``ws``.
 
-    Given its Poisson count ``k``, path ``i`` draws ``k + 1`` standard
-    exponential spacings; their normalized partial sums are the order
-    statistics of ``k`` uniforms (Devroye 1986, ch. V), so the epochs come out
-    sorted without a sort.  Claim sizes are i.i.d., so they are used in draw
-    order.
+    Independent Poisson processes on ``[0, H)`` placed end to end are one
+    Poisson process on ``[0, nH)``, so the block draws one count
+    ``K ~ Poisson(lam H n)``, ``K + 1`` standard exponential spacings and
+    ``K`` claim sizes.  The first ``K`` partial sums of the spacings, divided
+    by all ``K + 1``, are the order statistics of ``K`` uniforms (Devroye
+    1986, ch. V); times ``n`` they are the epochs ``v`` in units of ``H``,
+    sorted without a sort.  Epoch ``v`` belongs to path ``j = floor(v)`` at
+    time ``(v - j) H``; an epoch that rounds to ``v >= n`` belongs to the last
+    path, at time ``H``.  A claim's running total within its path is the
+    block's running total less its value where the path starts.
 
-    Returns ``(path, t, s, totals)``: ``path`` is the path of each claim, in
-    path order, ``t`` the claim epochs, sorted within each path, and ``s`` the
-    path's running claim totals at them (``t`` and ``s`` are views into
-    ``ws``, valid until its next block); ``totals`` are the per-path total
-    claim amounts.
+    Returns ``(path, t, s, totals)``: ``path`` is the path of each claim,
+    nondecreasing, ``t`` the claim epochs, sorted within each path, and ``s``
+    the path's running claim totals at them (``path``, ``t`` and ``s`` are
+    views into ``ws``, valid until its next block); ``totals`` are the
+    per-path total claim amounts.
     """
-    counts = rng.poisson(model.lam * horizon, size=n)
-    bounds = np.zeros(n + 1, dtype=np.intp)  # path j owns claims bounds[j]:bounds[j + 1]
-    np.cumsum(counts, out=bounds[1:])
-    tot = int(bounds[-1])
+    tot = int(rng.poisson(model.lam * horizon * n))
     ws.fit(tot)
-    rng.standard_exponential(out=ws.draws)
-    closing = rng.standard_exponential(n)
+    _exponentials(rng, 1.0, ws.draws)
     sample_claims(model.claim, rng, tot, out=ws.sizes)
-    # segmented cumsums: a global cumsum after a leading zero, minus its value
-    # at the path's start; out of place, as an in-place cumsum holds the GIL
-    cg, cs = ws.epochs, ws.claims
-    np.cumsum(ws.draws, out=cg[1:])
-    np.cumsum(ws.sizes, out=cs[1:])
-    cg_b, cs_b = cg.take(bounds), cs.take(bounds)  # the sums where each path starts and ends
-    g0, s0 = cg_b[:-1], cs_b[:-1]
-    span = cg_b[1:] - g0 + closing
-    totals = cs_b[1:] - s0
-    path = np.repeat(np.arange(n), counts)
-
-    def per_claim(values):
-        """Each claim's value of its path, in the spent ``draws`` buffer."""
-        return np.take(values, path, out=ws.draws, mode="clip")
-
-    # partial <= span, so partial / span <= 1 and the epochs stay in [0, horizon]
-    t = cg[1:]
-    t -= per_claim(g0)
-    t /= per_claim(span)
+    # out of place, as an in-place cumsum holds the GIL
+    np.cumsum(ws.draws, out=ws.epochs)
+    np.cumsum(ws.sizes, out=ws.claims[1:])
+    t, path = ws.epochs[:tot], ws.path
+    t *= n / ws.epochs[tot]
+    np.copyto(path, t, casting="unsafe")  # floor, as t >= 0
+    last = int(np.searchsorted(path, n))  # the claims from here on rounded to v >= n
+    path[last:] = n - 1
+    t -= path
     t *= horizon
-    s = cs[1:]
-    s -= per_claim(s0)
-    return path, t, s, totals
+    t[last:] = horizon
+    # the running totals where each path starts and ends
+    cs_b = ws.claims.take(_path_bounds(path, n))
+    s0 = cs_b[:-1]
+    s = ws.claims[1:]
+    s -= np.take(s0, path, out=ws.draws[:tot], mode="clip")
+    return path, t, s, cs_b[1:] - s0
+
+
+def _path_bounds(path: np.ndarray, n: int) -> np.ndarray:
+    """``bounds`` such that path ``j`` owns claims ``bounds[j]:bounds[j + 1]`` of a sorted ``path``.
+
+    One binary search per path, or one count over the claims, whichever is
+    cheaper: a search step and a counted claim cost about the same, and a
+    search takes about 16 steps in a block.
+    """
+    if path.size > 16 * n:
+        return np.searchsorted(path, np.arange(n + 1))
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(path, minlength=n), out=bounds[1:])
+    return bounds
 
 
 def _below(ws: _Workspace, t, s, c: float, u: float, delta: float, out: np.ndarray) -> np.ndarray:
@@ -205,14 +233,14 @@ def _below(ws: _Workspace, t, s, c: float, u: float, delta: float, out: np.ndarr
     IEEE subtraction keeps the sign of ``a - b``, so this is the sign of the
     reserve without forming it.
     """
-    a = np.multiply(t, c, out=ws.draws)
+    a = np.multiply(t, c, out=ws.draws[:t.size])
     a += u
     if delta != 1.0:  # delta s is s itself at delta = 1
         s = np.multiply(s, delta, out=ws.sizes)
     return np.less(a, s, out=out)
 
 
-def _first_ruin_chunk(model, lines, horizon, rng, n):
+def _first_ruin_chunk(model, lines, horizon, rng, n, ws):
     """First ruin time within ``horizon`` per path (inf if none), and its claim total.
 
     A path is ruined where the reserve ``u + c t - delta S`` of any
@@ -221,15 +249,18 @@ def _first_ruin_chunk(model, lines, horizon, rng, n):
     """
     tau = np.full(n, np.inf)
     totals = np.empty(n)
-    ws = _Workspace()
     for block in _path_blocks(model, horizon, n):
         path, t, s, totals[block] = _epoch_panel(model, horizon, rng, block.stop - block.start, ws)
         hit = _below(ws, t, s, *lines[0], ws.low)
         for line in lines[1:]:
             hit |= _below(ws, t, s, *line, ws.other)
         idx = np.flatnonzero(hit)
-        ruined, first = np.unique(path[idx], return_index=True)
-        tau[block][ruined] = t[idx[first]]
+        hit_path = path[idx]
+        # a path's first hit is where the hits' path changes
+        first = np.empty(idx.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(hit_path[1:], hit_path[:-1], out=first[1:])
+        tau[block][hit_path[first]] = t[idx[first]]
     return tau, totals
 
 
@@ -277,9 +308,18 @@ def _estimate(mean: float, se: float, n: int, seed: int, meta: dict) -> MCEstima
 
 
 def _run(values, n: int, seed: int, threads: int, meta: dict) -> MCEstimate:
-    """The estimate from ``values(rng, size)`` of each chunk, drawn from ``stream(seed, k)``."""
-    chunks = _map_chunks(lambda k, size: values(stream(seed, k), size), n, threads)
-    return _accumulate(chunks, seed, meta)
+    """The estimate from ``values(rng, size, ws)`` of each chunk, drawn from ``stream(seed, k)``.
+
+    ``ws`` is the calling thread's one :class:`_Workspace` for the whole estimate.
+    """
+    local = threading.local()
+
+    def worker(k, size):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace()
+        return values(stream(seed, k), size, local.ws)
+
+    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
 
 
 def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
@@ -342,8 +382,8 @@ def ruin_time_lt(
     _check_domain(model, u1, u2, horizon, s)
     lines = ((model.c1, u1, model.delta1), (model.c2, u2, model.delta2))
 
-    def values(rng, size):
-        tau, _ = _first_ruin_chunk(model, lines, horizon, rng, size)
+    def values(rng, size, ws):
+        tau, _ = _first_ruin_chunk(model, lines, horizon, rng, size, ws)
         # exp(-s inf) is 0 for s > 0; at s = 0 the transform is the hit indicator
         return np.exp(-s * tau) if s > 0 else np.isfinite(tau).astype(float)
 
@@ -410,8 +450,8 @@ def conditional_survival(
         exact = float(survival_one_company(model, x1))
         return _estimate(exact, 0.0, n, seed, meta)
 
-    def values(rng, size):
-        tau, totals = _first_ruin_chunk(model, ((model.p1, x1, 1.0),), T, rng, size)
+    def values(rng, size, ws):
+        tau, totals = _first_ruin_chunk(model, ((model.p1, x1, 1.0),), T, rng, size, ws)
         x_T = x1 + model.p1 * T - totals
         return np.where(np.isinf(tau), survival_one_company(model, np.maximum(x_T, 0.0)), 0.0)
 
@@ -430,10 +470,10 @@ def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
     are the up clock ``I`` and the claim clock at successive down-phase ends.
     Ruin in original time is the first such end, within ``horizon``, at which
     a reserve is negative.  Paths neither ruined nor past the horizon draw
-    another panel.  The paths run in the direct kernel's blocks, each finished
-    before the next one draws, so a panel holds at most about :data:`BLOCK` draws.
+    another panel, as wide as the largest remaining deficit ``horizon - I``
+    needs.  The paths run in the direct kernel's blocks, each finished before
+    the next one draws, so a panel holds at most about :data:`BLOCK` draws.
     """
-    width = math.ceil(model.lam * horizon) + 1
     ruined = np.zeros(n, dtype=bool)
     up = np.zeros(n)
     claims = np.zeros(n)
@@ -441,7 +481,8 @@ def _fluid_ruin_chunk(model, u1, u2, horizon, rng, n):
         rows = np.arange(block.start, block.stop)
         while rows.size:
             m = rows.size
-            up_clock = rng.exponential(1.0 / model.lam, size=(m, width))
+            width = math.ceil(model.lam * (horizon - up[rows].min())) + 1
+            up_clock = _exponentials(rng, 1.0 / model.lam, np.empty((m, width)))
             np.cumsum(up_clock, axis=1, out=up_clock)
             up_clock += up[rows, None]
             claim_clock = np.cumsum(
@@ -476,5 +517,5 @@ def simulate_joint_ruin_fluid(
     """
     _check_domain(model, u1, u2, horizon)
     meta = {"horizon": horizon, "method": "fluid"}
-    return _run(lambda rng, size: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
+    return _run(lambda rng, size, ws: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
                 n, seed, threads, meta)

@@ -37,12 +37,17 @@ def _phi(model: RiskModel, s: float) -> float:
 
     It is the small root of ``p2 phi^2 - (p2 mu + lam + s) phi + lam mu = 0``,
     taken from Vieta's rule so that no like-signed terms are subtracted; it
-    lies in ``(0, lam/p2]`` for ``s >= 0``.
+    lies in ``(0, lam/p2]`` for ``s >= 0``.  Above about ``s = 1e154`` the
+    discriminant overflows, and both it and the denominator are taken over
+    ``s``, which leaves ``phi`` close to ``lam mu / s``.
     """
     mu, lam, p2 = derive(model).mu, model.lam, model.p2
     total = p2 * mu + lam
     disc = (p2 * mu - lam) ** 2 + s * (s + 2.0 * total)
-    return 2.0 * lam * mu / (total + s + math.sqrt(disc))
+    if disc < math.inf:
+        return 2.0 * lam * mu / (total + s + math.sqrt(disc))
+    root = math.sqrt(1.0 + (2.0 * total + (p2 * mu - lam) ** 2 / s) / s)  # sqrt(disc) / s
+    return 2.0 * lam * mu / s / (total / s + 1.0 + root)
 
 
 def ruin_transform_exp(model: RiskModel, x, s: float):

@@ -9,10 +9,11 @@ The oracles call the shipped kernels they check (``mc.stream``,
 ``mc.sample_claims``, ``transform.z_roots``, ...) rather than copies of them,
 so a test through an oracle still tests the code that users run.  Company 1's
 roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
-here.  The exceptions are the stream-3 MC chunk kernels as they were first
-written (``reference_epoch_panel`` and the two chunk sweeps after it): the
-shipped kernels must reproduce them bit for bit.  ``killed_position_frequencies``
-runs on the company-1 reference sweep, the only sweep with per-path horizons.
+here.  The exceptions are the stream-4 MC chunk kernels, written path by
+path from the stream's definition (``reference_epoch_panel`` and the two
+chunk sweeps after it): the shipped kernels must reproduce them bit for bit.
+``killed_position_frequencies`` runs on the company-1 reference sweep, the
+only sweep with per-path horizons.
 """
 
 from __future__ import annotations
@@ -331,67 +332,68 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
     return U1, U2
 
 
+def _reference_exponentials(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """Exponential variates of mean ``scale`` as stream 4 defines them: ``-scale log1p(-U)``."""
+    return -scale * np.log1p(-rng.random(size))
+
+
 def _reference_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Claim sizes as stream 3 first drew them: ``rng.exponential(1/mu)`` for exponential claims."""
+    """Claim sizes as stream 4 draws them; phase-type laws through ``mc.sample_claims``."""
     if isinstance(claim, Exponential):
-        return rng.exponential(1.0 / claim.mu, size=size)
+        return _reference_exponentials(rng, 1.0 / claim.mu, size)
     return mc.sample_claims(claim, rng, size)
 
 
 def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
-    """One block's ``(starts, has, t, s_within, totals)`` as stream 3 defines them.
+    """One block's per-path ``(t, s)`` and its per-path claim totals, as stream 4 defines them.
 
-    Poisson counts, ``k + 1`` standard exponential spacings per path, the
-    closing spacings and the claim sizes are drawn in that order; the epochs
-    are the normalized partial sums of the spacings (``t`` sorted within
-    paths) and ``s_within`` the running claim totals at them.
+    The block's paths lie end to end on one Poisson process: one count
+    ``K ~ Poisson(lam H n)``, ``K + 1`` spacings ``E`` and ``K`` claim sizes
+    are drawn in that order.  With partial sums ``P_i = E_0 + ... + E_i``,
+    epoch ``i < K`` lies at ``v_i = P_i (n / P_K)`` in units of ``H``, on path
+    ``j = min(floor(v_i), n - 1)`` at time ``min((v_i - j) H, H)``.  Its
+    running claim total ``s`` is the block's running total of sizes less its
+    value where the path starts.
+
+    Per-path ``horizons`` (which the killed sweep needs and no shipped kernel
+    takes) place the paths on ``[0, sum h)`` in time units instead: path ``j``
+    starts at ``h_0 + ... + h_{j-1}``.
     """
+    h = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
     if np.ndim(horizons) == 0:
-        counts = rng.poisson(model.lam * horizons, size=n)
+        mean, span, unit, starts = model.lam * horizons * n, n, horizons, np.arange(n, dtype=float)
     else:
-        horizons = np.asarray(horizons, dtype=float)
-        counts = rng.poisson(model.lam * horizons)
-    tot = int(counts.sum())
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    has = counts > 0
-    cg = np.empty(tot + 1)
-    cg[0] = 0.0
-    rng.standard_exponential(out=cg[1:])
-    closing = rng.standard_exponential(n)
-    sizes = _reference_claims(model.claim, rng, tot)
-    np.cumsum(cg[1:], out=cg[1:])
-    cs = np.empty(tot + 1)
-    cs[0] = 0.0
-    np.cumsum(sizes, out=cs[1:])
-    g0 = cg[starts]
-    span = cg[ends] - g0 + closing
-    t = cg[1:]
-    t -= np.repeat(g0, counts)
-    t /= np.repeat(span, counts)
-    t *= np.repeat(horizons, counts) if np.ndim(horizons) else horizons
-    s0 = cs[starts]
-    totals = cs[ends] - s0
-    s_within = cs[1:]
-    s_within -= np.repeat(s0, counts)
-    return starts, has, t, s_within, totals
+        mean, span, unit, starts = model.lam * h.sum(), h.sum(), 1.0, np.cumsum(h) - h
+    K = int(rng.poisson(mean))
+    P = np.cumsum(_reference_exponentials(rng, 1.0, K + 1))
+    C = np.concatenate([[0.0], np.cumsum(_reference_claims(model.claim, rng, K))])
+    v = P[:K] * (span / P[K])
+    owner = np.searchsorted(starts, v, side="right") - 1  # the last start at or before v
+    ends = np.cumsum(np.bincount(owner, minlength=n))
+    paths, totals, lo = [], np.empty(n), 0
+    for j, hi in enumerate(ends):
+        t = np.minimum((v[lo:hi] - starts[j]) * unit, h[j])
+        paths.append((t, C[lo + 1:hi + 1] - C[lo]))
+        totals[j] = C[hi] - C[lo]
+        lo = hi
+    return paths, totals
 
 
 def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
-    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 3."""
+    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 4."""
     tau = np.full(n, np.inf)
     for block in mc._path_blocks(model, horizon, n):
-        starts, has, t, s_within, _ = reference_epoch_panel(
-            model, horizon, rng, block.stop - block.start)
-        if t.size:
-            U1, U2 = reserves_at_epochs(model, u1, u2, t, s_within)
-            hit = np.minimum(U1, U2, out=U1) < 0.0
-            tau[block][has] = np.minimum.reduceat(np.where(hit, t, np.inf), starts[has])
+        paths, _ = reference_epoch_panel(model, horizon, rng, block.stop - block.start)
+        for j, (t, s) in enumerate(paths):
+            U1, U2 = reserves_at_epochs(model, u1, u2, t, s)
+            hit = np.minimum(U1, U2) < 0.0
+            if hit.any():
+                tau[block.start + j] = t[np.argmax(hit)]
     return tau
 
 
 def reference_company1_chunk(model, x1, horizons, rng, n):
-    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 3.
+    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 4.
 
     ``horizons`` is scalar or per-path; blocks are sized by the longest.
     """
@@ -401,11 +403,9 @@ def reference_company1_chunk(model, x1, horizons, rng, n):
     totals = np.empty(n)
     for block in mc._path_blocks(model, float(np.max(horizons)), n):
         h = horizons[block] if horizons.ndim else horizons
-        starts, has, t, s_within, totals[block] = reference_epoch_panel(
-            model, h, rng, block.stop - block.start)
-        if t.size:
-            X = x1 + p1 * t - s_within
-            alive[block][has] = np.minimum.reduceat(X, starts[has]) >= 0.0
+        paths, totals[block] = reference_epoch_panel(model, h, rng, block.stop - block.start)
+        for j, (t, s) in enumerate(paths):
+            alive[block.start + j] = np.all(x1 + p1 * t - s >= 0.0)
     x_T = x1 + p1 * np.broadcast_to(horizons, (n,)) - totals
     return alive, x_T
 

@@ -193,11 +193,58 @@ def test_ruin_tolerance_failure_exit4(p0_file, capsys, monkeypatch):
 )
 def test_ruin_default_method(p0_file, ph_file, capsys, model, s, label):
     path = {"p0": p0_file, "ph": ph_file}[model]
+    # --horizon only where mc runs: exact and pde refuse it
+    horizon = ["--horizon", "5"] if label == "method=mc" else []
     argv = ["ruin", "--model", path, "--u", "1", "2", "--s", s,
-            "--steps", "20", "--paths", "200", "--horizon", "5"]
+            "--steps", "20", "--paths", "200", *horizon]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert f"  {label}  " in out
+
+
+@pytest.mark.parametrize("method, option", [
+    ("exact", ["--horizon", "5"]), ("pde", ["--horizon", "5"]), ("invert", ["--horizon", "5"]),
+    ("invert", ["--tol", "1e-12"]), ("mc", ["--tol", "1e-12"]),
+])
+def test_ruin_refuses_an_option_its_method_ignores(capsys, method, option):
+    code, out, err = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", method,
+                              "--paths", "100", *option], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        f"capability error: {method} method does not read {option[0]}")
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["--horizon", "5"], "method=mc"),
+    (["--tol", "1e-10"], "method=exact"),
+    (["--tol", "1e-2", "--s", "0.5"], "method=pde"),
+])
+def test_ruin_default_method_reads_every_option_given(capsys, argv, label):
+    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--paths", "100",
+                            "--steps", "20", *argv], capsys)
+    assert code == 0
+    assert f"  {label}  " in out
+
+
+def test_ruin_without_a_method_for_every_option_exits3(ph_file, capsys):
+    code, out, err = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--horizon", "5",
+                              "--tol", "1e-8"], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1] == (
+        "capability error: no method that applies here reads --horizon and --tol")
+    code, _, err = run_cli(["ruin", "--model", ph_file, "--u", "1", "3", "--tol", "1e-8"],
+                           capsys)
+    assert code == 3
+    assert err.splitlines()[-1] == "capability error: no method that applies here reads --tol"
+
+
+def test_ruin_mc_horizon_defaults_to_200(capsys):
+    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", "mc",
+                            "--paths", "100", "--seed", "3"], capsys)
+    assert code == 0
+    assert out == run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", "mc",
+                           "--paths", "100", "--seed", "3", "--horizon", "200"], capsys)[1]
+    assert out.startswith("ruin(T=200) = ")
 
 
 @pytest.mark.parametrize("u", [("1", "3"), ("3", "1")])
@@ -369,35 +416,44 @@ def test_simulate_fluid_threads_identical(p0_file, capsys):
     _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
     assert out1 == out2
     meta = json.loads(list(csv.reader(io.StringIO(out1)))[1][5])
-    assert meta["stream_version"] == 3
+    assert meta["stream_version"] == 4
 
 
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
 
 
-@pytest.mark.parametrize("argv, line", [
+# each pinned value lies within 4 standard errors of exact ruin, 0.194023325768,
+# or, discounted, of ruin --method pde --s 0.5, 0.133259841483
+@pytest.mark.parametrize("argv, line, reference", [
     (["ruin", "--method", "mc", "--horizon", "20"],
-     "ruin(T=20) = 0.1942  stderr=0.00279726817368  method=mc  n=20000  seed=11  "
-     "tail<=0.00646800434785"),
+     "ruin(T=20) = 0.194  stderr=0.00279617433819  method=mc  n=20000  seed=11  "
+     "tail<=0.00646800434785", "exact"),
     (["ruin", "--method", "mc", "--horizon", "20", "--s", "0.5"],
-     "ruin_lt = 0.132746202667  stderr=0.00212119650793  bias<=4.53999297625e-05  "
-     "method=mc  n=20000  seed=11"),
+     "ruin_lt = 0.134435533349  stderr=0.00214063732779  bias<=4.53999297625e-05  "
+     "method=mc  n=20000  seed=11", "pde"),
     (["ruin", "--method", "mc", "--ultimate"],
-     "ruin = 0.192289093657  stderr=0.00248737807654  method=mc(conditional)  n=20000  "
-     "seed=11"),
+     "ruin = 0.192823912376  stderr=0.00248761247682  method=mc(conditional)  n=20000  "
+     "seed=11", "exact"),
     (["simulate", "--method", "fluid", "--horizon", "20"],
-     'ruin_by_horizon,0.1931,0.00279123790646,20000,11,"{""estimand"": ""ruin_by_horizon"", '
-     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 3}"'),
+     'ruin_by_horizon,0.1911,0.00278018452109,20000,11,"{""estimand"": ""ruin_by_horizon"", '
+     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 4}"', "exact"),
 ], ids=["direct", "discounted", "conditional", "fluid"])
-def test_seeded_output_pinned_at_stream_version(capsys, argv, line):
+def test_seeded_output_pinned_at_stream_version(capsys, argv, line, reference):
     # 2e4 paths span two chunks and, at T = 20, several path blocks per chunk
     code, out, _ = run_cli([*argv, *P0_INLINE, "--u", "1", "3", "--paths", "2e4",
                             "--seed", "11"], capsys)
     assert code == 0
-    assert mc.STREAM_VERSION == 3
+    assert mc.STREAM_VERSION == 4
     assert out.splitlines()[-1] == line, (
         "a seeded Monte Carlo output changed: if paths are now drawn differently "
         "on purpose, bump mc.STREAM_VERSION and pin the new lines")
+    if line.startswith("ruin_by_horizon,"):
+        value, se = map(float, line.split(",")[1:3])
+    else:
+        value, se = (float(re.search(p, line)[1]) for p in (r"= (\S+)", r"stderr=(\S+)"))
+    extra = ["--method", "pde", "--s", "0.5"] if reference == "pde" else []
+    _, ref_out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", *extra], capsys)
+    assert abs(value - float(re.search(r"= (\S+)", ref_out)[1])) <= 4.0 * se
 
 
 def test_mc_tail_bounds_the_ruin_after_the_horizon(p0, capsys):
@@ -741,6 +797,22 @@ def test_ruin_pde_upper_cone_at_large_s(capsys):
     # first claim's time T, lam / (lam + s), since no ruin comes before it
     p0 = RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.0, c2=2.0)
     assert ruin_transform_exp(p0, 3.0, 1e9) - bound <= value <= 1.0 / (1.0 + 1e9) + bound
+
+
+def test_ruin_pde_cones_agree_beyond_the_discriminant_overflow(capsys):
+    # s (s + 2 (p2 mu + lam)) overflows above about s = 1e154; at s = 1e200 both
+    # cones are ruin at the first claim, about (lam / s) e^{-1} here
+    values = {}
+    for u, method in ((("3", "1"), "exact (lower cone)"), (("1", "3"), "pde")):
+        code, out, err = run_cli(["ruin", *P0_INLINE, "--u", *u, "--method", "pde",
+                                  "--s", "1e200"], capsys)
+        assert (code, err) == (0, "")
+        values[method] = float(re.fullmatch(
+            rf"ruin_lt = (\S+)  method={re.escape(method)}  (error<=\S+  )?s=1e\+200\n",
+            out)[1])
+        bound = float(re.search(r"error<=(\S+)", out)[1]) if method == "pde" else 0.0
+    assert values["exact (lower cone)"] == pytest.approx(math.exp(-1.0) / 1e200, rel=1e-12)
+    assert abs(values["pde"] - values["exact (lower cone)"]) <= bound
 
 
 def test_ruin_pde_honours_tol(capsys):

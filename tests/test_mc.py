@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest, poisson
 
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
@@ -26,6 +27,7 @@ from ruin2d.mc import (
     _fluid_ruin_chunk,
     _map_chunks,
     _path_blocks,
+    _path_bounds,
     conditional_survival,
     ruin_time_lt,
     sample_claims,
@@ -42,6 +44,7 @@ from oracles import (
     killed_position_frequencies,
     path_ruin_time,
     reference_company1_chunk,
+    reference_epoch_panel,
     reference_joint_tau_chunk,
     resolvent_density,
     sample_path,
@@ -80,6 +83,26 @@ def test_threads_bitwise_equal(p0, estimator):
     a = estimator(p0, 1)
     b = estimator(p0, 2)
     assert a == b
+
+
+def test_thread_workspaces_under_frequent_switches(p0):
+    # each thread keeps one workspace for the whole estimate: with more threads
+    # than cores and a switch interval of 1 us, a workspace that two threads
+    # shared would mix their blocks and move the estimate
+    runs = {
+        "direct": lambda threads: simulate_joint_ruin(p0, 1.0, 3.0, 20.0, 2 * CHUNK + 9, seed=4,
+                                                      threads=threads),
+        "conditional": lambda threads: conditional_survival(p0, 1.0, 3.0, 3 * CHUNK + 9, seed=4,
+                                                            threads=threads),
+    }
+    serial = {name: run(1) for name, run in runs.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = {name: run(4) for name, run in runs.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -138,7 +161,7 @@ def test_every_estimate_records_stream_version(p0):
         conditional_survival(p0, 1.0, 1.0, 100, seed=1),
         simulate_joint_ruin_fluid(p0, 1.0, 2.0, 5.0, 100, seed=1),
     ]
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     assert all(e.meta["stream_version"] == STREAM_VERSION for e in ests)
 
 
@@ -177,10 +200,10 @@ def _joint_lines(model, u1, u2):
 
 @pytest.mark.parametrize("kernel", [
     lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
-        model, _joint_lines(model, u1, u2), horizon, rng, n),
+        model, _joint_lines(model, u1, u2), horizon, rng, n, _Workspace()),
     _fluid_ruin_chunk,
     lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
-        model, ((model.p1, u1, 1.0),), horizon, rng, n),
+        model, ((model.p1, u1, 1.0),), horizon, rng, n, _Workspace()),
 ], ids=["direct", "fluid", "company1"])
 def test_chunk_memory_independent_of_horizon(p0, kernel):
     def peak(horizon):
@@ -212,14 +235,16 @@ def any_model(request):
 ], ids=["zero", "short", "long", "one-path-blocks"])
 @pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
 def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
-    # the chunk kernels as stream 3 first wrote them, in tests/oracles.py
+    # the chunk kernels written path by path from stream 4, in tests/oracles.py;
+    # both calls share one workspace, as the chunks of one thread do
+    ws = _Workspace()
     lines = _joint_lines(any_model, 1.0, 2.0)
-    tau, joint_totals = _first_ruin_chunk(any_model, lines, horizon, stream(seed, k), n)
+    tau, joint_totals = _first_ruin_chunk(any_model, lines, horizon, stream(seed, k), n, ws)
     assert np.array_equal(tau, reference_joint_tau_chunk(
         any_model, 1.0, 2.0, horizon, stream(seed, k), n))
     # company 1 alone, as conditional_survival reads it
     tau1, totals = _first_ruin_chunk(
-        any_model, ((any_model.p1, 1.0, 1.0),), horizon, stream(seed, k), n)
+        any_model, ((any_model.p1, 1.0, 1.0),), horizon, stream(seed, k), n, ws)
     alive, x_T = np.isinf(tau1), 1.0 + any_model.p1 * horizon - totals
     ref_alive, ref_x_T = reference_company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
     assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
@@ -237,12 +262,13 @@ def test_epoch_panel_sorted_within_horizon(p0, horizon):
         path, t, s, totals = _epoch_panel(p0, horizon, stream(4, 0), n, _Workspace())
     counts = np.bincount(path, minlength=n)
     assert path.size == t.size == s.size and np.all(np.diff(path) >= 0)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
     assert np.all(t >= 0.0) and np.all(t <= horizon)
     same_path = path[1:] == path[:-1]
     assert np.all(np.diff(t)[same_path] >= 0.0)
     assert np.all(np.diff(s)[same_path] > 0.0)
     nonempty = counts > 0
-    assert np.array_equal(totals[nonempty], s[np.cumsum(counts)[nonempty] - 1])
+    assert np.array_equal(totals[nonempty], s[bounds[1:][nonempty] - 1])
     assert (horizon > 0.0 or path.size == 0) and np.all(totals[counts == 0] == 0.0)
 
 
@@ -256,6 +282,76 @@ def test_epoch_panel_uniform_order_statistics(p0):
     three = starts[counts == 3]
     assert kstest(t[three] / horizon, "beta", args=(1, 3)).pvalue > 1e-3
     assert kstest(t[three + 2] / horizon, "beta", args=(3, 1)).pvalue > 1e-3
+
+
+def test_epoch_panel_counts_are_independent_poisson(p0):
+    # one Poisson process cut into n pieces of length H: each piece's count is
+    # Poisson(lam H), independent of its neighbours'
+    n, horizon = 20_000, 2.5
+    path, _, _, _ = _epoch_panel(p0, horizon, stream(8, 0), n, _Workspace())
+    counts = np.bincount(path, minlength=n)
+    mean = p0.lam * horizon
+    assert abs(counts.mean() - mean) <= 4.0 * math.sqrt(mean / n)
+    assert abs(counts.var() - mean) <= 4.0 * math.sqrt((2 * mean**2 + mean) / n)
+    observed = np.bincount(counts, minlength=12)[:12]
+    expected = n * poisson.pmf(np.arange(12), mean)
+    assert chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 1e-3
+    for lag in (1, 2):
+        r = np.corrcoef(counts[:-lag], counts[lag:])[0, 1]
+        assert abs(r) <= 4.0 / math.sqrt(n)
+
+
+class _RoundingUpStream:
+    """Draws for a block whose last epoch ``v`` rounds to ``n`` or above.
+
+    The last spacing is 0 (``U = 0``), so the last epoch's partial sum is the
+    total, and ``P (n / P)`` rounds to ``n`` or one ulp above it.
+    """
+
+    def __init__(self, count, uniforms):
+        self.count, self.uniforms = count, list(uniforms)
+
+    def poisson(self, mean):
+        return self.count
+
+    def random(self, size=None, out=None):
+        k = out.size if out is not None else size
+        out = np.empty(k) if out is None else out
+        out[:] = self.uniforms[:k]
+        del self.uniforms[:k]
+        return out
+
+
+def test_epoch_rounding_to_n_goes_to_the_last_path(p0):
+    n, horizon = 3, 2.0
+    # spacings -log1p(-U) for U = 0.3, 0.9, 0: partial sums p, P, P with P = total
+    spacings = [0.3, 0.9, 0.0]
+    total = -np.log1p(-0.3) - np.log1p(-0.9)
+    assert total * (n / total) >= n  # this total rounds the last epoch up to n
+    sizes = [0.5, 0.25]
+    path, t, s, totals = _epoch_panel(
+        p0, horizon, _RoundingUpStream(2, spacings + sizes), n, _Workspace())
+    assert path.tolist() == [0, 2]
+    assert t[1] == horizon and 0.0 < t[0] < horizon
+    running = np.cumsum(-np.log1p(-np.array(sizes)))
+    assert s.tolist() == [running[0], running[1] - running[0]]
+    assert totals.tolist() == [running[0], 0.0, running[1] - running[0]]
+    paths, ref_totals = reference_epoch_panel(
+        p0, horizon, _RoundingUpStream(2, spacings + sizes), n)
+    assert [p[0].tolist() for p in paths] == [[t[0]], [], [horizon]]
+    assert np.array_equal(ref_totals, totals)
+
+
+@pytest.mark.parametrize("claims_per_path", [0.5, 16.0, 17.0, 400.0])
+def test_path_bounds_search_and_count_agree(claims_per_path):
+    # a binary search per path above 16 claims per path, a count over the claims below
+    rng = np.random.default_rng(3)
+    n = 500
+    path = np.sort(rng.integers(0, n, size=int(claims_per_path * n)))
+    want = np.searchsorted(path, np.arange(n + 1))
+    assert np.array_equal(_path_bounds(path, n), want)
+    assert np.array_equal(_path_bounds(np.full(3, n - 1), n), [0] * n + [3])
+    assert np.array_equal(_path_bounds(path[:0], n), np.zeros(n + 1))
 
 
 def test_stream_independence_overlap(p0):

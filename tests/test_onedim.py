@@ -47,7 +47,8 @@ def test_ruin_prob_exp_log_linear(x, h):
     assert lhs == pytest.approx(-gamma2 * h, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("s", [0.0, 0.25, 2.0, 40.0, 1e3, 1e8, 1e15])
+# the discriminant overflows above about s = 1e154
+@pytest.mark.parametrize("s", [0.0, 0.25, 2.0, 40.0, 1e3, 1e8, 1e15, 1e154, 1e200, 1.7e308])
 def test_theta_minus_is_company_2s_negative_root(p1, s):
     # kappa_2(phi - mu) at 60 digits from the float phi: a float theta = phi - mu
     # would lose the digits of phi as s grows

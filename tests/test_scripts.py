@@ -41,10 +41,15 @@ def canned_perfbench_stdout(correct, failed, values):
                       "metric  wall_cal ...", json.dumps(result)]) + "\n"
 
 
-def test_bench_pairs_builds_a_record_from_two_runs():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_builds_a_record_from_two_runs():
+    bench_pairs = load_bench_pairs()
     base = bench_pairs.parse_run(canned_perfbench_stdout(True, 0, {
         "setup_s": 0.20, "wall_cal": 16.0, "cmd_p50_gmean_cal": 0.27, "peak_rss_mb": 113.0}))
     change = bench_pairs.parse_run(canned_perfbench_stdout(False, 2, {
@@ -53,14 +58,15 @@ def test_bench_pairs_builds_a_record_from_two_runs():
                                "scipy": "1.17.1", "platform": "Linux-x86_64"}
     metrics = {"setup_s": "lower", "wall_cal": "lower", "cmd_p50_gmean_cal": "lower",
                "peak_rss_mb": "lower"}
-    pair = {"seed": 1, "first": "change", "base": base, "change": change}
+    pair = {"seed": 1, "first": "change", "dirs": {"base": "b", "change": "a"},
+            "base": base, "change": change}
     record = bench_pairs.build_record("point_queries", 25.0, metrics, "abc", "def", [pair])
     assert json.loads(json.dumps(record)) == record
     assert (record["workload"], record["seconds"], record["base"], record["change"]) == (
         "point_queries", 25.0, "abc", "def")
     assert record["machine"] == base["machine"]
     (row,) = record["pairs"]
-    assert (row["seed"], row["first"]) == (1, "change")
+    assert (row["seed"], row["first"], row["dirs"]) == (1, "change", {"base": "b", "change": "a"})
     assert (row["base"]["correct"], row["change"]["correct"], row["change"]["failed"]) == (
         True, False, 2)
     assert row["change"]["metrics"]["wall_cal"] == 8.6
@@ -75,6 +81,42 @@ def test_bench_pairs_builds_a_record_from_two_runs():
     assert record["summary"]["wall_cal"]["base"] == pytest.approx(
         {"median": 15.5, "q1": 14.75, "q3": 16.25})
     assert record["summary"]["wall_cal"]["change_wins"] == 4
+
+
+def test_bench_pairs_ratios_interval_and_placement():
+    bench_pairs = load_bench_pairs()
+    # the sides swap names on every pair, and each order meets each name once per four
+    plan = bench_pairs.plan(8, first_seed=101)
+    assert [p["seed"] for p in plan] == list(range(101, 109))
+    assert [p["dirs"]["base"] + p["dirs"]["change"] for p in plan] == ["ab", "ba"] * 4
+    assert [p["first"] for p in plan] == ["base", "change", "change", "base"] * 2
+    assert {(p["first"], p["dirs"]["base"]) for p in plan[:4]} == {
+        ("base", "a"), ("base", "b"), ("change", "a"), ("change", "b")}
+    assert all(len(set(map(len, p["dirs"].values()))) == 1 for p in plan)
+    # ten pairs of canned runs: the change reads wall_cal 0.90, 0.91, ... 0.99 of the base
+    metrics = {"setup_s": "lower", "wall_cal": "lower", "cmd_p50_gmean_cal": "lower",
+               "peak_rss_mb": "lower"}
+    pairs = []
+    for k, p in enumerate(bench_pairs.plan(10)):
+        runs = {side: bench_pairs.parse_run(canned_perfbench_stdout(True, 0, {
+            "setup_s": 0.2, "wall_cal": 40.0 * scale, "cmd_p50_gmean_cal": 5.0,
+            "peak_rss_mb": 100.0 + k}))
+            for side, scale in (("base", 1.0), ("change", 0.9 + k / 100))}
+        pairs.append({**p, **runs})
+    record = bench_pairs.build_record("mc_estimators", 25.0, metrics, "abc", "def", pairs)
+    wall = record["summary"]["wall_cal"]
+    assert wall["change_wins"] == 10
+    # the 2nd smallest and 2nd largest of ten ratios: 1 - 2 * 11/1024 coverage
+    assert wall["ratio"]["median"] == pytest.approx(0.945, rel=1e-12)
+    assert wall["ratio"]["interval"] == pytest.approx(
+        {"lo": 0.91, "hi": 0.98, "coverage": 1.0 - 22.0 / 1024.0}, rel=1e-12)
+    assert record["summary"]["cmd_p50_gmean_cal"]["ratio"] == {
+        "median": 1.0, "interval": {"lo": 1.0, "hi": 1.0, "coverage": 1.0 - 22.0 / 1024.0}}
+    assert [row["dirs"] for row in record["pairs"]] == [p["dirs"] for p in bench_pairs.plan(10)]
+    # five pairs are too few for a 95% sign-test interval
+    few = bench_pairs.build_record("mc_estimators", 25.0, metrics, "abc", "def", pairs[:5])
+    assert few["summary"]["wall_cal"]["ratio"]["interval"] is None
+    assert few["summary"]["wall_cal"]["ratio"]["median"] == pytest.approx(0.92, rel=1e-12)
 
 
 def test_crosscheck_grid_runs_from_checkout():
