@@ -243,7 +243,8 @@ def cmd_ruin(model: RiskModel, args) -> None:
     u1, u2 = args.u
     x1, x2 = normalize(model, u1, u2)
     s = args.s
-    given = {name for name in ("horizon", "tol") if getattr(args, name) is not None}
+    given = {name for *_, reads in METHODS.values() for name in reads
+             if getattr(args, name) is not None}
     method = _ruin_method(model, s, args.method, given)
     if method == "exact":
         res = closedform.survival(model, x1, x2, tol=args.tol or 1e-8)
