@@ -12,9 +12,12 @@ not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
 ``--p``/``--q <= 0``, ``ruin --steps < 4``, ``pde --steps < 2``,
 ``--rmax <= 0``, a negative ``--dump-stride``) or invalid model (unreadable
 or malformed input, or failed validation); 3 capability mismatch (the method
-does not support the claim law, discount or reserves, or ``ruin``'s method
-does not read a ``--horizon`` or ``--tol`` given) or any other refusal of
-the library; 4 numerical tolerance failure.  :func:`main` alone returns an
+does not support the claim law, discount or reserves; ``ruin``'s method does
+not read one of its method-specific options given, ``--tol``, ``--horizon``,
+``--steps``, ``--ultimate``, ``--paths``, ``--seed`` or ``--threads``; or the
+conditional estimator, ``ruin --ultimate`` or ``simulate --method
+conditional``, is given a ``--horizon``) or any other refusal of the
+library; 4 numerical tolerance failure.  :func:`main` alone returns an
 exit code: it builds and validates the model, passes it to the command, and
 turns a :class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
 :class:`~ruin2d.errors.Ruin2dError` into 3.  Commands return nothing and
@@ -55,14 +58,15 @@ EXIT_TOLERANCE = 4
 
 _FMT = "%.12g"
 
-# ruin's methods: name -> (needs exponential claims, takes s > 0, which of the
-# options --horizon and --tol it reads).  A method refuses a given option it
-# does not read.  Without --method, ruin uses the first one that applies and
-# reads every such option given; invert reads neither, so it is never the default.
+# ruin's methods: name -> (needs exponential claims, takes s > 0, which of
+# ruin's method-specific options it reads).  A method refuses a given option it
+# does not read, and each option's default is applied where it is read.
+# Without --method, ruin uses the first one that applies and reads every such
+# option given; invert reads none, so it is never the default.
 METHODS = {
     "exact": (True, False, {"tol"}),
-    "pde": (True, True, {"tol"}),
-    "mc": (False, True, {"horizon"}),
+    "pde": (True, True, {"tol", "steps"}),
+    "mc": (False, True, {"horizon", "ultimate", "paths", "seed", "threads"}),
     "invert": (True, False, set()),
 }
 # the ruin-by-horizon of ruin --method mc without --horizon
@@ -198,18 +202,23 @@ def _ruin_method(model: RiskModel, s: float, method, given: set) -> str:
     return method
 
 
-def _mc_estimate(model: RiskModel, args, method: str, s, horizon: float):
+def _mc_estimate(model: RiskModel, args, method: str, s, default_horizon: float):
     """``(estimand, MCEstimate)`` of one MC estimator at the raw reserves ``args.u``.
 
     ``method`` is ``naive``, ``conditional`` or ``fluid``; ``s`` is the
-    ruin-time discount or None, and only the naive estimator takes one;
-    ``horizon`` is the simulation horizon of all but the conditional one.
+    ruin-time discount or None, and only the naive estimator takes one.  All
+    but the conditional estimator simulate to ``args.horizon``, or to
+    ``default_horizon`` without one; the conditional one refuses a horizon.
     """
     u1, u2 = args.u
     if s is not None and method != "naive":
         raise UnsupportedClaimLaw(f"--s (ruin-time discount) needs --method naive, not {method}")
-    n, seed, threads = args.paths, args.seed, args.threads
+    n, seed = args.paths or 100_000, args.seed or 0
+    threads = args.threads or args.env_threads
+    horizon = default_horizon if args.horizon is None else args.horizon
     if method == "conditional":
+        if args.horizon is not None:
+            raise UnsupportedClaimLaw("the conditional estimator does not read --horizon")
         x1, x2 = normalize(model, u1, u2)
         # a lower-cone point reduces to the one-dimensional problem at x2
         return "survival", mc.conditional_survival(
@@ -262,13 +271,13 @@ def cmd_ruin(model: RiskModel, args) -> None:
             print(f"{label} = {_fmt(val)}  method=exact (lower cone)  s={_fmt(s)}")
             return
         # r_max = r puts the point on the last column, with no interpolation in r
-        grid = pde.solve(model, s=s, r_max=r, steps=args.steps // 2, tol=args.tol)
+        steps = args.steps or 400
+        grid = pde.solve(model, s=s, r_max=r, steps=steps // 2, tol=args.tol)
         val = pde.evaluate(grid, u1, u2)
         print(f"{label} = {_fmt(val)}  method=pde  error<={_fmt(grid.error_estimate)}  s={_fmt(s)}")
     else:
-        horizon = _MC_HORIZON if args.horizon is None else args.horizon
         kind, est = _mc_estimate(model, args, "conditional" if args.ultimate else "naive",
-                                 s or None, horizon)
+                                 s or None, _MC_HORIZON)
         if kind == "survival":
             print(
                 f"ruin = {_fmt(1.0 - est.mean)}  stderr={_fmt(est.std_error)}  "
@@ -283,7 +292,7 @@ def cmd_ruin(model: RiskModel, args) -> None:
             tail = est.meta.get("lundberg_tail")
             extra = f"  tail<={_fmt(tail)}" if tail is not None else ""
             print(
-                f"ruin(T={_fmt(horizon)}) = {_fmt(est.mean)}  "
+                f"ruin(T={_fmt(est.meta['horizon'])}) = {_fmt(est.mean)}  "
                 f"stderr={_fmt(est.std_error)}  method=mc  n={est.n}  seed={est.seed}{extra}"
             )
 
@@ -300,7 +309,7 @@ def cmd_invert(model: RiskModel, args) -> None:
 
 
 def cmd_simulate(model: RiskModel, args) -> None:
-    kind, est = _mc_estimate(model, args, args.method, args.s, args.horizon)
+    kind, est = _mc_estimate(model, args, args.method, args.s, 100.0)
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
     with _output(args.output) as out:
         writer = csv.writer(out, lineterminator="\n")
@@ -372,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_at_least(0), default=0.0, help="ruin-time discount rate")
     p.add_argument("--method", choices=list(METHODS))
     p.add_argument("--tol", type=_at_least(0, strict=True))
-    p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
-    p.add_argument("--seed", type=_at_least(0, int), default=0)
+    p.add_argument("--paths", type=_at_least(1, _count))
+    p.add_argument("--seed", type=_at_least(0, int))
     p.add_argument("--horizon", type=_at_least(0))
-    p.add_argument("--steps", type=_at_least(4, int), default=400,
+    p.add_argument("--steps", type=_at_least(4, int),
                    help="with --method pde: columns of the finer of the two grids "
                         "(an odd count uses one fewer)")
-    p.add_argument("--ultimate", action="store_true",
+    p.add_argument("--ultimate", action="store_true", default=None,
                    help="with --method mc: use the unbiased conditional estimator")
     p.add_argument("--threads", type=_at_least(1, int))
     p.set_defaults(func=cmd_ruin)
@@ -397,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimators (CSV output)")
     _add_model_args(p)
     p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
-    p.add_argument("--paths", type=_at_least(1, _count), default=100_000)
-    p.add_argument("--seed", type=_at_least(0, int), default=0)
-    p.add_argument("--horizon", type=_at_least(0), default=100.0)
+    p.add_argument("--paths", type=_at_least(1, _count))
+    p.add_argument("--seed", type=_at_least(0, int))
+    p.add_argument("--horizon", type=_at_least(0))
     p.add_argument("--s", type=_at_least(0), default=None)
     p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
     p.add_argument("--threads", type=_at_least(1, int))
@@ -436,10 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) is None:
-        # RUIN2D_THREADS is read per call: the cached parser outlives the environment
+        # RUIN2D_THREADS, the default of --threads, is read per call: the cached
+        # parser outlives the environment.  ruin refuses --threads where its method
+        # does not read it, so the default goes beside the option, not into it.
         text = os.environ.get("RUIN2D_THREADS", "1")
         try:
-            args.threads = _at_least(1, int)(text)
+            args.env_threads = _at_least(1, int)(text)
         except (ValueError, argparse.ArgumentTypeError):
             print(f"invalid environment: RUIN2D_THREADS must be an integer >= 1, got {text!r}",
                   file=sys.stderr)

@@ -15,8 +15,20 @@ per-claim buffers for the whole estimate.  Each chunk is reduced to
 ``(n, mean, M2)`` and the chunks are merged in chunk order, so every estimate
 is bit-reproducible for a fixed ``(seed, n)`` and parallel fan-out over
 chunks cannot change the result.  How a chunk turns its stream into paths is
-versioned by :data:`STREAM_VERSION` (now 4), which every estimate records in
+versioned by :data:`STREAM_VERSION` (now 5), which every estimate records in
 ``meta``.
+
+Direct simulation and the ruin-time transform follow the cone.  In normalized
+coordinates ``X_i(t) = x_i + p_i t - S(t)``, and ``X_2 - X_1`` falls at rate
+``p1 - p2`` to zero at the crossing time ``T* = (x2 - x1)/(p1 - p2)``: before
+``T*`` company 1's reserve is the lower one, from ``T*`` on company 2's.  A
+chunk of horizon ``H`` with ``0 < T* < H`` first draws all its blocks over
+``[0, T*)`` and watches company 1 alone, as the conditional estimator does
+with the same blocks and draws; then it draws, in blocks over ``[T*, H)``,
+only the paths still alive, in path order, and watches company 2 alone from
+each path's claim total at ``T*``.  A lower-cone start (``T* <= 0``) watches
+company 2 alone over ``[0, H)``, and a start with ``T* >= H`` company 1 alone;
+these, the conditional estimator and the fluid estimator draw as in stream 4.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
 claims, so the running minimum over continuous time is attained immediately
@@ -54,8 +66,9 @@ CHUNK = 1 << 14
 BLOCK = 1 << 16
 # 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings;
 # 3: SFC64 streams, each chunk drawn and reduced in path blocks; 4: one Poisson
-# process per path block, and exponentials by inversion.
-STREAM_VERSION = 4
+# process per path block, and exponentials by inversion; 5: direct simulation
+# watches company 1 before the crossing time and draws only its survivors after it.
+STREAM_VERSION = 5
 # Expected claims per path, lam * horizon, above which a simulation is refused:
 # a path's claims are held at once, at about 60 bytes each per thread.
 _MAX_MEAN_CLAIMS = 1 << 20
@@ -140,37 +153,48 @@ class _Workspace:
     """Per-claim buffers that one thread's blocks reuse for a whole estimate.
 
     They grow only when a block draws more claims than any block before it, so
-    a thread allocates them about once.  ``draws`` takes a block's ``K + 1``
-    spacings and ``sizes`` its claim sizes; both are scratch once summed.
+    a thread allocates them once unless its paths expect more than a block.
+    ``draws`` takes a block's ``K + 1`` spacings and ``sizes`` its claim sizes;
+    both are scratch once summed.
     ``epochs`` holds the running sum of the spacings, ``claims`` that of the
-    sizes after a leading zero, ``path`` each claim's path, and ``low`` and
-    ``other`` the ruin test.
+    sizes after a leading zero, ``path`` each claim's path, and ``hit`` the
+    ruin test.
     """
 
     def __init__(self):
         self.cap = -1
 
     def fit(self, tot: int) -> None:
-        """Views of ``tot`` claims; an eighth to spare covers the spread of later blocks."""
+        """Views of ``tot`` claims.
+
+        A block expects fewer than :data:`BLOCK` claims unless its one path
+        expects more, so the buffers hold at least that many, with an eighth
+        to spare for the spread of later blocks.  One allocation then serves
+        the blocks of every horizon, the direct kernel's windows before and
+        after the crossing time among them: growing between the two kept
+        about 3 MB more resident (peak RSS 91.4 against 88.7 MB over 20
+        discounted estimates of 2e5 paths at 2 threads).
+        """
         if tot > self.cap:
-            self.cap = tot + tot // 8
+            size = max(tot, BLOCK)
+            self.cap = size + size // 8
             # one array per buffer: a single allocation of all of them raises
             # glibc's adaptive mmap and trim thresholds, and the freed
             # workspaces then stay resident (+6 MB peak RSS over a
             # 25-second run of the benchmark's MC workload)
             self._floats = [np.empty(self.cap + 1) for _ in range(4)]
             self._path = np.empty(self.cap, dtype=np.intp)
-            self._flags = [np.empty(self.cap, dtype=bool) for _ in range(2)]
+            self._hit = np.empty(self.cap, dtype=bool)
         draws, sizes, epochs, claims = self._floats
         self.draws, self.sizes = draws[:tot + 1], sizes[:tot]
         self.epochs, self.claims = epochs[:tot + 1], claims[:tot + 1]
         self.claims[0] = 0.0
         self.path = self._path[:tot]
-        self.low, self.other = (flags[:tot] for flags in self._flags)
+        self.hit = self._hit[:tot]
 
 
 def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: int,
-                 ws: _Workspace):
+                 ws: _Workspace, start=None):
     """Claim epochs and within-path claim totals of one block of ``n`` paths, in ``ws``.
 
     Independent Poisson processes on ``[0, H)`` placed end to end are one
@@ -182,13 +206,15 @@ def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: 
     sorted without a sort.  Epoch ``v`` belongs to path ``j = floor(v)`` at
     time ``(v - j) H``; an epoch that rounds to ``v >= n`` belongs to the last
     path, at time ``H``.  A claim's running total within its path is the
-    block's running total less its value where the path starts.
+    block's running total less its value where the path starts, plus the
+    path's entry of ``start`` if given: the claims a path carries into the
+    window.
 
     Returns ``(path, t, s, totals)``: ``path`` is the path of each claim,
     nondecreasing, ``t`` the claim epochs, sorted within each path, and ``s``
     the path's running claim totals at them (``path``, ``t`` and ``s`` are
     views into ``ws``, valid until its next block); ``totals`` are the
-    per-path total claim amounts.
+    per-path claim totals at the window's end.  Both count ``start``.
     """
     tot = int(rng.poisson(model.lam * horizon * n))
     ws.fit(tot)
@@ -207,7 +233,7 @@ def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: 
     t[last:] = horizon
     # the running totals where each path starts and ends
     cs_b = ws.claims.take(_path_bounds(path, n))
-    s0 = cs_b[:-1]
+    s0 = cs_b[:-1] if start is None else cs_b[:-1] - start
     s = ws.claims[1:]
     s -= np.take(s0, path, out=ws.draws[:tot], mode="clip")
     return path, t, s, cs_b[1:] - s0
@@ -227,34 +253,32 @@ def _path_bounds(path: np.ndarray, n: int) -> np.ndarray:
     return bounds
 
 
-def _below(ws: _Workspace, t, s, c: float, u: float, delta: float, out: np.ndarray) -> np.ndarray:
-    """``out = c t + u < delta s``: where the reserve ``u + c t - delta s`` is negative.
+def _below(ws: _Workspace, t, s, p: float, x: float) -> np.ndarray:
+    """``ws.hit = p t + x < s``: where the normalized reserve ``x + p t - s`` is negative.
 
     IEEE subtraction keeps the sign of ``a - b``, so this is the sign of the
     reserve without forming it.
     """
-    a = np.multiply(t, c, out=ws.draws[:t.size])
-    a += u
-    if delta != 1.0:  # delta s is s itself at delta = 1
-        s = np.multiply(s, delta, out=ws.sizes)
-    return np.less(a, s, out=out)
+    a = np.multiply(t, p, out=ws.draws[:t.size])
+    a += x
+    return np.less(a, s, out=ws.hit)
 
 
-def _first_ruin_chunk(model, lines, horizon, rng, n, ws):
+def _first_ruin_chunk(model, p, x, horizon, rng, n, ws, start=None):
     """First ruin time within ``horizon`` per path (inf if none), and its claim total.
 
-    A path is ruined where the reserve ``u + c t - delta S`` of any
-    ``(c, u, delta)`` of ``lines`` is negative.  A path's epochs are
-    nondecreasing, so its ruin time is the epoch of its first hit.
+    A path is ruined where the normalized reserve ``x + p t - S`` is negative,
+    ``S`` being its claim total since the window began plus its entry of
+    ``start``, if given.  A path's epochs are nondecreasing, so its ruin time
+    is the epoch of its first hit.
     """
     tau = np.full(n, np.inf)
     totals = np.empty(n)
     for block in _path_blocks(model, horizon, n):
-        path, t, s, totals[block] = _epoch_panel(model, horizon, rng, block.stop - block.start, ws)
-        hit = _below(ws, t, s, *lines[0], ws.low)
-        for line in lines[1:]:
-            hit |= _below(ws, t, s, *line, ws.other)
-        idx = np.flatnonzero(hit)
+        path, t, s, totals[block] = _epoch_panel(
+            model, horizon, rng, block.stop - block.start, ws,
+            None if start is None else start[block])
+        idx = np.flatnonzero(_below(ws, t, s, p, x))
         hit_path = path[idx]
         # a path's first hit is where the hits' path changes
         first = np.empty(idx.size, dtype=bool)
@@ -262,6 +286,27 @@ def _first_ruin_chunk(model, lines, horizon, rng, n, ws):
         np.not_equal(hit_path[1:], hit_path[:-1], out=first[1:])
         tau[block][hit_path[first]] = t[idx[first]]
     return tau, totals
+
+
+def _joint_ruin_chunk(model, x1, x2, horizon, rng, n, ws):
+    """First joint-ruin time within ``horizon`` per path (inf if none), at normalized ``(x1, x2)``.
+
+    The lower reserve is company 1's before the crossing time ``T*`` and
+    company 2's from it on, so each window watches one company: company 1
+    over ``[0, min(T*, H))``, then company 2 over ``[T*, H)`` for the paths
+    alive at ``T*``, from their claim totals there.
+    """
+    p1, p2 = model.p1, model.p2
+    cross = (x2 - x1) / (p1 - p2)
+    if cross <= 0.0:
+        return _first_ruin_chunk(model, p2, x2, horizon, rng, n, ws)[0]
+    tau, totals = _first_ruin_chunk(model, p1, x1, min(cross, horizon), rng, n, ws)
+    if cross < horizon:
+        alive = np.flatnonzero(np.isinf(tau))
+        later, _ = _first_ruin_chunk(model, p2, x2 + p2 * cross, horizon - cross, rng,
+                                     alive.size, ws, start=totals[alive])
+        tau[alive] = later + cross
+    return tau
 
 
 def _chunk_sizes(n: int) -> Iterable[tuple[int, int]]:
@@ -380,10 +425,10 @@ def ruin_time_lt(
     this is exactly the finite-horizon ruin frequency on the same draws.
     """
     _check_domain(model, u1, u2, horizon, s)
-    lines = ((model.c1, u1, model.delta1), (model.c2, u2, model.delta2))
+    x1, x2 = normalize(model, u1, u2)
 
     def values(rng, size, ws):
-        tau, _ = _first_ruin_chunk(model, lines, horizon, rng, size, ws)
+        tau = _joint_ruin_chunk(model, x1, x2, horizon, rng, size, ws)
         # exp(-s inf) is 0 for s > 0; at s = 0 the transform is the hit indicator
         return np.exp(-s * tau) if s > 0 else np.isfinite(tau).astype(float)
 
@@ -451,7 +496,7 @@ def conditional_survival(
         return _estimate(exact, 0.0, n, seed, meta)
 
     def values(rng, size, ws):
-        tau, totals = _first_ruin_chunk(model, ((model.p1, x1, 1.0),), T, rng, size, ws)
+        tau, totals = _first_ruin_chunk(model, model.p1, x1, T, rng, size, ws)
         x_T = x1 + model.p1 * T - totals
         return np.where(np.isinf(tau), survival_one_company(model, np.maximum(x_T, 0.0)), 0.0)
 

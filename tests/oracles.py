@@ -9,9 +9,9 @@ The oracles call the shipped kernels they check (``mc.stream``,
 ``mc.sample_claims``, ``transform.z_roots``, ...) rather than copies of them,
 so a test through an oracle still tests the code that users run.  Company 1's
 roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
-here.  The exceptions are the stream-4 MC chunk kernels, written path by
-path from the stream's definition (``reference_epoch_panel`` and the two
-chunk sweeps after it): the shipped kernels must reproduce them bit for bit.
+here.  The exceptions are the stream-5 MC chunk kernels, written path by
+path from the stream's definition (``reference_epoch_panel`` and the
+sweeps after it): the shipped kernels must reproduce them bit for bit.
 ``killed_position_frequencies`` runs on the company-1 reference sweep, the
 only sweep with per-path horizons.
 """
@@ -333,19 +333,20 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
 
 
 def _reference_exponentials(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """Exponential variates of mean ``scale`` as stream 4 defines them: ``-scale log1p(-U)``."""
+    """Exponential variates of mean ``scale`` as stream 5 defines them: ``-scale log1p(-U)``."""
     return -scale * np.log1p(-rng.random(size))
 
 
 def _reference_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Claim sizes as stream 4 draws them; phase-type laws through ``mc.sample_claims``."""
+    """Claim sizes as stream 5 draws them; phase-type laws through ``mc.sample_claims``."""
     if isinstance(claim, Exponential):
         return _reference_exponentials(rng, 1.0 / claim.mu, size)
     return mc.sample_claims(claim, rng, size)
 
 
-def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int):
-    """One block's per-path ``(t, s)`` and its per-path claim totals, as stream 4 defines them.
+def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int,
+                          carried=None):
+    """One block's per-path ``(t, s)`` and its per-path claim totals, as stream 5 defines them.
 
     The block's paths lie end to end on one Poisson process: one count
     ``K ~ Poisson(lam H n)``, ``K + 1`` spacings ``E`` and ``K`` claim sizes
@@ -353,7 +354,8 @@ def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, 
     epoch ``i < K`` lies at ``v_i = P_i (n / P_K)`` in units of ``H``, on path
     ``j = min(floor(v_i), n - 1)`` at time ``min((v_i - j) H, H)``.  Its
     running claim total ``s`` is the block's running total of sizes less its
-    value where the path starts.
+    value where the path starts, less ``-carried[j]`` if given: the claims
+    path ``j`` carries into the window.
 
     Per-path ``horizons`` (which the killed sweep needs and no shipped kernel
     takes) place the paths on ``[0, sum h)`` in time units instead: path ``j``
@@ -373,27 +375,56 @@ def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, 
     paths, totals, lo = [], np.empty(n), 0
     for j, hi in enumerate(ends):
         t = np.minimum((v[lo:hi] - starts[j]) * unit, h[j])
-        paths.append((t, C[lo + 1:hi + 1] - C[lo]))
-        totals[j] = C[hi] - C[lo]
+        base = C[lo] if carried is None else C[lo] - carried[j]
+        paths.append((t, C[lo + 1:hi + 1] - base))
+        totals[j] = C[hi] - base
         lo = hi
     return paths, totals
 
 
-def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
-    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 4."""
-    tau = np.full(n, np.inf)
+def _reference_sweep(model, p, x, horizon, rng, n, carried=None):
+    """Per path, the first epoch in ``horizon`` where ``x + p t - s < 0`` (inf if none), and its total."""
+    tau, totals = np.full(n, np.inf), np.empty(n)
     for block in mc._path_blocks(model, horizon, n):
-        paths, _ = reference_epoch_panel(model, horizon, rng, block.stop - block.start)
+        paths, totals[block] = reference_epoch_panel(
+            model, horizon, rng, block.stop - block.start,
+            None if carried is None else carried[block])
         for j, (t, s) in enumerate(paths):
-            U1, U2 = reserves_at_epochs(model, u1, u2, t, s)
-            hit = np.minimum(U1, U2) < 0.0
+            # the sign of x + p t - s, which IEEE subtraction keeps
+            hit = p * t + x < s
             if hit.any():
                 tau[block.start + j] = t[np.argmax(hit)]
+    return tau, totals
+
+
+def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
+    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 5.
+
+    In normalized coordinates the lower reserve is company 1's before the
+    crossing time ``T* = (x2 - x1)/(p1 - p2)`` and company 2's from it on.
+    A lower-cone start (``T* <= 0``) sweeps company 2 over ``[0, H)``.
+    Otherwise company 1 is swept over ``[0, min(T*, H))``; if ``T* < H``,
+    the paths alive at ``T*`` then draw, in path order and from the same
+    stream, their claims over ``[T*, H)`` in blocks sized for ``H - T*``,
+    each carrying its claim total at ``T*``, and company 2 is swept from
+    its reserve ``x2 + p2 T*``.
+    """
+    x1, x2 = u1 / model.delta1, u2 / model.delta2
+    p1, p2 = model.p1, model.p2
+    cross = (x2 - x1) / (p1 - p2)
+    if cross <= 0.0:
+        return _reference_sweep(model, p2, x2, horizon, rng, n)[0]
+    tau, totals = _reference_sweep(model, p1, x1, min(cross, horizon), rng, n)
+    if cross < horizon:
+        alive = np.flatnonzero(np.isinf(tau))
+        later, _ = _reference_sweep(model, p2, x2 + p2 * cross, horizon - cross, rng,
+                                    alive.size, totals[alive])
+        tau[alive] = later + cross
     return tau
 
 
 def reference_company1_chunk(model, x1, horizons, rng, n):
-    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 4.
+    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 5.
 
     ``horizons`` is scalar or per-path; blocks are sized by the longest.
     """

@@ -167,6 +167,11 @@ def test_phasetype_exact_exit3(ph_file, capsys):
          "the 1048576 that a simulation holds"),
         ("p0", ["invert", "--x", "1e-300", "1"], 3,
          "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
+        ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--ultimate", "--horizon", "5",
+                "--paths", "1000"], 3,
+         "capability error: the conditional estimator does not read --horizon"),
+        ("p0", ["simulate", "--u", "1", "3", "--method", "conditional", "--horizon", "5"], 3,
+         "capability error: the conditional estimator does not read --horizon"),
     ],
 )
 def test_exit_codes(p0_file, ph_file, capsys, model, argv, code, message):
@@ -193,10 +198,10 @@ def test_ruin_tolerance_failure_exit4(p0_file, capsys, monkeypatch):
 )
 def test_ruin_default_method(p0_file, ph_file, capsys, model, s, label):
     path = {"p0": p0_file, "ph": ph_file}[model]
-    # --horizon only where mc runs: exact and pde refuse it
-    horizon = ["--horizon", "5"] if label == "method=mc" else []
-    argv = ["ruin", "--model", path, "--u", "1", "2", "--s", s,
-            "--steps", "20", "--paths", "200", *horizon]
+    # only options of the method that runs: another method refuses them
+    own = {"method=exact": [], "method=pde": ["--steps", "20"],
+           "method=mc": ["--paths", "200", "--horizon", "5"]}[label]
+    argv = ["ruin", "--model", path, "--u", "1", "2", "--s", s, *own]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert f"  {label}  " in out
@@ -205,23 +210,28 @@ def test_ruin_default_method(p0_file, ph_file, capsys, model, s, label):
 @pytest.mark.parametrize("method, option", [
     ("exact", ["--horizon", "5"]), ("pde", ["--horizon", "5"]), ("invert", ["--horizon", "5"]),
     ("invert", ["--tol", "1e-12"]), ("mc", ["--tol", "1e-12"]),
+    ("exact", ["--paths", "7"]), ("exact", ["--ultimate"]), ("exact", ["--steps", "20"]),
+    ("pde", ["--seed", "3"]), ("invert", ["--threads", "2"]), ("mc", ["--steps", "20"]),
 ])
 def test_ruin_refuses_an_option_its_method_ignores(capsys, method, option):
     code, out, err = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", method,
-                              "--paths", "100", *option], capsys)
+                              *option], capsys)
     assert (code, out) == (3, "")
     assert err.splitlines()[-1] == (
         f"capability error: {method} method does not read {option[0]}")
 
 
 @pytest.mark.parametrize("argv, label", [
-    (["--horizon", "5"], "method=mc"),
+    (["--horizon", "5", "--paths", "100"], "method=mc"),
     (["--tol", "1e-10"], "method=exact"),
-    (["--tol", "1e-2", "--s", "0.5"], "method=pde"),
+    (["--tol", "1e-2", "--s", "0.5", "--steps", "20"], "method=pde"),
+    (["--steps", "20"], "method=pde"),
+    (["--seed", "3", "--paths", "100"], "method=mc"),
+    # an mc option: mc runs, with mc's defaults applied where they are read
+    (["--ultimate"], "method=mc(conditional)  n=100000"),
 ])
 def test_ruin_default_method_reads_every_option_given(capsys, argv, label):
-    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--paths", "100",
-                            "--steps", "20", *argv], capsys)
+    code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", *argv], capsys)
     assert code == 0
     assert f"  {label}  " in out
 
@@ -416,34 +426,39 @@ def test_simulate_fluid_threads_identical(p0_file, capsys):
     _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
     assert out1 == out2
     meta = json.loads(list(csv.reader(io.StringIO(out1)))[1][5])
-    assert meta["stream_version"] == 4
+    assert meta["stream_version"] == 5
 
 
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
 
 
-# each pinned value lies within 4 standard errors of exact ruin, 0.194023325768,
-# or, discounted, of ruin --method pde --s 0.5, 0.133259841483
-@pytest.mark.parametrize("argv, line, reference", [
-    (["ruin", "--method", "mc", "--horizon", "20"],
-     "ruin(T=20) = 0.194  stderr=0.00279617433819  method=mc  n=20000  seed=11  "
+# each pinned value lies within 4 standard errors of exact ruin, 0.194023325768 at
+# (1, 3) and 0.303265329856 at (3, 1), or, discounted, of ruin --method pde --s 0.5,
+# 0.133259841483.  Stream 5 moved the direct and discounted lines at (1, 3) only: the
+# conditional estimator, the fluid one and the lower cone draw as in stream 4.
+@pytest.mark.parametrize("argv, u, line, reference", [
+    (["ruin", "--method", "mc", "--horizon", "20"], ["1", "3"],
+     "ruin(T=20) = 0.1931  stderr=0.00279123790646  method=mc  n=20000  seed=11  "
      "tail<=0.00646800434785", "exact"),
-    (["ruin", "--method", "mc", "--horizon", "20", "--s", "0.5"],
-     "ruin_lt = 0.134435533349  stderr=0.00214063732779  bias<=4.53999297625e-05  "
+    (["ruin", "--method", "mc", "--horizon", "20", "--s", "0.5"], ["1", "3"],
+     "ruin_lt = 0.132696852386  stderr=0.00212300984976  bias<=4.53999297625e-05  "
      "method=mc  n=20000  seed=11", "pde"),
-    (["ruin", "--method", "mc", "--ultimate"],
+    (["ruin", "--method", "mc", "--ultimate"], ["1", "3"],
      "ruin = 0.192823912376  stderr=0.00248761247682  method=mc(conditional)  n=20000  "
      "seed=11", "exact"),
-    (["simulate", "--method", "fluid", "--horizon", "20"],
+    (["simulate", "--method", "fluid", "--horizon", "20"], ["1", "3"],
      'ruin_by_horizon,0.1911,0.00278018452109,20000,11,"{""estimand"": ""ruin_by_horizon"", '
-     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 4}"', "exact"),
-], ids=["direct", "discounted", "conditional", "fluid"])
-def test_seeded_output_pinned_at_stream_version(capsys, argv, line, reference):
+     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 5}"', "exact"),
+    (["ruin", "--method", "mc", "--horizon", "20"], ["3", "1"],
+     "ruin(T=20) = 0.3059  stderr=0.00325834165482  method=mc  n=20000  seed=11  "
+     "tail<=0.0120138679501", "exact"),
+], ids=["direct", "discounted", "conditional", "fluid", "lower_cone"])
+def test_seeded_output_pinned_at_stream_version(capsys, argv, u, line, reference):
     # 2e4 paths span two chunks and, at T = 20, several path blocks per chunk
-    code, out, _ = run_cli([*argv, *P0_INLINE, "--u", "1", "3", "--paths", "2e4",
+    code, out, _ = run_cli([*argv, *P0_INLINE, "--u", *u, "--paths", "2e4",
                             "--seed", "11"], capsys)
     assert code == 0
-    assert mc.STREAM_VERSION == 4
+    assert mc.STREAM_VERSION == 5
     assert out.splitlines()[-1] == line, (
         "a seeded Monte Carlo output changed: if paths are now drawn differently "
         "on purpose, bump mc.STREAM_VERSION and pin the new lines")
@@ -452,7 +467,7 @@ def test_seeded_output_pinned_at_stream_version(capsys, argv, line, reference):
     else:
         value, se = (float(re.search(p, line)[1]) for p in (r"= (\S+)", r"stderr=(\S+)"))
     extra = ["--method", "pde", "--s", "0.5"] if reference == "pde" else []
-    _, ref_out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", *extra], capsys)
+    _, ref_out, _ = run_cli(["ruin", *P0_INLINE, "--u", *u, *extra], capsys)
     assert abs(value - float(re.search(r"= (\S+)", ref_out)[1])) <= 4.0 * se
 
 

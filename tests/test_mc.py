@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, kstest, poisson
 
+from ruin2d import mc
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import (
@@ -25,6 +26,7 @@ from ruin2d.mc import (
     _epoch_panel,
     _first_ruin_chunk,
     _fluid_ruin_chunk,
+    _joint_ruin_chunk,
     _map_chunks,
     _path_blocks,
     _path_bounds,
@@ -161,7 +163,7 @@ def test_every_estimate_records_stream_version(p0):
         conditional_survival(p0, 1.0, 1.0, 100, seed=1),
         simulate_joint_ruin_fluid(p0, 1.0, 2.0, 5.0, 100, seed=1),
     ]
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
     assert all(e.meta["stream_version"] == STREAM_VERSION for e in ests)
 
 
@@ -194,16 +196,16 @@ def test_block_edges_thread_invariant(p0, estimator, horizon, n):
     assert runs[0].n == n
 
 
-def _joint_lines(model, u1, u2):
-    return (model.c1, u1, model.delta1), (model.c2, u2, model.delta2)
+def _joint(model, u1, u2, horizon, rng, n, ws):
+    """The direct kernel at raw reserves ``(u1, u2)``."""
+    return _joint_ruin_chunk(model, u1 / model.delta1, u2 / model.delta2, horizon, rng, n, ws)
 
 
 @pytest.mark.parametrize("kernel", [
-    lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
-        model, _joint_lines(model, u1, u2), horizon, rng, n, _Workspace()),
+    lambda model, u1, u2, horizon, rng, n: _joint(model, u1, u2, horizon, rng, n, _Workspace()),
     _fluid_ruin_chunk,
     lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
-        model, ((model.p1, u1, 1.0),), horizon, rng, n, _Workspace()),
+        model, model.p1, u1, horizon, rng, n, _Workspace()),
 ], ids=["direct", "fluid", "company1"])
 def test_chunk_memory_independent_of_horizon(p0, kernel):
     def peak(horizon):
@@ -235,23 +237,53 @@ def any_model(request):
 ], ids=["zero", "short", "long", "one-path-blocks"])
 @pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
 def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
-    # the chunk kernels written path by path from stream 4, in tests/oracles.py;
-    # both calls share one workspace, as the chunks of one thread do
+    # the chunk kernels written path by path from stream 5, in tests/oracles.py;
+    # the calls share one workspace, as the chunks of one thread do.  At (1, 2)
+    # the crossing time is 0.36 to 1.34 on these models; (2, 1) is in the lower cone
     ws = _Workspace()
-    lines = _joint_lines(any_model, 1.0, 2.0)
-    tau, joint_totals = _first_ruin_chunk(any_model, lines, horizon, stream(seed, k), n, ws)
-    assert np.array_equal(tau, reference_joint_tau_chunk(
-        any_model, 1.0, 2.0, horizon, stream(seed, k), n))
+    for u1, u2 in ((1.0, 2.0), (2.0, 1.0)):
+        tau = _joint(any_model, u1, u2, horizon, stream(seed, k), n, ws)
+        assert np.array_equal(tau, reference_joint_tau_chunk(
+            any_model, u1, u2, horizon, stream(seed, k), n))
+        if horizon > 0.0:
+            assert 0 < np.isfinite(tau).sum() < n or n == 3
     # company 1 alone, as conditional_survival reads it
-    tau1, totals = _first_ruin_chunk(
-        any_model, ((any_model.p1, 1.0, 1.0),), horizon, stream(seed, k), n, ws)
+    tau1, totals = _first_ruin_chunk(any_model, any_model.p1, 1.0, horizon, stream(seed, k), n, ws)
     alive, x_T = np.isinf(tau1), 1.0 + any_model.p1 * horizon - totals
     ref_alive, ref_x_T = reference_company1_chunk(any_model, 1.0, horizon, stream(seed, k), n)
     assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
-    assert np.array_equal(joint_totals, totals)
     if horizon > 0.0:
-        assert 0 < np.isfinite(tau).sum() < n or n == 3
         assert 0 < alive.sum() < n or n == 3
+
+
+def test_direct_and_conditional_share_the_first_window(p0, monkeypatch):
+    # at P0 (1, 3) the crossing time is 2: up to it both estimators watch company 1
+    # alone on the same blocks and draws, and the direct one then draws only the
+    # survivors, carrying their claim totals
+    calls = []
+    sweep = mc._first_ruin_chunk
+
+    def spy(model, p, x, horizon, rng, n, ws, start=None):
+        tau, totals = sweep(model, p, x, horizon, rng, n, ws, start)
+        calls.append((p, x, horizon, np.isinf(tau), totals.copy(), start))
+        return tau, totals
+
+    monkeypatch.setattr(mc, "_first_ruin_chunk", spy)
+    n = CHUNK + 2_000  # two chunks
+    simulate_joint_ruin(p0, 1.0, 3.0, 20.0, n, seed=13)
+    direct, calls[:] = calls[:], []
+    cond = conditional_survival(p0, 1.0, 3.0, n, seed=13)
+    assert cond.meta["crossing_time"] == 2.0 and len(calls) == 2 and len(direct) == 4
+    for (p, x, T, alive, totals, start), first, second in zip(calls, direct[::2], direct[1::2]):
+        assert (p, x, T, start) == (p0.p1, 1.0, 2.0, None)
+        # the direct kernel's survivors at T* and their claim totals, bit for bit
+        assert first[:3] == (p, x, T) and first[5] is None
+        assert np.array_equal(first[3], alive)
+        assert np.array_equal(1.0 + p * T - first[4], 1.0 + p * T - totals)
+        assert 0 < alive.sum() < alive.size
+        # then company 2 alone over [2, 20), from each survivor's total at T*
+        assert second[:3] == (p0.p2, 3.0 + p0.p2 * 2.0, 18.0)
+        assert np.array_equal(second[5], totals[alive])
 
 
 @pytest.mark.parametrize("horizon", [7.5, 0.0], ids=["scalar", "zero"])
