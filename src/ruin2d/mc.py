@@ -15,7 +15,7 @@ per-claim buffers for the whole estimate.  Each chunk is reduced to
 ``(n, mean, M2)`` and the chunks are merged in chunk order, so every estimate
 is bit-reproducible for a fixed ``(seed, n)`` and parallel fan-out over
 chunks cannot change the result.  How a chunk turns its stream into paths is
-versioned by :data:`STREAM_VERSION` (now 5), which every estimate records in
+versioned by :data:`STREAM_VERSION` (now 6), which every estimate records in
 ``meta``.
 
 Direct simulation and the ruin-time transform follow the cone.  In normalized
@@ -27,8 +27,12 @@ chunk of horizon ``H`` with ``0 < T* < H`` first draws all its blocks over
 with the same blocks and draws; then it draws, in blocks over ``[T*, H)``,
 only the paths still alive, in path order, and watches company 2 alone from
 each path's claim total at ``T*``.  A lower-cone start (``T* <= 0``) watches
-company 2 alone over ``[0, H)``, and a start with ``T* >= H`` company 1 alone;
-these, the conditional estimator and the fluid estimator draw as in stream 4.
+company 2 alone from ``t = 0``, and a start with ``T* >= H`` company 1 alone.
+At ``s > 0`` the paths alive at ``max(T*, 0) < H`` draw, after company 1's
+blocks, one killing clock ``Exp(s)`` each, in path order and by inversion;
+company 2's window of each ends at its clock if that rings before ``H`` (see
+:func:`ruin_time_lt`).  Starts with ``T* >= H``, ``s = 0``, the conditional
+and the fluid estimator draw as in stream 5.
 
 Ruin is checked at claim epochs only: both reserves strictly increase between
 claims, so the running minimum over continuous time is attained immediately
@@ -67,8 +71,9 @@ BLOCK = 1 << 16
 # 1: uniform epochs sorted with argsort; 2: epochs from exponential spacings;
 # 3: SFC64 streams, each chunk drawn and reduced in path blocks; 4: one Poisson
 # process per path block, and exponentials by inversion; 5: direct simulation
-# watches company 1 before the crossing time and draws only its survivors after it.
-STREAM_VERSION = 5
+# watches company 1 before the crossing time and draws only its survivors after it;
+# 6: at s > 0 the survivors run company 2 only until an Exp(s) killing clock.
+STREAM_VERSION = 6
 # Expected claims per path, lam * horizon, above which a simulation is refused:
 # a path's claims are held at once, at about 60 bytes each per thread.
 _MAX_MEAN_CLAIMS = 1 << 20
@@ -142,8 +147,17 @@ def _sample_phasetype(claim: PhaseType, rng: np.random.Generator, out: np.ndarra
 # Vectorized chunk kernels.
 # ---------------------------------------------------------------------------
 
-def _path_blocks(model: RiskModel, horizon: float, n: int) -> Iterable[slice]:
-    """Consecutive path ranges of a chunk, each expecting about :data:`BLOCK` claims."""
+def _path_blocks(model: RiskModel, horizon, n: int) -> Iterable[slice]:
+    """Consecutive path ranges of a chunk, each expecting about :data:`BLOCK` claims.
+
+    Per-path horizons end a block at each path where the expected claims
+    ``lam (h_0 + ... + h_j)`` pass a multiple of :data:`BLOCK`.
+    """
+    if np.ndim(horizon):
+        passed = np.floor_divide(model.lam * np.cumsum(horizon), BLOCK)
+        ends = [*(np.flatnonzero(np.diff(passed, prepend=0.0)) + 1).tolist(), n]
+        yield from (slice(lo, hi) for lo, hi in zip([0, *ends], ends) if lo < hi)
+        return
     per_block = max(1, BLOCK // (math.ceil(model.lam * horizon) + 1))
     for lo in range(0, n, per_block):
         yield slice(lo, min(lo + per_block, n))
@@ -193,7 +207,7 @@ class _Workspace:
         self.hit = self._hit[:tot]
 
 
-def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: int,
+def _epoch_panel(model: RiskModel, horizon, rng: np.random.Generator, n: int,
                  ws: _Workspace, start=None):
     """Claim epochs and within-path claim totals of one block of ``n`` paths, in ``ws``.
 
@@ -208,7 +222,10 @@ def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: 
     path, at time ``H``.  A claim's running total within its path is the
     block's running total less its value where the path starts, plus the
     path's entry of ``start`` if given: the claims a path carries into the
-    window.
+    window.  Per-path horizons ``h`` place the paths on ``[0, sum h)`` in
+    units of time instead: epoch ``v`` belongs to the last path ``j`` whose
+    start ``h_0 + ... + h_{j-1}`` is at or before ``v``, at time
+    ``min(v - start, h_j)``.
 
     Returns ``(path, t, s, totals)``: ``path`` is the path of each claim,
     nondecreasing, ``t`` the claim epochs, sorted within each path, and ``s``
@@ -216,7 +233,8 @@ def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: 
     views into ``ws``, valid until its next block); ``totals`` are the
     per-path claim totals at the window's end.  Both count ``start``.
     """
-    tot = int(rng.poisson(model.lam * horizon * n))
+    span = horizon.sum() if np.ndim(horizon) else n
+    tot = int(rng.poisson(model.lam * span if np.ndim(horizon) else model.lam * horizon * n))
     ws.fit(tot)
     _exponentials(rng, 1.0, ws.draws)
     sample_claims(model.claim, rng, tot, out=ws.sizes)
@@ -224,13 +242,19 @@ def _epoch_panel(model: RiskModel, horizon: float, rng: np.random.Generator, n: 
     np.cumsum(ws.draws, out=ws.epochs)
     np.cumsum(ws.sizes, out=ws.claims[1:])
     t, path = ws.epochs[:tot], ws.path
-    t *= n / ws.epochs[tot]
-    np.copyto(path, t, casting="unsafe")  # floor, as t >= 0
-    last = int(np.searchsorted(path, n))  # the claims from here on rounded to v >= n
-    path[last:] = n - 1
-    t -= path
-    t *= horizon
-    t[last:] = horizon
+    t *= span / ws.epochs[tot]
+    if np.ndim(horizon):
+        starts = np.cumsum(horizon) - horizon
+        np.subtract(np.searchsorted(starts, t, side="right"), 1, out=path)
+        t -= starts.take(path, out=ws.draws[:tot], mode="clip")
+        np.minimum(t, horizon.take(path, out=ws.draws[:tot], mode="clip"), out=t)
+    else:
+        np.copyto(path, t, casting="unsafe")  # floor, as t >= 0
+        last = int(np.searchsorted(path, n))  # the claims from here on rounded to v >= n
+        path[last:] = n - 1
+        t -= path
+        t *= horizon
+        t[last:] = horizon
     # the running totals where each path starts and ends
     cs_b = ws.claims.take(_path_bounds(path, n))
     s0 = cs_b[:-1] if start is None else cs_b[:-1] - start
@@ -269,15 +293,15 @@ def _first_ruin_chunk(model, p, x, horizon, rng, n, ws, start=None):
 
     A path is ruined where the normalized reserve ``x + p t - S`` is negative,
     ``S`` being its claim total since the window began plus its entry of
-    ``start``, if given.  A path's epochs are nondecreasing, so its ruin time
-    is the epoch of its first hit.
+    ``start``, if given.  ``horizon`` is scalar or per-path.  A path's epochs
+    are nondecreasing, so its ruin time is the epoch of its first hit.
     """
     tau = np.full(n, np.inf)
     totals = np.empty(n)
     for block in _path_blocks(model, horizon, n):
         path, t, s, totals[block] = _epoch_panel(
-            model, horizon, rng, block.stop - block.start, ws,
-            None if start is None else start[block])
+            model, horizon[block] if np.ndim(horizon) else horizon, rng,
+            block.stop - block.start, ws, None if start is None else start[block])
         idx = np.flatnonzero(_below(ws, t, s, p, x))
         hit_path = path[idx]
         # a path's first hit is where the hits' path changes
@@ -288,24 +312,30 @@ def _first_ruin_chunk(model, p, x, horizon, rng, n, ws, start=None):
     return tau, totals
 
 
-def _joint_ruin_chunk(model, x1, x2, horizon, rng, n, ws):
+def _joint_ruin_chunk(model, x1, x2, horizon, rng, n, ws, s=0.0):
     """First joint-ruin time within ``horizon`` per path (inf if none), at normalized ``(x1, x2)``.
 
     The lower reserve is company 1's before the crossing time ``T*`` and
     company 2's from it on, so each window watches one company: company 1
     over ``[0, min(T*, H))``, then company 2 over ``[T*, H)`` for the paths
-    alive at ``T*``, from their claim totals there.
+    alive at ``T* = max(T*, 0)``, from their claim totals there.  At ``s > 0``
+    company 2's window of each such path ends at its killing clock, if that
+    rings first, and a ruin in it is returned at ``T*``.
     """
     p1, p2 = model.p1, model.p2
-    cross = (x2 - x1) / (p1 - p2)
-    if cross <= 0.0:
-        return _first_ruin_chunk(model, p2, x2, horizon, rng, n, ws)[0]
-    tau, totals = _first_ruin_chunk(model, p1, x1, min(cross, horizon), rng, n, ws)
+    cross = max((x2 - x1) / (p1 - p2), 0.0)
+    if cross > 0.0:
+        tau, totals = _first_ruin_chunk(model, p1, x1, min(cross, horizon), rng, n, ws)
+    else:
+        tau, totals = np.full(n, np.inf), np.zeros(n)
     if cross < horizon:
         alive = np.flatnonzero(np.isinf(tau))
-        later, _ = _first_ruin_chunk(model, p2, x2 + p2 * cross, horizon - cross, rng,
+        window = horizon - cross
+        if s > 0:
+            window = np.minimum(_exponentials(rng, 1.0 / s, np.empty(alive.size)), window)
+        later, _ = _first_ruin_chunk(model, p2, x2 + p2 * cross, window, rng,
                                      alive.size, ws, start=totals[alive])
-        tau[alive] = later + cross
+        tau[alive] = later + cross if s == 0 else np.where(np.isinf(later), later, cross)
     return tau
 
 
@@ -423,12 +453,19 @@ def ruin_time_lt(
     The deterministic truncation bias for the untruncated transform is at most
     ``exp(-s * horizon)``, reported in ``meta['bias_bound']``.  At ``s = 0``
     this is exactly the finite-horizon ruin frequency on the same draws.
+
+    At ``s > 0`` discounting is killing: ``e^{-s(tau - T*)} = P(zeta > tau - T*)``
+    for ``zeta ~ Exp(s)`` independent of the path (Gerber & Shiu 1998).  So a
+    path ruined before ``T* = max(T*, 0)`` scores ``e^{-s tau}``, and a path
+    alive at ``T*`` scores ``e^{-s T*}`` if company 2 is ruined before
+    ``T* + min(zeta, H - T*)``, else 0: given the path, its mean is
+    ``e^{-s tau}`` on ``tau <= H``, and the estimator is unbiased.
     """
     _check_domain(model, u1, u2, horizon, s)
     x1, x2 = normalize(model, u1, u2)
 
     def values(rng, size, ws):
-        tau = _joint_ruin_chunk(model, x1, x2, horizon, rng, size, ws)
+        tau = _joint_ruin_chunk(model, x1, x2, horizon, rng, size, ws, s)
         # exp(-s inf) is 0 for s > 0; at s = 0 the transform is the hit indicator
         return np.exp(-s * tau) if s > 0 else np.isfinite(tau).astype(float)
 

@@ -9,11 +9,11 @@ The oracles call the shipped kernels they check (``mc.stream``,
 ``mc.sample_claims``, ``transform.z_roots``, ...) rather than copies of them,
 so a test through an oracle still tests the code that users run.  Company 1's
 roots of ``kappa_1(theta) = q``, which no shipped code needs, are computed
-here.  The exceptions are the stream-5 MC chunk kernels, written path by
+here.  The exceptions are the stream-6 MC chunk kernels, written path by
 path from the stream's definition (``reference_epoch_panel`` and the
 sweeps after it): the shipped kernels must reproduce them bit for bit.
-``killed_position_frequencies`` runs on the company-1 reference sweep, the
-only sweep with per-path horizons.
+``killed_position_frequencies`` runs on the company-1 reference sweep with
+per-path horizons, as the discounted chunk's company-2 window does.
 """
 
 from __future__ import annotations
@@ -333,12 +333,12 @@ def reserves_at_epochs(model: RiskModel, u1: float, u2: float,
 
 
 def _reference_exponentials(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
-    """Exponential variates of mean ``scale`` as stream 5 defines them: ``-scale log1p(-U)``."""
+    """Exponential variates of mean ``scale`` as stream 6 defines them: ``-scale log1p(-U)``."""
     return -scale * np.log1p(-rng.random(size))
 
 
 def _reference_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Claim sizes as stream 5 draws them; phase-type laws through ``mc.sample_claims``."""
+    """Claim sizes as stream 6 draws them; phase-type laws through ``mc.sample_claims``."""
     if isinstance(claim, Exponential):
         return _reference_exponentials(rng, 1.0 / claim.mu, size)
     return mc.sample_claims(claim, rng, size)
@@ -346,7 +346,7 @@ def _reference_claims(claim, rng: np.random.Generator, size: int) -> np.ndarray:
 
 def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, n: int,
                           carried=None):
-    """One block's per-path ``(t, s)`` and its per-path claim totals, as stream 5 defines them.
+    """One block's per-path ``(t, s)`` and its per-path claim totals, as stream 6 defines them.
 
     The block's paths lie end to end on one Poisson process: one count
     ``K ~ Poisson(lam H n)``, ``K + 1`` spacings ``E`` and ``K`` claim sizes
@@ -357,9 +357,9 @@ def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, 
     value where the path starts, less ``-carried[j]`` if given: the claims
     path ``j`` carries into the window.
 
-    Per-path ``horizons`` (which the killed sweep needs and no shipped kernel
-    takes) place the paths on ``[0, sum h)`` in time units instead: path ``j``
-    starts at ``h_0 + ... + h_{j-1}``.
+    Per-path ``horizons`` (the discounted chunk's killed window) place the
+    paths on ``[0, sum h)`` in time units instead: path ``j`` starts at
+    ``h_0 + ... + h_{j-1}``.
     """
     h = np.broadcast_to(np.asarray(horizons, dtype=float), (n,))
     if np.ndim(horizons) == 0:
@@ -383,12 +383,15 @@ def reference_epoch_panel(model: RiskModel, horizons, rng: np.random.Generator, 
 
 
 def _reference_sweep(model, p, x, horizon, rng, n, carried=None):
-    """Per path, the first epoch in ``horizon`` where ``x + p t - s < 0`` (inf if none), and its total."""
+    """Per path, the first epoch in ``horizon`` where ``x + p t - s < 0`` (inf if none), and its total.
+
+    ``horizon`` is scalar or per-path, and the paths run in ``mc._path_blocks``.
+    """
     tau, totals = np.full(n, np.inf), np.empty(n)
     for block in mc._path_blocks(model, horizon, n):
         paths, totals[block] = reference_epoch_panel(
-            model, horizon, rng, block.stop - block.start,
-            None if carried is None else carried[block])
+            model, horizon[block] if np.ndim(horizon) else horizon, rng,
+            block.stop - block.start, None if carried is None else carried[block])
         for j, (t, s) in enumerate(paths):
             # the sign of x + p t - s, which IEEE subtraction keeps
             hit = p * t + x < s
@@ -398,7 +401,7 @@ def _reference_sweep(model, p, x, horizon, rng, n, carried=None):
 
 
 def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
-    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 5.
+    """First joint-ruin time within ``horizon`` per path (inf if none), per stream 6.
 
     In normalized coordinates the lower reserve is company 1's before the
     crossing time ``T* = (x2 - x1)/(p1 - p2)`` and company 2's from it on.
@@ -423,22 +426,39 @@ def reference_joint_tau_chunk(model, u1, u2, horizon, rng, n):
     return tau
 
 
-def reference_company1_chunk(model, x1, horizons, rng, n):
-    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 5.
+def reference_discounted_chunk(model, u1, u2, s, horizon, rng, n):
+    """Per-path values of the discounted estimator at ``s > 0``, per stream 6.
 
-    ``horizons`` is scalar or per-path; blocks are sized by the longest.
+    With ``T* = max((x2 - x1)/(p1 - p2), 0)``, company 1 is swept over
+    ``[0, min(T*, H))`` as in :func:`reference_joint_tau_chunk`, and a ruin
+    there at ``tau`` scores ``e^{-s tau}``.  If ``T* < H``, each path alive at
+    ``T*`` then draws from the same stream, in path order, a killing clock
+    ``zeta = -log1p(-U) / s``, and company 2 is swept from ``x2 + p2 T*`` over
+    ``[T*, T* + min(zeta, H - T*))``, each path carrying its claim total at
+    ``T*`` (none in the lower cone); a ruin there scores ``e^{-s T*}``.
     """
-    p1 = model.p1
-    horizons = np.asarray(horizons, dtype=float)
-    alive = np.ones(n, dtype=bool)
-    totals = np.empty(n)
-    for block in mc._path_blocks(model, float(np.max(horizons)), n):
-        h = horizons[block] if horizons.ndim else horizons
-        paths, totals[block] = reference_epoch_panel(model, h, rng, block.stop - block.start)
-        for j, (t, s) in enumerate(paths):
-            alive[block.start + j] = np.all(x1 + p1 * t - s >= 0.0)
-    x_T = x1 + p1 * np.broadcast_to(horizons, (n,)) - totals
-    return alive, x_T
+    x1, x2 = u1 / model.delta1, u2 / model.delta2
+    p1, p2 = model.p1, model.p2
+    cross = max((x2 - x1) / (p1 - p2), 0.0)
+    scored = np.full(n, np.inf)  # the time at which each path's ruin is discounted
+    if cross > 0.0:
+        scored, totals = _reference_sweep(model, p1, x1, min(cross, horizon), rng, n)
+    if cross < horizon:
+        alive = np.flatnonzero(np.isinf(scored))
+        kill = _reference_exponentials(rng, 1.0 / s, alive.size)
+        later, _ = _reference_sweep(model, p2, x2 + p2 * cross, np.minimum(kill, horizon - cross),
+                                    rng, alive.size, totals[alive] if cross > 0.0 else None)
+        scored[alive[np.isfinite(later)]] = cross
+    return np.exp(-s * scored)
+
+
+def reference_company1_chunk(model, x1, horizons, rng, n):
+    """Normalized company-1 sweep ``(alive flags, terminal values X1(T))``, per stream 6.
+
+    ``horizons`` is scalar or per-path, blocked as the discounted chunk's killed window.
+    """
+    tau, totals = _reference_sweep(model, model.p1, x1, horizons, rng, n)
+    return np.isinf(tau), x1 + model.p1 * np.broadcast_to(horizons, (n,)) - totals
 
 
 @dataclass(frozen=True)

@@ -426,7 +426,7 @@ def test_simulate_fluid_threads_identical(p0_file, capsys):
     _, out2, _ = run_cli(base + ["--threads", "2"], capsys)
     assert out1 == out2
     meta = json.loads(list(csv.reader(io.StringIO(out1)))[1][5])
-    assert meta["stream_version"] == 5
+    assert meta["stream_version"] == 6
 
 
 P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
@@ -434,31 +434,36 @@ P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
 
 # each pinned value lies within 4 standard errors of exact ruin, 0.194023325768 at
 # (1, 3) and 0.303265329856 at (3, 1), or, discounted, of ruin --method pde --s 0.5,
-# 0.133259841483.  Stream 5 moved the direct and discounted lines at (1, 3) only: the
-# conditional estimator, the fluid one and the lower cone draw as in stream 4.
+# 0.133259841483 at (1, 3) and 0.130904364808 at (1, 30).  Stream 6
+# moved the discounted line at (1, 3) only: s = 0, the conditional and fluid
+# estimators, and starts whose crossing time is past the horizon (T* = 29 >= 5 at
+# (1, 30)) draw as in stream 5.
 @pytest.mark.parametrize("argv, u, line, reference", [
     (["ruin", "--method", "mc", "--horizon", "20"], ["1", "3"],
      "ruin(T=20) = 0.1931  stderr=0.00279123790646  method=mc  n=20000  seed=11  "
      "tail<=0.00646800434785", "exact"),
     (["ruin", "--method", "mc", "--horizon", "20", "--s", "0.5"], ["1", "3"],
-     "ruin_lt = 0.132696852386  stderr=0.00212300984976  bias<=4.53999297625e-05  "
+     "ruin_lt = 0.132548541452  stderr=0.00213151028378  bias<=4.53999297625e-05  "
      "method=mc  n=20000  seed=11", "pde"),
     (["ruin", "--method", "mc", "--ultimate"], ["1", "3"],
      "ruin = 0.192823912376  stderr=0.00248761247682  method=mc(conditional)  n=20000  "
      "seed=11", "exact"),
     (["simulate", "--method", "fluid", "--horizon", "20"], ["1", "3"],
      'ruin_by_horizon,0.1911,0.00278018452109,20000,11,"{""estimand"": ""ruin_by_horizon"", '
-     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 5}"', "exact"),
+     '""horizon"": 20.0, ""method"": ""fluid"", ""stream_version"": 6}"', "exact"),
     (["ruin", "--method", "mc", "--horizon", "20"], ["3", "1"],
      "ruin(T=20) = 0.3059  stderr=0.00325834165482  method=mc  n=20000  seed=11  "
      "tail<=0.0120138679501", "exact"),
-], ids=["direct", "discounted", "conditional", "fluid", "lower_cone"])
+    (["ruin", "--method", "mc", "--horizon", "5", "--s", "0.5"], ["1", "30"],
+     "ruin_lt = 0.128388507232  stderr=0.00211675544977  bias<=0.0820849986239  "
+     "method=mc  n=20000  seed=11", "pde"),
+], ids=["direct", "discounted", "conditional", "fluid", "lower_cone", "crossing_past_horizon"])
 def test_seeded_output_pinned_at_stream_version(capsys, argv, u, line, reference):
     # 2e4 paths span two chunks and, at T = 20, several path blocks per chunk
     code, out, _ = run_cli([*argv, *P0_INLINE, "--u", *u, "--paths", "2e4",
                             "--seed", "11"], capsys)
     assert code == 0
-    assert mc.STREAM_VERSION == 5
+    assert mc.STREAM_VERSION == 6
     assert out.splitlines()[-1] == line, (
         "a seeded Monte Carlo output changed: if paths are now drawn differently "
         "on purpose, bump mc.STREAM_VERSION and pin the new lines")

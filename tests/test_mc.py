@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, kstest, poisson
 
-from ruin2d import mc
+from ruin2d import mc, pde
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import (
@@ -46,6 +46,7 @@ from oracles import (
     killed_position_frequencies,
     path_ruin_time,
     reference_company1_chunk,
+    reference_discounted_chunk,
     reference_epoch_panel,
     reference_joint_tau_chunk,
     resolvent_density,
@@ -163,7 +164,7 @@ def test_every_estimate_records_stream_version(p0):
         conditional_survival(p0, 1.0, 1.0, 100, seed=1),
         simulate_joint_ruin_fluid(p0, 1.0, 2.0, 5.0, 100, seed=1),
     ]
-    assert STREAM_VERSION == 5
+    assert STREAM_VERSION == 6
     assert all(e.meta["stream_version"] == STREAM_VERSION for e in ests)
 
 
@@ -196,17 +197,19 @@ def test_block_edges_thread_invariant(p0, estimator, horizon, n):
     assert runs[0].n == n
 
 
-def _joint(model, u1, u2, horizon, rng, n, ws):
-    """The direct kernel at raw reserves ``(u1, u2)``."""
-    return _joint_ruin_chunk(model, u1 / model.delta1, u2 / model.delta2, horizon, rng, n, ws)
+def _joint(model, u1, u2, horizon, rng, n, ws, s=0.0):
+    """The direct kernel at raw reserves ``(u1, u2)``, killed at rate ``s``."""
+    return _joint_ruin_chunk(model, u1 / model.delta1, u2 / model.delta2, horizon, rng, n, ws, s)
 
 
 @pytest.mark.parametrize("kernel", [
     lambda model, u1, u2, horizon, rng, n: _joint(model, u1, u2, horizon, rng, n, _Workspace()),
+    lambda model, u1, u2, horizon, rng, n: _joint(model, u1, u2, horizon, rng, n, _Workspace(),
+                                                  s=0.01),
     _fluid_ruin_chunk,
     lambda model, u1, u2, horizon, rng, n: _first_ruin_chunk(
         model, model.p1, u1, horizon, rng, n, _Workspace()),
-], ids=["direct", "fluid", "company1"])
+], ids=["direct", "discounted", "fluid", "company1"])
 def test_chunk_memory_independent_of_horizon(p0, kernel):
     def peak(horizon):
         tracemalloc.start()
@@ -237,7 +240,7 @@ def any_model(request):
 ], ids=["zero", "short", "long", "one-path-blocks"])
 @pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
 def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
-    # the chunk kernels written path by path from stream 5, in tests/oracles.py;
+    # the chunk kernels written path by path from stream 6, in tests/oracles.py;
     # the calls share one workspace, as the chunks of one thread do.  At (1, 2)
     # the crossing time is 0.36 to 1.34 on these models; (2, 1) is in the lower cone
     ws = _Workspace()
@@ -254,6 +257,80 @@ def test_chunk_kernels_match_reference_bits(any_model, horizon, n, seed, k):
     assert np.array_equal(alive, ref_alive) and np.array_equal(x_T, ref_x_T)
     if horizon > 0.0:
         assert 0 < alive.sum() < n or n == 3
+
+
+@pytest.mark.parametrize("s, horizon, n", [
+    (0.5, 50.0, 3_000),
+    (0.02, 50.0, 3_000),        # clocks of mean 50: the killed window spans several blocks
+    (1e-5, float(BLOCK), 3),    # clocks past the horizon: about a block per path
+], ids=["one-block", "many-blocks", "long-clocks"])
+@pytest.mark.parametrize("seed, k", [(1, 0), (7, 3), (2024, 11)])
+def test_discounted_chunk_matches_reference_bits(any_model, s, horizon, n, seed, k):
+    # stream 6 written path by path in tests/oracles.py: company 1's sweep, then
+    # the killing clocks, then company 2's sweep on per-path horizons.  At (1, 2)
+    # the crossing time is 0.36 to 1.34 on these models, (2, 1) is in the lower
+    # cone, and at (1, 2) with H = 0.3 the crossing time is past the horizon
+    ws = _Workspace()
+    starts = [(1.0, 2.0, horizon), (2.0, 1.0, horizon), (1.0, 2.0, 0.3)]
+    for u1, u2, h in starts:
+        vals = np.exp(-s * _joint(any_model, u1, u2, h, stream(seed, k), n, ws, s))
+        ref = reference_discounted_chunk(any_model, u1, u2, s, h, stream(seed, k), n)
+        assert np.array_equal(vals, ref)
+        assert 0 < np.count_nonzero(vals) < n or n == 3
+    # T* >= H draws no clock: the values of stream 5, which is stream 6 at s = 0
+    stream5 = reference_joint_tau_chunk(any_model, 1.0, 2.0, 0.3, stream(seed, k), n)
+    assert np.array_equal(vals, np.exp(-s * stream5))
+
+
+def test_discounted_draws_few_claims_per_path(p0, monkeypatch):
+    # at P0 (1, 3), T* = 2: two claims per path before it, then about two per
+    # survivor until its Exp(0.5) clock, where stream 5 drew 42.4 to H = 50
+    drawn = []
+    sampler = mc.sample_claims
+
+    def spy(claim, rng, size, out=None):
+        drawn.append(size)
+        return sampler(claim, rng, size, out)
+
+    monkeypatch.setattr(mc, "sample_claims", spy)
+    ruin_time_lt(p0, 1.0, 3.0, 0.5, 50.0, CHUNK, seed=5)
+    assert sum(drawn) < 6 * CHUNK
+    drawn.clear()
+    ruin_time_lt(p0, 1.0, 3.0, 0.0, 50.0, CHUNK, seed=5)
+    assert sum(drawn) == 692_235  # as stream 5 drew it
+
+
+def _pde_lt(model, u1, u2, s):
+    """``ruin --method pde --s``: the value and its error bound, solved on the query's column."""
+    r, _ = pde.to_grid_coords(model, u1, u2)
+    grid = pde.solve(model, s=s, r_max=r, steps=200)
+    return pde.evaluate(grid, u1, u2), grid.error_estimate
+
+
+@pytest.mark.parametrize("model, u, s, horizon, seed", [
+    ("p0", (1.0, 3.0), 0.5, 50.0, 61),
+    ("p1", (0.3, 4.0), 0.3, 40.0, 62),
+    ("p0", (3.0, 1.0), 0.5, 50.0, 63),
+], ids=["p0", "p1", "p0-lower-cone"])
+def test_discounted_matches_pde_and_company2(request, model, u, s, horizon, seed):
+    # 2e6 paths: the killed estimator against the PDE in the upper cone and
+    # against company 2's discounted ruin in the lower cone
+    m = request.getfixturevalue(model)
+    est = ruin_time_lt(m, *u, s, horizon, 2_000_000, seed=seed, threads=2)
+    if u[0] < u[1]:
+        ref, err = _pde_lt(m, *u, s)
+    else:
+        ref, err = ruin_transform_exp(m, u[1] / m.delta2, s), 0.0
+    assert abs(ref - est.mean) <= 4.0 * est.std_error + est.meta["bias_bound"] + err
+
+
+def test_discounted_phasetype_agrees_with_stream5(erlang2_model):
+    # Erlang-2 has no deterministic reference at s > 0; stream 5 at the parent
+    # of stream 6 gave 0.1168078748334239 (se 0.00029117307896765277) from
+    # ruin_time_lt(erlang2, 1, 3, 0.5, 50, 1e6 paths, seed 2024)
+    est = ruin_time_lt(erlang2_model, 1.0, 3.0, 0.5, 50.0, 2_000_000, seed=64, threads=2)
+    stream5, se5 = 0.1168078748334239, 0.00029117307896765277
+    assert abs(est.mean - stream5) <= 4.0 * math.hypot(est.std_error, se5)
 
 
 def test_direct_and_conditional_share_the_first_window(p0, monkeypatch):
@@ -286,7 +363,11 @@ def test_direct_and_conditional_share_the_first_window(p0, monkeypatch):
         assert np.array_equal(second[5], totals[alive])
 
 
-@pytest.mark.parametrize("horizon", [7.5, 0.0], ids=["scalar", "zero"])
+# per-path horizons with zero-length paths among them, as a clock of 0 would give
+PER_PATH = np.where(np.arange(2_000) % 7 == 3, 0.0, np.random.default_rng(2).exponential(2.0, 2_000))
+
+
+@pytest.mark.parametrize("horizon", [7.5, 0.0, PER_PATH], ids=["scalar", "zero", "per-path"])
 def test_epoch_panel_sorted_within_horizon(p0, horizon):
     n = 2_000
     with warnings.catch_warnings():
@@ -295,13 +376,44 @@ def test_epoch_panel_sorted_within_horizon(p0, horizon):
     counts = np.bincount(path, minlength=n)
     assert path.size == t.size == s.size and np.all(np.diff(path) >= 0)
     bounds = np.concatenate([[0], np.cumsum(counts)])
-    assert np.all(t >= 0.0) and np.all(t <= horizon)
+    assert np.all(t >= 0.0) and np.all(t <= np.broadcast_to(horizon, (n,))[path])
+    assert np.all(counts[np.broadcast_to(horizon, (n,)) == 0.0] == 0)
     same_path = path[1:] == path[:-1]
     assert np.all(np.diff(t)[same_path] >= 0.0)
     assert np.all(np.diff(s)[same_path] > 0.0)
     nonempty = counts > 0
     assert np.array_equal(totals[nonempty], s[bounds[1:][nonempty] - 1])
-    assert (horizon > 0.0 or path.size == 0) and np.all(totals[counts == 0] == 0.0)
+    assert (np.sum(horizon) > 0.0 or path.size == 0) and np.all(totals[counts == 0] == 0.0)
+
+
+def test_epoch_panel_per_path_counts_are_poisson(p0):
+    # paths of horizons 1 and 4 alternate on one Poisson process: each path's
+    # count is Poisson(lam h), its epochs uniform on [0, h)
+    n = 20_000
+    h = np.where(np.arange(n) % 2 == 0, 1.0, 4.0)
+    path, t, _, _ = _epoch_panel(p0, h, stream(9, 0), n, _Workspace())
+    counts = np.bincount(path, minlength=n)
+    for length in (1.0, 4.0):
+        c, mean = counts[h == length], p0.lam * length
+        assert abs(c.mean() - mean) <= 4.0 * math.sqrt(mean / c.size)
+        assert abs(c.var() - mean) <= 4.0 * math.sqrt((2 * mean**2 + mean) / c.size)
+        assert kstest(t[h[path] == length] / length, "uniform").pvalue > 1e-3
+
+
+def test_path_blocks_per_path_horizons(p1):
+    # per-path horizons end a block at each path whose expected claims since the
+    # chunk began pass a multiple of BLOCK; a path longer than a block ends one
+    h = np.random.default_rng(3).exponential(3.0, 40_000)
+    h[500] = 1.5 * BLOCK
+    blocks = list(_path_blocks(p1, h, h.size))
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == h.size
+    passed = np.floor_divide(p1.lam * np.cumsum(h), BLOCK)
+    for b in blocks[:-1]:
+        assert passed[b.stop - 1] > passed[b.stop - 2] if b.stop > 1 else passed[0] > 0
+        assert p1.lam * h[b][:-1].sum() < BLOCK
+    assert any(b.stop == 501 for b in blocks)
+    assert list(_path_blocks(p1, h[:0], 0)) == []
 
 
 def test_epoch_panel_uniform_order_statistics(p0):
