@@ -17,6 +17,10 @@ end-to-end metrics (the ``end_to_end`` names of BENCHMARK.json), ``correct``
 and ``failed``, and per metric the median and quartiles of each side, the
 number of pairs the change won, and the median of the paired ratios
 change/base with a distribution-free interval (sign-test order statistics).
+The per-kind figures that perfbench prints, each command kind's median
+latency (``kind *_p50_ms``) and each MC estimator's time to a standard error
+of 1e-3 (``metric *_s_to_se1e-3``), are kept per run and summarised the same
+way, lower being better.
 
 ``--base HEAD`` on a clean tree runs the same code on both sides: that A/A
 control shows what the harness reads on identical code.
@@ -38,24 +42,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "affinity", "python", "numpy", "scipy", "platform")
+# (section, name suffix) of the per-kind report lines kept in the record
+KIND_LINES = (("kind", "_p50_ms"), ("metric", "_s_to_se1e-3"))
 
 
 def parse_run(stdout: str) -> dict:
-    """``{"machine", "correct", "attempted", "failed", "metrics"}`` of one perfbench run.
+    """``{"machine", "correct", "attempted", "failed", "metrics", "kinds"}`` of one perfbench run.
 
-    ``metrics`` maps each metric name to its value; ``machine`` is the run's
+    ``metrics`` maps each metric name to its value and ``kinds`` each per-kind
+    figure of :data:`KIND_LINES` to its value; ``machine`` is the run's
     ``# machine`` line without the run settings.
     """
     lines = stdout.splitlines()
     result = json.loads(lines[-1])
     machine = next(json.loads(line.removeprefix("# machine "))
                    for line in lines if line.startswith("# machine "))
+    kinds = {}
+    for fields in map(str.split, lines[:-1]):
+        if (len(fields) >= 3 and fields[2] != "n/a"
+                and any(fields[0] == section and fields[1].endswith(suffix)
+                        for section, suffix in KIND_LINES)):
+            kinds[fields[1]] = float(fields[2])
     return {
         "machine": {k: machine.get(k) for k in MACHINE_KEYS},
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "kinds": kinds,
     }
 
 
@@ -85,6 +99,18 @@ def _ratio_summary(ratios: list, level: float = 0.95) -> dict:
     return {"median": statistics.median(ordered), "interval": interval}
 
 
+def _summary(base: list, change: list, better: str) -> dict:
+    """Both sides' spread, the pairs the change won and the paired ratios of one figure."""
+    sign = 1.0 if better == "lower" else -1.0
+    return {
+        "better": better,
+        "base": _spread(base),
+        "change": _spread(change),
+        "change_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
+        "ratio": _ratio_summary([c / b for b, c in zip(base, change)]),
+    }
+
+
 def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
                  change_rev: str, pairs: list) -> dict:
     """The ``BENCH_<workload>.json`` record.
@@ -92,20 +118,17 @@ def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
     ``metrics`` maps each end-to-end metric to ``"lower"`` or ``"higher"``
     (which is better); ``pairs`` holds ``{"seed", "first", "dirs", "base",
     "change"}`` per pair, where ``dirs`` maps each side to its directory name
-    and each side is a :func:`parse_run` result.
+    and each side is a :func:`parse_run` result.  ``kind_summary`` covers the
+    per-kind figures that every run of both sides reports.
     """
-    summary = {}
-    for name, better in metrics.items():
-        base = [p["base"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
-        sign = 1.0 if better == "lower" else -1.0
-        summary[name] = {
-            "better": better,
-            "base": _spread(base),
-            "change": _spread(change),
-            "change_wins": sum(sign * (c - b) < 0 for b, c in zip(base, change)),
-            "ratio": _ratio_summary([c / b for b, c in zip(base, change)]),
-        }
+    summary = {name: _summary([p["base"]["metrics"][name] for p in pairs],
+                              [p["change"]["metrics"][name] for p in pairs], better)
+               for name, better in metrics.items()}
+    kinds = sorted(set.intersection(*(set(p[side]["kinds"]) for p in pairs
+                                      for side in ("base", "change"))))
+    kind_summary = {name: _summary([p["base"]["kinds"][name] for p in pairs],
+                                   [p["change"]["kinds"][name] for p in pairs], "lower")
+                    for name in kinds}
     return {
         "workload": workload,
         "seconds": seconds,
@@ -116,11 +139,13 @@ def build_record(workload: str, seconds: float, metrics: dict, base_rev: str,
             {"seed": p["seed"], "first": p["first"], "dirs": p["dirs"],
              **{side: {"correct": p[side]["correct"], "attempted": p[side]["attempted"],
                        "failed": p[side]["failed"],
-                       "metrics": {k: p[side]["metrics"][k] for k in metrics}}
+                       "metrics": {k: p[side]["metrics"][k] for k in metrics},
+                       "kinds": p[side]["kinds"]}
                 for side in ("base", "change")}}
             for p in pairs
         ],
         "summary": summary,
+        "kind_summary": kind_summary,
     }
 
 

@@ -1,25 +1,26 @@
 """Command-line front end.
 
-Subcommands: ``derive``, ``ruin``, ``transform``, ``invert``, ``simulate``,
-``pde``, ``table``.  Reserve inputs are raw company reserves (u-coordinates)
-and are normalized internally; ``table`` sweeps normalized coordinates, which
-coincide with raw reserves whenever ``delta = (1, 1)``.
+Subcommands: ``derive``, ``ruin``, ``transform``, ``simulate``, ``pde``,
+``table``.  ``ruin`` is the one point query of every method.  Reserve inputs
+are raw company reserves (u-coordinates) and are normalized internally;
+``table`` sweeps normalized coordinates, which coincide with raw reserves
+whenever ``delta = (1, 1)``.
 
 Exit codes: 0 success; 2 invalid argument (a negative reserve, discount,
 horizon, seed or sweep bound, a non-finite number, ``--tol <= 0``,
 ``--paths < 1`` or not whole, a ``table`` point count ``N`` below 1 or
-not whole, ``--threads < 1`` or a bad ``RUIN2D_THREADS``,
-``--p``/``--q <= 0``, ``ruin --steps < 4``, ``pde --steps < 2``,
-``--rmax <= 0``, a negative ``--dump-stride``) or invalid model (unreadable
-or malformed input, or failed validation); 3 capability mismatch (the method
-does not support the claim law, discount or reserves; ``ruin``'s method does
-not read one of its method-specific options given, ``--tol``, ``--horizon``,
+not whole, ``--threads < 1``, ``--p``/``--q <= 0``, ``ruin --steps < 4``,
+``pde --steps < 2``, ``--rmax <= 0``, a negative ``--dump-stride``, or an
+unknown subcommand or option) or invalid model (unreadable or malformed
+input, or failed validation); 3 capability mismatch (the method does not
+support the claim law, discount or reserves; ``ruin``'s method does not read
+one of its method-specific options given, ``--tol``, ``--horizon``,
 ``--steps``, ``--ultimate``, ``--paths``, ``--seed`` or ``--threads``; or the
-conditional estimator, ``ruin --ultimate`` or ``simulate --method
-conditional``, is given a ``--horizon``) or any other refusal of the
-library; 4 numerical tolerance failure.  :func:`main` alone returns an
-exit code: it builds and validates the model, passes it to the command, and
-turns a :class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
+MC estimator does not read ``--s`` or ``--horizon`` given) or any other
+refusal of the library; 4 numerical tolerance failure.  The program reads no
+environment variable.  :func:`main` alone returns an exit code: it builds
+and validates the model, passes it to the command, and turns a
+:class:`~ruin2d.errors.ToleranceNotMet` into 4 and any other
 :class:`~ruin2d.errors.Ruin2dError` into 3.  Commands return nothing and
 signal failure only by raising.
 """
@@ -32,7 +33,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 
@@ -71,6 +71,9 @@ METHODS = {
 }
 # the ruin-by-horizon of ruin --method mc without --horizon
 _MC_HORIZON = 200.0
+# the MC estimators (ruin --method mc runs naive, or conditional with --ultimate)
+# -> which of their estimator-specific options each reads; each refuses the rest
+_ESTIMATORS = {"naive": {"s", "horizon"}, "conditional": set(), "fluid": {"horizon"}}
 
 
 def _fmt(x) -> str:
@@ -205,20 +208,19 @@ def _ruin_method(model: RiskModel, s: float, method, given: set) -> str:
 def _mc_estimate(model: RiskModel, args, method: str, s, default_horizon: float):
     """``(estimand, MCEstimate)`` of one MC estimator at the raw reserves ``args.u``.
 
-    ``method`` is ``naive``, ``conditional`` or ``fluid``; ``s`` is the
-    ruin-time discount or None, and only the naive estimator takes one.  All
-    but the conditional estimator simulate to ``args.horizon``, or to
-    ``default_horizon`` without one; the conditional one refuses a horizon.
+    ``method`` is a key of :data:`_ESTIMATORS`, which refuses ``s`` (the
+    ruin-time discount, or None) and ``args.horizon`` where it does not read
+    them.  The estimators that read a horizon simulate to ``args.horizon``, or
+    to ``default_horizon`` without one.
     """
     u1, u2 = args.u
-    if s is not None and method != "naive":
-        raise UnsupportedClaimLaw(f"--s (ruin-time discount) needs --method naive, not {method}")
-    n, seed = args.paths or 100_000, args.seed or 0
-    threads = args.threads or args.env_threads
+    given = {name for name, value in (("s", s), ("horizon", args.horizon)) if value is not None}
+    ignored = " or ".join(f"--{name}" for name in sorted(given - _ESTIMATORS[method]))
+    if ignored:
+        raise UnsupportedClaimLaw(f"the {method} estimator does not read {ignored}")
+    n, seed, threads = args.paths or 100_000, args.seed or 0, args.threads or 1
     horizon = default_horizon if args.horizon is None else args.horizon
     if method == "conditional":
-        if args.horizon is not None:
-            raise UnsupportedClaimLaw("the conditional estimator does not read --horizon")
         x1, x2 = normalize(model, u1, u2)
         # a lower-cone point reduces to the one-dimensional problem at x2
         return "survival", mc.conditional_survival(
@@ -302,12 +304,6 @@ def cmd_transform(model: RiskModel, args) -> None:
     print(f"psi_tilde({_fmt(args.p)},{_fmt(args.q)}) = {_fmt(val)}")
 
 
-def cmd_invert(model: RiskModel, args) -> None:
-    x1, x2 = args.x
-    val = transform.invert_2d(model, x1, x2)
-    print(f"survival({_fmt(x1)},{_fmt(x2)}) = {_fmt(val)}  method=invert")
-
-
 def cmd_simulate(model: RiskModel, args) -> None:
     kind, est = _mc_estimate(model, args, args.method, args.s, 100.0)
     meta = json.dumps({**est.meta, "estimand": kind}, sort_keys=True, default=float)
@@ -319,12 +315,6 @@ def cmd_simulate(model: RiskModel, args) -> None:
 
 def cmd_pde(model: RiskModel, args) -> None:
     grid = pde.solve(model, s=args.s, r_max=args.rmax, steps=args.steps, tol=args.tol)
-    if args.point is not None:
-        u1, u2 = args.point
-        val = pde.evaluate(grid, u1, u2)
-        print(f"psi({_fmt(u1)},{_fmt(u2)};s={_fmt(args.s)}) = {_fmt(val)}  "
-              f"error<={_fmt(grid.error_estimate)}")
-        return
     with _output(args.output) as out:
         out.write("r,w,u1,u2,chi,xi,h\n")
         h = grid.h
@@ -398,11 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_at_least(0, strict=True), required=True)
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("invert", help="numeric double inversion at normalized (x1,x2)")
-    _add_model_args(p)
-    p.add_argument("--x", type=_at_least(0), nargs=2, required=True, metavar=("X1", "X2"))
-    p.set_defaults(func=cmd_invert)
-
     p = sub.add_parser("simulate", help="Monte Carlo estimators (CSV output)")
     _add_model_args(p)
     p.add_argument("--u", type=_at_least(0), nargs=2, required=True, metavar=("U1", "U2"))
@@ -410,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_at_least(0, int))
     p.add_argument("--horizon", type=_at_least(0))
     p.add_argument("--s", type=_at_least(0), default=None)
-    p.add_argument("--method", choices=["naive", "conditional", "fluid"], default="naive")
+    p.add_argument("--method", choices=list(_ESTIMATORS), default="naive")
     p.add_argument("--threads", type=_at_least(1, int))
     p.add_argument("--output", help="CSV file (default stdout)")
     p.set_defaults(func=cmd_simulate)
@@ -423,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="columns of the coarser of the two grids: marches STEPS "
                         "and 2 STEPS columns (ruin --steps counts the finer one's)")
     p.add_argument("--tol", type=_at_least(0, strict=True), default=None)
-    p.add_argument("--point", type=_at_least(0), nargs=2, metavar=("U1", "U2"))
     p.add_argument("--dump-stride", type=_at_least(0, int), default=0,
                    help="emit every k-th node only (0 = all nodes)")
     p.add_argument("--output", help="CSV file (default stdout)")
@@ -444,17 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) is None:
-        # RUIN2D_THREADS, the default of --threads, is read per call: the cached
-        # parser outlives the environment.  ruin refuses --threads where its method
-        # does not read it, so the default goes beside the option, not into it.
-        text = os.environ.get("RUIN2D_THREADS", "1")
-        try:
-            args.env_threads = _at_least(1, int)(text)
-        except (ValueError, argparse.ArgumentTypeError):
-            print(f"invalid environment: RUIN2D_THREADS must be an integer >= 1, got {text!r}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
     model, problems = _validated_model(args)
     for problem in problems:
         print(f"invalid model: {problem}", file=sys.stderr)

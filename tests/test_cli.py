@@ -135,26 +135,26 @@ def test_phasetype_exact_exit3(ph_file, capsys):
          "capability error: pde method needs exponential claims"),
         ("ph", ["transform", "--p", "1", "--q", "1"], 3,
          "capability error: exponential claims only"),
-        ("ph", ["invert", "--x", "1", "2"], 3,
+        ("ph", ["pde", "--s", "0.5", "--steps", "10"], 3,
          "capability error: exponential claims only"),
         ("ph", ["pde", "--steps", "10"], 3,
          "capability error: exponential claims only"),
         ("ph", ["table", "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"], 3,
          "capability error: exponential claims only"),
-        ("p0", ["invert", "--x", "2", "1"], 3,
+        ("p0", ["ruin", "--u", "2", "2", "--method", "invert"], 3,
          "capability error: invert method needs upper-cone reserves x2 > x1 > 0"),
         ("p0", ["ruin", "--u", "3", "1", "--method", "invert"], 3,
          "capability error: invert method needs upper-cone reserves x2 > x1 > 0"),
         ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--ultimate", "--s", "0.5",
                 "--paths", "100"], 3,
-         "capability error: --s (ruin-time discount) needs --method naive, not conditional"),
+         "capability error: the conditional estimator does not read --s"),
         ("p0", ["pde", "--steps", "4", "--tol", "1e-12"], 4,
          "tolerance error: step-halving estimate 7.10e-03 exceeds tol 1.00e-12"),
         ("p0", ["transform", "--p", "1e-300", "--q", "1e-300"], 3,
          "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
         ("p0", ["transform", "--p", "1e300", "--q", "1e300"], 3,
          "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
-        ("p0", ["pde", "--rmax", "1e300", "--steps", "2", "--point", "1", "2"], 3,
+        ("p0", ["pde", "--rmax", "1e300", "--steps", "2"], 3,
          "capability error: the march overflows double precision at r_max=1e+300, steps=2"),
         ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--horizon", "1e300"], 3,
          "capability error: lam * horizon = 1e+300 expected claims per path exceeds "
@@ -165,13 +165,25 @@ def test_phasetype_exact_exit3(ph_file, capsys):
         ("p0", ["simulate", "--u", "1", "3", "--method", "fluid", "--horizon", "1048577"], 3,
          "capability error: lam * horizon = 1.04858e+06 expected claims per path exceeds "
          "the 1048576 that a simulation holds"),
-        ("p0", ["invert", "--x", "1e-300", "1"], 3,
+        ("p0", ["ruin", "--u", "1e-300", "1", "--method", "invert"], 3,
          "capability error: psi_tilde(p, q) does not come out a finite double at these p and q"),
         ("p0", ["ruin", "--u", "1", "3", "--method", "mc", "--ultimate", "--horizon", "5",
                 "--paths", "1000"], 3,
          "capability error: the conditional estimator does not read --horizon"),
         ("p0", ["simulate", "--u", "1", "3", "--method", "conditional", "--horizon", "5"], 3,
          "capability error: the conditional estimator does not read --horizon"),
+        # u1 = u2 puts the point on the top row at r = 1e300
+        ("p0", ["ruin", "--u", "1e300", "1e300", "--method", "pde", "--steps", "4"], 3,
+         "capability error: the march overflows double precision at r_max=1e+300, steps=2"),
+        ("p0", ["simulate", "--u", "1", "3", "--method", "conditional", "--s", "0.5"], 3,
+         "capability error: the conditional estimator does not read --s"),
+        ("p0", ["simulate", "--u", "1", "3", "--method", "fluid", "--s", "0.5"], 3,
+         "capability error: the fluid estimator does not read --s"),
+        ("p0", ["simulate", "--u", "1", "3", "--method", "conditional", "--s", "0.5",
+                "--horizon", "5"], 3,
+         "capability error: the conditional estimator does not read --horizon or --s"),
+        ("p0", ["ruin", "--u", "1", "3", "--ultimate", "--s", "0.5", "--horizon", "5"], 3,
+         "capability error: the conditional estimator does not read --horizon or --s"),
     ],
 )
 def test_exit_codes(p0_file, ph_file, capsys, model, argv, code, message):
@@ -298,16 +310,6 @@ def test_transform_command_near_q_zero(q, line, capsys):
     # z2(q) -> 0 with q: its digits come from Vieta's rule, not a cancelling sum
     code, out, _ = run_cli(["transform", *P0_INLINE, "--p", "1", "--q", q], capsys)
     assert (code, out) == (0, line + "\n")
-
-
-def test_invert_command(p0_file, capsys):
-    code, out, _ = run_cli(["invert", "--model", p0_file, "--x", "1", "2"], capsys)
-    assert code == 0
-    assert "0.7782" in out
-    # far reserves of company 2: survival(1, x2) -> 1 - C1 e^{-gamma1} = 0.8288609603
-    code, out, _ = run_cli(["invert", "--model", p0_file, "--x", "1", "1e300"], capsys)
-    assert code == 0
-    assert float(re.search(r"= (\S+)", out)[1]) == pytest.approx(0.8288609603, abs=1e-3)
 
 
 def test_simulate_csv_shape(p0_file, capsys, tmp_path):
@@ -726,33 +728,6 @@ def test_ruin_pde_odd_steps_use_one_fewer_column(capsys):
     assert run_cli([*argv, "41"], capsys) != run_cli([*argv, "42"], capsys)
 
 
-def test_pde_point(p0_file, capsys):
-    code, out, _ = run_cli(
-        [
-            "pde", "--model", p0_file, "--s", "0", "--rmax", "8",
-            "--steps", "150", "--point", "1", "3",
-        ],
-        capsys,
-    )
-    assert code == 0
-    assert "psi(1,3;s=0)" in out
-
-
-@pytest.mark.parametrize("s", ["0", "0.5"])
-def test_pde_point_on_the_last_column_matches_ruin(capsys, s):
-    # pde --steps N marches N and 2N columns, ruin --steps 2N the same pair on r_max = r
-    p0 = RiskModel(lam=1.0, claim=Exponential(1.0), c1=3.0, c2=2.0)
-    r, _ = pde.to_grid_coords(p0, 1.0, 3.0)
-    code, point, _ = run_cli(["pde", *P0_INLINE, "--s", s, "--point", "1", "3",
-                              "--rmax", repr(r), "--steps", "75"], capsys)
-    assert code == 0
-    code, ruin, _ = run_cli(["ruin", *P0_INLINE, "--s", s, "--u", "1", "3", "--method", "pde",
-                             "--steps", "150"], capsys)
-    assert code == 0
-    point_fields, ruin_fields = point.split(), ruin.split()
-    assert (point_fields[2], point_fields[3]) == (ruin_fields[2], ruin_fields[4])
-
-
 def test_pde_csv(p0_file, capsys, tmp_path):
     f = tmp_path / "grid.csv"
     code, _, _ = run_cli(
@@ -766,6 +741,22 @@ def test_pde_csv(p0_file, capsys, tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0] == "r,w,u1,u2,chi,xi,h"
     assert len(lines) > 3
+
+
+@pytest.mark.parametrize("argv, rows, digest", [
+    ([*P0_INLINE, "--s", "0.5", "--rmax", "3", "--steps", "20", "--dump-stride", "3"], 106,
+     "cbaf07a9169079ed93df7bb77340429b7eee94a1e7ebf7bec1959ee652466c96"),
+    # h = e^{mu r - (lam + s) w} chi, taken in log space: e^{mu r} = e^1000 alone overflows
+    ([*P0_INLINE, "--rmax", "1000", "--steps", "10", "--dump-stride", "10"], 7,
+     "6472680b149219699937511b310fcee79b90712031396389a464718d36414c00"),
+    (["--lam", "1.3", "--mu", "0.7", "--c", "5", "3", "--delta", "1.6", "1.25",
+      "--s", "0.3", "--rmax", "4", "--steps", "24", "--dump-stride", "4"], 92,
+     "6ee6c222bc86463771d5abb2cfbcc79112ca3c3591d171d9daafb455dac43a16"),
+], ids=["P0-s0.5", "P0-rmax1000", "delta"])
+def test_pde_dump_pinned(capsys, argv, rows, digest):
+    code, out, _ = run_cli(["pde", *argv], capsys)
+    assert (code, out.count("\n")) == (0, rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, PDE_OUTPUT_MOVED
 
 
 PDE_OUTPUT_MOVED = (
@@ -782,8 +773,9 @@ PDE_GOLDEN = [
      "ruin = 0.71250926975  method=pde  error<=2.79400918402e-07  s=0"),
     (["ruin", *P1_INLINE, "--u", "1", "3", "--method", "pde", "--s", "0.5"],
      "ruin_lt = 0.237642741177  method=pde  error<=6.24237946982e-07  s=0.5"),
-    (["pde", *P0_INLINE, "--point", "1", "3", "--rmax", "8", "--steps", "150"],
-     "psi(1,3;s=0) = 0.194023325742  error<=3.14636053724e-06"),
+    # the point query of pde --point 1 3 --steps 150, on the query's own column
+    (["ruin", *P0_INLINE, "--u", "1", "3", "--method", "pde", "--steps", "300"],
+     "ruin = 0.194023325861  method=pde  error<=2.40904061246e-06  s=0"),
 ]
 
 
@@ -866,6 +858,12 @@ def test_ruin_invert_method(p0_file, capsys):
     assert code == 0
     assert "method=invert" in out
     assert "0.2217" in out  # 1 - 0.778202
+    # far reserves of company 2: ruin(1, x2) -> C1 e^{-gamma1} = 0.1711390397
+    code, out, _ = run_cli(
+        ["ruin", "--model", p0_file, "--u", "1", "1e300", "--method", "invert"], capsys
+    )
+    assert code == 0
+    assert float(re.search(r"= (\S+)", out)[1]) == pytest.approx(0.1711390397, abs=1e-3)
 
 
 def test_table_flags_failed_rows_exit4(p0_file, capsys, tmp_path, monkeypatch):
@@ -937,7 +935,7 @@ def test_inline_model(capsys):
         (["ruin", "--u", "1", "3", "--method", "mc", "--seed", "-1"],
          "argument --seed: must be >= 0"),
         (["simulate", "--u", "1", "3", "--seed", "-1"], "argument --seed: must be >= 0"),
-        (["pde", "--point", "-1", "2"], "argument --point: must be >= 0"),
+        (["pde", "--point", "1", "2"], "unrecognized arguments: --point 1 2"),
         (["table", "--x1", "0", "1", "inf", "--x2", "0", "1", "2"],
          "argument --x1: must be finite, got inf"),
         (["simulate", "--u", "1", "3", "--horizon", "inf", "--paths", "100"],
@@ -950,10 +948,10 @@ def test_inline_model(capsys):
         (["ruin", "--u", "1", "3", "--method", "pde", "--s", "inf"],
          "argument --s: must be finite, got inf"),
         (["ruin", "--u", "1", "3", "--tol", "inf"], "argument --tol: must be finite, got inf"),
-        (["pde", "--rmax", "inf", "--point", "1", "2"], "argument --rmax: must be finite, got inf"),
-        (["pde", "--point", "1", "inf", "--rmax", "1"], "argument --point: must be finite, got inf"),
-        (["invert", "--x", "1", "inf"], "argument --x: must be finite, got inf"),
-        (["invert", "--x", "-1", "2"], "argument --x: must be >= 0"),
+        (["pde", "--rmax", "inf"], "argument --rmax: must be finite, got inf"),
+        (["ruin", "--u", "inf", "3", "--method", "pde"], "argument --u: must be finite, got inf"),
+        (["invert", "--x", "1", "2"], "argument command: invalid choice: 'invert'"),
+        (["ruin", "--u", "-1", "2", "--method", "invert"], "argument --u: must be >= 0"),
         (["transform", "--p", "inf", "--q", "1"], "argument --p: must be finite, got inf"),
         (["ruin", "--u", "1", "3", "--method", "mc", "--paths", "100", "--threads", "0"],
          "argument --threads: must be >= 1, got 0"),
@@ -1031,22 +1029,21 @@ def test_argument_bounds_are_inclusive(p0_file, capsys):
     code, out, _ = run_cli(["ruin", "--model", p0_file, "--u", "1", "3", "--method", "pde",
                             "--steps", "4"], capsys)
     assert code == 0 and out.startswith("ruin = ")
-    argv = ["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"]
-    code, out, _ = run_cli([*argv, "--point", "0", "0"], capsys)
-    assert code == 0 and out.startswith("psi(0,0;s=0) = ")
+    code, out, _ = run_cli(["pde", "--model", p0_file, "--s", "0", "--rmax", "1", "--steps", "2"],
+                           capsys)
+    assert code == 0 and out.startswith("r,w,u1,u2,chi,xi,h\n0,0,0,0,")
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])
-def test_threads_environment_invalid_exit2(p0_file, capsys, monkeypatch, value):
-    monkeypatch.setenv("RUIN2D_THREADS", value)
+def test_threads_environment_is_ignored(p0_file, capsys, monkeypatch, value):
     argv = ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "100"]
-    code, out, err = run_cli(argv, capsys)
-    assert (code, out) == (2, "")
-    assert err == ("invalid environment: RUIN2D_THREADS must be an integer >= 1, "
-                   f"got {value!r}\n")
+    without = run_cli(argv, capsys)
+    monkeypatch.setenv("RUIN2D_THREADS", value)
+    assert run_cli(argv, capsys) == without
+    assert without[0] == 0
 
 
-def test_threads_environment_is_read_on_every_call(p0_file, capsys, monkeypatch):
+def test_threads_default_to_one(p0_file, capsys, monkeypatch):
     seen = []
     map_chunks = mc._map_chunks
 
@@ -1059,27 +1056,24 @@ def test_threads_environment_is_read_on_every_call(p0_file, capsys, monkeypatch)
             "--paths", "2e3", "--ultimate"]
     simulate = ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "2e3",
                 "--horizon", "5"]
-    for threads in ("2", "1"):
-        monkeypatch.setenv("RUIN2D_THREADS", threads)
-        assert run_cli(ruin, capsys)[0] == 0
-        assert run_cli(simulate, capsys)[0] == 0
-    assert run_cli([*ruin, "--threads", "2"], capsys)[0] == 0
-    monkeypatch.delenv("RUIN2D_THREADS")
+    monkeypatch.setenv("RUIN2D_THREADS", "2")
+    assert run_cli(ruin, capsys)[0] == 0
     assert run_cli(simulate, capsys)[0] == 0
-    assert seen == [2, 2, 1, 1, 2, 1]
+    assert run_cli([*ruin, "--threads", "2"], capsys)[0] == 0
+    assert run_cli([*simulate, "--threads", "2"], capsys)[0] == 0
+    assert seen == [1, 1, 2, 2]
 
 
 ROOT_HELP = """\
-usage: ruin2d [-h] {derive,ruin,transform,invert,simulate,pde,table} ...
+usage: ruin2d [-h] {derive,ruin,transform,simulate,pde,table} ...
 
 Joint ruin probabilities for two proportionally coupled companies
 
 positional arguments:
-  {derive,ruin,transform,invert,simulate,pde,table}
+  {derive,ruin,transform,simulate,pde,table}
     derive              print derived model constants
     ruin                joint ruin probability at raw reserves
     transform           evaluate the double transform psi_tilde(p,q)
-    invert              numeric double inversion at normalized (x1,x2)
     simulate            Monte Carlo estimators (CSV output)
     pde                 solve the transform system on the cone
     table               closed-form survival sweep to CSV
@@ -1132,7 +1126,7 @@ def test_repeated_calls_print_the_same_bytes(p0_file, capsys):
         ["transform", "--model", p0_file, "--p", "1", "--q", "1"],
         ["table", "--model", p0_file, "--x1", "0.5", "1", "2", "--x2", "1", "2", "2"],
         ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "2e3", "--horizon", "5"],
-        ["pde", "--model", p0_file, "--rmax", "2", "--steps", "10", "--point", "0.5", "1"],
+        ["pde", "--model", p0_file, "--rmax", "2", "--steps", "10"],
     ]
     fresh = []
     for argv in commands:

@@ -28,17 +28,28 @@ def test_pde_convergence_runs_from_checkout():
     assert all(float(row[-1]) <= 1.0 for row in rows)  # true error / printed bound
 
 
-def canned_perfbench_stdout(correct, failed, values):
-    """What perfbench/run.py prints: a readable report, then one JSON line."""
+def report_line(section, name, shown, unit, note=""):
+    """One line of perfbench/run.py's readable report, in its layout."""
+    return f"{section:<7} {name:<42} {shown:>14} {unit:<6} {note}".rstrip()
+
+
+def canned_perfbench_stdout(correct, failed, values, kinds=None):
+    """What perfbench/run.py prints: a readable report, then one JSON line.
+
+    ``kinds`` maps each per-kind report line, ``(section, name)``, to its value.
+    """
     machine = {"workload": "point_queries", "seed": 1, "seconds": 25.0, "trace": 0,
                "nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6",
                "scipy": "1.17.1", "platform": "Linux-x86_64"}
     units = {"setup_s": "s", "wall_cal": "cal", "cmd_p50_gmean_cal": "cal", "peak_rss_mb": "MB"}
     result = {"correct": correct, "attempted": 100, "failed": failed,
               "metrics": {k: {"value": v, "unit": units[k]} for k, v in values.items()}}
+    report = [report_line("e2e", k, f"{v:.6g}", units[k]) for k, v in values.items()]
+    report += [report_line(section, name, f"{v:.6g}", "ms", "n=40")
+               for (section, name), v in (kinds or {}).items()]
     return "\n".join(["# perfbench workload=point_queries seed=1",
                       "# machine " + json.dumps(machine, sort_keys=True),
-                      "metric  wall_cal ...", json.dumps(result)]) + "\n"
+                      *report, json.dumps(result)]) + "\n"
 
 
 def load_bench_pairs():
@@ -50,10 +61,18 @@ def load_bench_pairs():
 
 def test_bench_pairs_builds_a_record_from_two_runs():
     bench_pairs = load_bench_pairs()
+    kinds = {("kind", "exact_p50_ms"): 12.5, ("kind", "mc_direct_p50_ms"): 140.0,
+             ("metric", "mc_direct_s_to_se1e-3"): 0.8,
+             # neither a command kind's latency nor an MC estimator's time to 1e-3
+             ("metric", "exact_query_p50_ms"): 12.5, ("raw", "wall_s"): 3.0}
     base = bench_pairs.parse_run(canned_perfbench_stdout(True, 0, {
-        "setup_s": 0.20, "wall_cal": 16.0, "cmd_p50_gmean_cal": 0.27, "peak_rss_mb": 113.0}))
+        "setup_s": 0.20, "wall_cal": 16.0, "cmd_p50_gmean_cal": 0.27, "peak_rss_mb": 113.0},
+        kinds))
     change = bench_pairs.parse_run(canned_perfbench_stdout(False, 2, {
-        "setup_s": 0.21, "wall_cal": 8.6, "cmd_p50_gmean_cal": 0.19, "peak_rss_mb": 120.0}))
+        "setup_s": 0.21, "wall_cal": 8.6, "cmd_p50_gmean_cal": 0.19, "peak_rss_mb": 120.0},
+        {**kinds, ("kind", "exact_p50_ms"): 10.0, ("kind", "pde_s0_p50_ms"): 30.0}))
+    assert base["kinds"] == {"exact_p50_ms": 12.5, "mc_direct_p50_ms": 140.0,
+                             "mc_direct_s_to_se1e-3": 0.8}
     assert base["machine"] == {"nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6",
                                "scipy": "1.17.1", "platform": "Linux-x86_64"}
     metrics = {"setup_s": "lower", "wall_cal": "lower", "cmd_p50_gmean_cal": "lower",
@@ -70,6 +89,14 @@ def test_bench_pairs_builds_a_record_from_two_runs():
     assert (row["base"]["correct"], row["change"]["correct"], row["change"]["failed"]) == (
         True, False, 2)
     assert row["change"]["metrics"]["wall_cal"] == 8.6
+    assert row["change"]["kinds"]["pde_s0_p50_ms"] == 30.0
+    # a kind that only one side reports is kept per run but not summarised
+    assert sorted(record["kind_summary"]) == ["exact_p50_ms", "mc_direct_p50_ms",
+                                              "mc_direct_s_to_se1e-3"]
+    exact = record["kind_summary"]["exact_p50_ms"]
+    assert (exact["better"], exact["change_wins"], exact["ratio"]["median"]) == ("lower", 1, 0.8)
+    assert exact["base"] == {"median": 12.5, "q1": 12.5, "q3": 12.5}
+    assert record["kind_summary"]["mc_direct_s_to_se1e-3"]["change_wins"] == 0
     wall = record["summary"]["wall_cal"]
     assert wall["base"] == {"median": 16.0, "q1": 16.0, "q3": 16.0}
     assert wall["change"]["median"] == 8.6 and wall["change_wins"] == 1
@@ -180,7 +207,7 @@ P0_INLINE = ["--lam", "1", "--mu", "1", "--c", "3", "2"]
         (["derive", *P0_INLINE], 0),
         (["ruin", *P0_INLINE, "--u", "1", "3", "--tol", "0"], 2),
         (["derive", "--model", "no-such-model.json"], 2),
-        (["invert", *P0_INLINE, "--x", "2", "1"], 3),
+        (["ruin", *P0_INLINE, "--u", "2", "1", "--method", "invert"], 3),
         (["pde", *P0_INLINE, "--steps", "4", "--tol", "1e-12"], 4),
         # on the regime seam rho = p2^2/p1, where the pole -gamma2 meets the cut end
         (["ruin", "--lam", "1", "--mu", "1", "--c", "4", "2", "--u", "1", "3"], 0),

@@ -334,7 +334,7 @@ WITHOUT_SCIPY = [
     ["ruin", *MODEL, "--u", "3", "1"],
     ["ruin", *MODEL, "--u", "1", "3", "--method", "pde", "--steps", "20"],
     ["ruin", *MODEL, "--u", "1", "3", "--method", "mc", "--paths", "200", "--horizon", "5"],
-    ["invert", *MODEL, "--x", "1", "3"],
+    ["ruin", *MODEL, "--u", "1", "3", "--method", "invert"],
     ["transform", *MODEL, "--p", "1", "--q", "2"],
     ["simulate", *MODEL, "--u", "1", "3", "--paths", "200", "--horizon", "5"],
 ]
