@@ -858,12 +858,19 @@ def test_ruin_invert_method(p0_file, capsys):
     assert code == 0
     assert "method=invert" in out
     assert "0.2217" in out  # 1 - 0.778202
-    # far reserves of company 2: ruin(1, x2) -> C1 e^{-gamma1} = 0.1711390397
-    code, out, _ = run_cli(
-        ["ruin", "--model", p0_file, "--u", "1", "1e300", "--method", "invert"], capsys
-    )
-    assert code == 0
-    assert float(re.search(r"= (\S+)", out)[1]) == pytest.approx(0.1711390397, abs=1e-3)
+
+
+def test_invert_command(p0_file, capsys):
+    # the answers of the former `invert --x X1 X2` are 1 - ruin of `ruin --method invert`
+    def survival(x1, x2):
+        argv = ["ruin", "--model", p0_file, "--u", x1, x2, "--method", "invert"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        return 1.0 - float(re.search(r"= (\S+)", out)[1])
+
+    assert survival("1", "2") == pytest.approx(0.7782, abs=1e-4)
+    # far reserves of company 2: survival(1, x2) -> 1 - C1 e^{-gamma1} = 0.8288609603
+    assert survival("1", "1e300") == pytest.approx(0.8288609603, abs=1e-3)
 
 
 def test_table_flags_failed_rows_exit4(p0_file, capsys, tmp_path, monkeypatch):
