@@ -10,13 +10,14 @@ order, one Poisson count ``K`` for all its paths, ``K + 1`` spacings and
 block is drawn, so memory per thread is bounded independently of the
 horizon.  The spacings, exponential claim sizes and the fluid estimator's
 gaps are exponential by inversion: ``-scale log1p(-U)`` of uniforms ``U``
-from ``rng.random``.  Each thread draws into and computes in one reused set of
-per-claim buffers for the whole estimate.  Each chunk is reduced to
-``(n, mean, M2)`` and the chunks are merged in chunk order, so every estimate
-is bit-reproducible for a fixed ``(seed, n)`` and parallel fan-out over
-chunks cannot change the result.  How a chunk turns its stream into paths is
-versioned by :data:`STREAM_VERSION` (now 6), which every estimate records in
-``meta``.
+from ``rng.random``.  With ``T`` threads, thread ``t`` runs the fixed stride
+of chunks ``t, t + T, t + 2T, ...``, with one workspace per thread for a
+whole estimate: one reused set of per-claim buffers that it draws into and
+computes in.  Each chunk is reduced at once to ``(n, mean, M2)``, and the
+chunks are merged in chunk order, so every estimate is bit-reproducible for a
+fixed ``(seed, n)`` and the thread count cannot change the result.  How a
+chunk turns its stream into paths is versioned by :data:`STREAM_VERSION` (now
+6), which every estimate records in ``meta``.
 
 Direct simulation and the ruin-time transform follow the cone.  In normalized
 coordinates ``X_i(t) = x_i + p_i t - S(t)``, and ``X_2 - X_1`` falls at rate
@@ -41,10 +42,7 @@ after a jump.  Survival therefore means "no post-jump reserve below zero".
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable
@@ -339,17 +337,14 @@ def _joint_ruin_chunk(model, x1, x2, horizon, rng, n, ws, s=0.0):
     return tau
 
 
-def _chunk_sizes(n: int) -> Iterable[tuple[int, int]]:
-    k = 0
-    done = 0
-    while done < n:
-        size = min(CHUNK, n - done)
-        yield k, size
-        done += size
-        k += 1
+def _moments(vals: np.ndarray) -> tuple[int, float, float]:
+    """``(n, mean, M2)`` of one chunk's values."""
+    mean = float(np.mean(vals))
+    dev = vals - mean
+    return vals.size, mean, float(np.sum(dev * dev))
 
 
-def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstimate:
+def _accumulate(chunks: Iterable[tuple[int, float, float]], seed: int, meta: dict) -> MCEstimate:
     """Mean and standard error of the concatenated chunk values.
 
     Each chunk contributes ``(n, mean, M2)`` and the parts are merged in
@@ -360,18 +355,12 @@ def _accumulate(chunks: Iterable[np.ndarray], seed: int, meta: dict) -> MCEstima
     n = 0
     mean = 0.0
     m2 = 0.0
-    for vals in chunks:
-        k = vals.size
-        mean_k = float(np.mean(vals))
-        dev = vals - mean_k
-        m2_k = float(np.sum(dev * dev))
+    for k, mean_k, m2_k in chunks:
         delta = mean_k - mean
         total = n + k
         mean += delta * (k / total)
         m2 += m2_k + delta * delta * (n * k / total)
         n = total
-    if n == 0:
-        raise DomainError("no paths to average")
     se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
     return _estimate(mean, se, n, seed, meta)
 
@@ -385,47 +374,37 @@ def _estimate(mean: float, se: float, n: int, seed: int, meta: dict) -> MCEstima
 def _run(values, n: int, seed: int, threads: int, meta: dict) -> MCEstimate:
     """The estimate from ``values(rng, size, ws)`` of each chunk, drawn from ``stream(seed, k)``.
 
-    ``ws`` is the calling thread's one :class:`_Workspace` for the whole estimate.
+    Thread ``t`` of ``T = threads`` runs the stride of chunks ``t, t + T,
+    t + 2T, ...`` with one :class:`_Workspace`, its ``ws`` for the whole
+    estimate, and keeps of each chunk only ``(n, mean, M2)``.  Chunk ``k``'s
+    moments are item ``k // T`` of stride ``k % T``, and they are merged in
+    chunk order, so the estimate does not depend on ``T``.  One thread runs
+    its stride in the calling thread.
     """
-    local = threading.local()
+    chunks = math.ceil(n / CHUNK)
 
-    def worker(k, size):
-        if not hasattr(local, "ws"):
-            local.ws = _Workspace()
-        return values(stream(seed, k), size, local.ws)
+    def stride(t):
+        ws = _Workspace()
+        return [_moments(values(stream(seed, k), min(CHUNK, n - k * CHUNK), ws))
+                for k in range(t, chunks, threads)]
 
-    return _accumulate(_map_chunks(worker, n, threads), seed, meta)
-
-
-def _map_chunks(worker, n: int, threads: int) -> Iterable[np.ndarray]:
-    """``worker(k, size)`` of every chunk, yielded in chunk order.
-
-    At most ``2 * threads`` chunks are computing or waiting to be read, so the
-    memory held does not grow with the number of chunks.
-    """
-    jobs = _chunk_sizes(n)
     if threads == 1:
-        for k, size in jobs:
-            yield worker(k, size)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = deque(pool.submit(worker, k, size)
-                       for k, size in itertools.islice(jobs, 2 * threads))
-        while window:
-            vals = window.popleft().result()
-            job = next(jobs, None)
-            if job is not None:
-                window.append(pool.submit(worker, *job))
-            yield vals
+        strides = [stride(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            strides = list(pool.map(stride, range(threads)))
+    return _accumulate((strides[k % threads][k // threads] for k in range(chunks)), seed, meta)
 
 
 # ---------------------------------------------------------------------------
 # Estimators.
 # ---------------------------------------------------------------------------
 
-def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, s: float = 0.0) -> None:
+def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, n: int,
+                  s: float = 0.0) -> None:
     """Refuse a negative or NaN reserve, a horizon or ``s`` outside ``[0, inf)``,
-    and more than :data:`_MAX_MEAN_CLAIMS` expected claims by the horizon.
+    more than :data:`_MAX_MEAN_CLAIMS` expected claims by the horizon, and a
+    path count ``n`` that is not an integer of at least 1.
     """
     if not (u1 >= 0 and u2 >= 0):  # NaN fails both comparisons
         raise DomainError("reserves must be nonnegative")
@@ -436,6 +415,8 @@ def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, s: flo
                           f"exceeds the {_MAX_MEAN_CLAIMS} that a simulation holds")
     if not 0 <= s < math.inf:
         raise DomainError("discount rate must be finite and nonnegative")
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"number of paths must be an integer >= 1, got {n!r}")
 
 
 def ruin_time_lt(
@@ -461,7 +442,7 @@ def ruin_time_lt(
     ``T* + min(zeta, H - T*)``, else 0: given the path, its mean is
     ``e^{-s tau}`` on ``tau <= H``, and the estimator is unbiased.
     """
-    _check_domain(model, u1, u2, horizon, s)
+    _check_domain(model, u1, u2, horizon, n, s)
     x1, x2 = normalize(model, u1, u2)
 
     def values(rng, size, ws):
@@ -501,7 +482,10 @@ def simulate_joint_ruin(
         for x, p, gamma, C in zip(normalize(model, u1, u2), (model.p1, model.p2),
                                   (dc.gamma1, dc.gamma2), (dc.C1, dc.C2)):
             r = min(gamma, mu - math.sqrt(lam * mu * T / (x + p * T))) if T > 0 else gamma
-            tail += C * math.exp(-r * x + T * r * (lam / (mu - r) - p))
+            # mu - r >= lam/p in exact arithmetic, so the term in T is <= 0; r rounds
+            # to mu once lam/p and the root fall below mu's rounding, and 0 bounds it
+            gap = mu - r
+            tail += C * math.exp(-r * x + (T * r * (lam / gap - p) if gap > 0 else 0.0))
         tail = min(1.0, tail)
     meta = {"horizon": horizon, "lundberg_tail": tail}
     return _estimate(est.mean, est.std_error, est.n, est.seed, meta)
@@ -526,7 +510,7 @@ def conditional_survival(
     if x2 < x1:
         raise DomainError("conditional estimator requires x2 >= x1 (upper cone)")
     T = (x2 - x1) / (model.p1 - model.p2)
-    _check_domain(model, x1, x2, T)
+    _check_domain(model, x1, x2, T, n)
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
@@ -597,7 +581,7 @@ def simulate_joint_ruin_fluid(
     :func:`simulate_joint_ruin`, so the two estimate the same probability
     from differently generated paths and cross-check each other.
     """
-    _check_domain(model, u1, u2, horizon)
+    _check_domain(model, u1, u2, horizon, n)
     meta = {"horizon": horizon, "method": "fluid"}
     return _run(lambda rng, size, ws: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
                 n, seed, threads, meta)

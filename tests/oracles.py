@@ -516,7 +516,8 @@ def killed_position_frequencies(
     """
     edges = np.asarray(bin_edges, dtype=float)
     hits = np.zeros(len(edges) - 1, dtype=np.int64)
-    for k, size in mc._chunk_sizes(n):
+    for k in range(math.ceil(n / mc.CHUNK)):
+        size = min(mc.CHUNK, n - k * mc.CHUNK)
         rng = mc.stream(seed, k)
         kill = rng.exponential(1.0 / q, size=size)
         alive, x_T = reference_company1_chunk(model, x1, kill, rng, size)

@@ -488,6 +488,28 @@ def test_mc_tail_bounds_the_ruin_after_the_horizon(p0, capsys):
     assert tail >= closedform.survival(p0, 1.0, 3.0).ruin
 
 
+@pytest.mark.parametrize("argv", [
+    ["ruin", "--c", "1e17", "2", "--method", "mc", "--horizon", "0"],
+    ["ruin", "--c", "1e300", "2", "--method", "mc", "--horizon", "5"],
+    ["simulate", "--c", "1e17", "2", "--horizon", "0"],
+    ["simulate", "--c", "1e300", "2", "--horizon", "5"],
+], ids=["ruin-T0", "ruin-T5", "simulate-T0", "simulate-T5"])
+def test_mc_tail_where_gamma1_rounds_to_mu(capsys, argv):
+    # lam/p1 and the root sqrt(lam mu T/(x1 + p1 T)) are below the rounding of
+    # mu, so gamma1 and company 1's r round to mu: mu - r is 0
+    code, out, err = run_cli([*argv, "--lam", "1", "--mu", "1", "--u", "1", "3",
+                              "--paths", "100"], capsys)
+    assert (code, err) == (0, "")
+    if argv[0] == "ruin":
+        tail = float(re.search(r"tail<=(\S+)", out)[1])
+    else:
+        tail = json.loads(list(csv.reader(io.StringIO(out)))[1][5])["lundberg_tail"]
+    assert 0.0 < tail <= 1.0
+    if argv[-1] == "0":
+        # psi_1 + psi_2, where psi_1 (about 1e-17) is below psi_2's rounding
+        assert tail == pytest.approx(0.5 * math.exp(-0.5 * 3.0), rel=1e-15)
+
+
 def test_mc_from_one_path_prints_no_standard_error(capsys):
     code, out, _ = run_cli(["ruin", *P0_INLINE, "--u", "1", "3", "--method", "mc",
                             "--paths", "1", "--horizon", "1"], capsys)
@@ -1052,13 +1074,13 @@ def test_threads_environment_is_ignored(p0_file, capsys, monkeypatch, value):
 
 def test_threads_default_to_one(p0_file, capsys, monkeypatch):
     seen = []
-    map_chunks = mc._map_chunks
+    run = mc._run
 
-    def spy(worker, n, threads):
+    def spy(values, n, seed, threads, meta):
         seen.append(threads)
-        return map_chunks(worker, n, threads)
+        return run(values, n, seed, threads, meta)
 
-    monkeypatch.setattr(mc, "_map_chunks", spy)
+    monkeypatch.setattr(mc, "_run", spy)
     ruin = ["ruin", "--model", p0_file, "--u", "1", "3", "--method", "mc",
             "--paths", "2e3", "--ultimate"]
     simulate = ["simulate", "--model", p0_file, "--u", "1", "2", "--paths", "2e3",

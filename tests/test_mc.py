@@ -22,12 +22,10 @@ from ruin2d.mc import (
     _MAX_MEAN_CLAIMS,
     _Workspace,
     _accumulate,
-    _chunk_sizes,
     _epoch_panel,
     _first_ruin_chunk,
     _fluid_ruin_chunk,
     _joint_ruin_chunk,
-    _map_chunks,
     _path_blocks,
     _path_bounds,
     conditional_survival,
@@ -108,10 +106,18 @@ def test_thread_workspaces_under_frequent_switches(p0):
     assert threaded == serial
 
 
+def chunk_moments(vals):
+    """``(n, mean, M2)`` of one chunk's values, in the runner's arithmetic."""
+    mean = float(np.mean(vals))
+    dev = vals - mean
+    return vals.size, mean, float(np.sum(dev * dev))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
-def test_map_chunks_streams_in_chunk_order(threads):
-    # chunk results are merged as they arrive, never listed: the estimate is
-    # the listed one bit for bit, and only O(threads) chunk arrays are alive
+def test_run_merges_chunks_in_chunk_order(threads):
+    # each chunk is reduced to its moments as soon as it is drawn, never listed:
+    # the estimate is the listed one bit for bit, and each thread holds at most
+    # one chunk array at a time
     n = 9 * CHUNK + 5
     lock = threading.Lock()
     live = [0, 0]  # alive now, most alive at once
@@ -120,27 +126,28 @@ def test_map_chunks_streams_in_chunk_order(threads):
         with lock:
             live[0] -= 1
 
-    def worker(k, size):
-        vals = stream(31, k).random(size)
+    def values(rng, size, ws):
+        vals = rng.random(size)
         with lock:
             live[0] += 1
             live[1] = max(live[1], live[0])
         weakref.finalize(vals, released)
         return vals
 
-    est = _accumulate(_map_chunks(worker, n, threads), seed=31, meta={})
-    listed = _accumulate([stream(31, k).random(size) for k, size in _chunk_sizes(n)],
-                         seed=31, meta={})
+    est = mc._run(values, n, seed=31, threads=threads, meta={})
+    sizes = [CHUNK] * 9 + [5]
+    listed = _accumulate([chunk_moments(stream(31, k).random(size))
+                          for k, size in enumerate(sizes)], seed=31, meta={})
     assert est == listed
     assert est.n == n
-    assert live[1] <= 2 * threads + 2
+    assert live[1] <= threads
 
 
 def test_accumulate_merges_near_constant_chunks():
     # values 1 - 1e-9 U: sum(x^2) - n mean^2 cancels to noise here
     rng = np.random.default_rng(8)
     chunks = [1.0 - 1e-9 * rng.random(size) for size in (CHUNK, CHUNK, 5_000, 1)]
-    est = _accumulate(chunks, seed=0, meta={})
+    est = _accumulate(map(chunk_moments, chunks), seed=0, meta={})
     flat = np.concatenate(chunks)
     assert est.n == flat.size
     assert est.mean == pytest.approx(flat.mean(), rel=1e-15, abs=0.0)
@@ -149,7 +156,7 @@ def test_accumulate_merges_near_constant_chunks():
 
 def test_one_path_has_no_standard_error(p0):
     # a single value bounds nothing: se = 0 would read as exact
-    assert _accumulate([np.array([0.25])], seed=0, meta={}).std_error == math.inf
+    assert _accumulate([(1, 0.25, 0.0)], seed=0, meta={}).std_error == math.inf
     assert simulate_joint_ruin(p0, 1.0, 3.0, 1.0, 1, seed=0).std_error == math.inf
     assert conditional_survival(p0, 1.0, 2.0, 1, seed=0).std_error == math.inf
     # the conditional estimator is exact at T = 0, whatever the number of paths
@@ -591,6 +598,9 @@ FOREIGN_CLAIMS = {
 def test_conditional_rejects_wrong_cone_and_empirical(p0):
     with pytest.raises(DomainError):
         conditional_survival(p0, 2.0, 1.0, 100, seed=0)
+    # at x2 = x1 the estimate is exact, and still refuses a path count below 1
+    with pytest.raises(DomainError):
+        conditional_survival(p0, 1.0, 1.0, 0, seed=0)
     m = RiskModel(lam=1.0, claim=FOREIGN_CLAIMS["sampler"], c1=3.0, c2=2.0)
     # at x2 = x1 the crossing time is 0 and no claim is drawn
     with pytest.raises(UnsupportedClaimLaw):
@@ -598,20 +608,20 @@ def test_conditional_rejects_wrong_cone_and_empirical(p0):
 
 
 ESTIMATORS = {
-    "direct": lambda m, u1, u2, horizon, s: simulate_joint_ruin(m, u1, u2, horizon, 100, 0),
-    "discounted": lambda m, u1, u2, horizon, s: ruin_time_lt(m, u1, u2, s, horizon, 100, 0),
-    "fluid": lambda m, u1, u2, horizon, s: simulate_joint_ruin_fluid(m, u1, u2, horizon, 100, 0),
-    "conditional": lambda m, u1, u2, horizon, s: conditional_survival(m, u1, u2, 100, 0),
+    "direct": lambda m, u1, u2, horizon, s, n: simulate_joint_ruin(m, u1, u2, horizon, n, 0),
+    "discounted": lambda m, u1, u2, horizon, s, n: ruin_time_lt(m, u1, u2, s, horizon, n, 0),
+    "fluid": lambda m, u1, u2, horizon, s, n: simulate_joint_ruin_fluid(m, u1, u2, horizon, n, 0),
+    "conditional": lambda m, u1, u2, horizon, s, n: conditional_survival(m, u1, u2, n, 0),
 }
-TAKES = {"direct": "u1 u2 horizon", "discounted": "u1 u2 horizon s",
-         "fluid": "u1 u2 horizon", "conditional": "u1 u2"}
-VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5}
+TAKES = {"direct": "u1 u2 horizon n", "discounted": "u1 u2 horizon s n",
+         "fluid": "u1 u2 horizon n", "conditional": "u1 u2 n"}
+VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5, "n": 100}
 # lam = 1: a horizon of 1e300 overflows numpy's Poisson draw, and just above
 # _MAX_MEAN_CLAIMS a path would hold over a million claims at once
 ABOVE_CAP = _MAX_MEAN_CLAIMS * (1 + 1e-9)
 BAD = [("u1", -1.0), ("u1", math.nan), ("u2", -1.0), ("u2", math.nan), ("horizon", -1.0),
        ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan), ("s", math.inf),
-       ("horizon", 1e300), ("horizon", ABOVE_CAP)]
+       ("horizon", 1e300), ("horizon", ABOVE_CAP), ("n", 0), ("n", -5), ("n", 2.5)]
 # x2 sets the conditional estimator's crossing time x2 - x1 (p1 - p2 = 1)
 OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
                  for name, value in BAD if name in takes.split()] + [
