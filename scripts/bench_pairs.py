@@ -20,7 +20,9 @@ change/base with a distribution-free interval (sign-test order statistics).
 The per-kind figures that perfbench prints, each command kind's median
 latency (``kind *_p50_ms``) and each MC estimator's time to a standard error
 of 1e-3 (``metric *_s_to_se1e-3``), are kept per run and summarised the same
-way, lower being better.
+way, lower being better, both raw and divided by that run's calibration
+(``raw calibration_ms``, as ``<name>/calibration_ms``), which takes out the
+machine's speed during the run as ``wall_cal`` does.
 
 ``--base HEAD`` on a clean tree runs the same code on both sides: that A/A
 control shows what the harness reads on identical code.
@@ -44,25 +46,34 @@ ROOT = Path(__file__).resolve().parent.parent
 MACHINE_KEYS = ("nproc", "affinity", "python", "numpy", "scipy", "platform")
 # (section, name suffix) of the per-kind report lines kept in the record
 KIND_LINES = (("kind", "_p50_ms"), ("metric", "_s_to_se1e-3"))
+# the report line of the run's median calibration time
+CALIBRATION = ["raw", "calibration_ms"]
 
 
 def parse_run(stdout: str) -> dict:
     """``{"machine", "correct", "attempted", "failed", "metrics", "kinds"}`` of one perfbench run.
 
     ``metrics`` maps each metric name to its value and ``kinds`` each per-kind
-    figure of :data:`KIND_LINES` to its value; ``machine`` is the run's
-    ``# machine`` line without the run settings.
+    figure of :data:`KIND_LINES` to its value, and, where the run reports its
+    calibration, ``<name>/calibration_ms`` to that value over the calibration;
+    ``machine`` is the run's ``# machine`` line without the run settings.
     """
     lines = stdout.splitlines()
     result = json.loads(lines[-1])
     machine = next(json.loads(line.removeprefix("# machine "))
                    for line in lines if line.startswith("# machine "))
-    kinds = {}
+    kinds, calibration = {}, None
     for fields in map(str.split, lines[:-1]):
-        if (len(fields) >= 3 and fields[2] != "n/a"
-                and any(fields[0] == section and fields[1].endswith(suffix)
-                        for section, suffix in KIND_LINES)):
+        if len(fields) < 3 or fields[2] == "n/a":
+            continue
+        if fields[:2] == CALIBRATION:
+            calibration = float(fields[2])
+        elif any(fields[0] == section and fields[1].endswith(suffix)
+                 for section, suffix in KIND_LINES):
             kinds[fields[1]] = float(fields[2])
+    if calibration:
+        kinds.update({f"{name}/calibration_ms": value / calibration
+                      for name, value in kinds.items()})
     return {
         "machine": {k: machine.get(k) for k in MACHINE_KEYS},
         "correct": result["correct"],

@@ -176,6 +176,13 @@ def _validated_model(args) -> tuple[RiskModel | None, tuple[str, ...]]:
     return model, report.violations
 
 
+def _refuse_unread(what: str, given: set, reads: set) -> None:
+    """Refuse the options of ``given`` that ``what``, a method or an estimator, does not read."""
+    ignored = " or ".join(f"--{name}" for name in sorted(given - reads))
+    if ignored:
+        raise UnsupportedClaimLaw(f"{what} does not read {ignored}")
+
+
 def _ruin_method(model: RiskModel, s: float, method, given: set) -> str:
     """The method ``ruin`` runs: ``method``, else the default; raises if it does not apply.
 
@@ -199,9 +206,7 @@ def _ruin_method(model: RiskModel, s: float, method, given: set) -> str:
         raise UnsupportedClaimLaw(
             f"{method} method needs exponential claims{'' if takes_s else ' and s=0'}"
         )
-    ignored = " or ".join(f"--{name}" for name in sorted(given - METHODS[method][2]))
-    if ignored:
-        raise UnsupportedClaimLaw(f"{method} method does not read {ignored}")
+    _refuse_unread(f"{method} method", given, METHODS[method][2])
     return method
 
 
@@ -215,16 +220,12 @@ def _mc_estimate(model: RiskModel, args, method: str, s, default_horizon: float)
     """
     u1, u2 = args.u
     given = {name for name, value in (("s", s), ("horizon", args.horizon)) if value is not None}
-    ignored = " or ".join(f"--{name}" for name in sorted(given - _ESTIMATORS[method]))
-    if ignored:
-        raise UnsupportedClaimLaw(f"the {method} estimator does not read {ignored}")
+    _refuse_unread(f"the {method} estimator", given, _ESTIMATORS[method])
     n, seed, threads = args.paths or 100_000, args.seed or 0, args.threads or 1
     horizon = default_horizon if args.horizon is None else args.horizon
     if method == "conditional":
-        x1, x2 = normalize(model, u1, u2)
-        # a lower-cone point reduces to the one-dimensional problem at x2
         return "survival", mc.conditional_survival(
-            model, min(x1, x2), x2, n, seed, threads=threads
+            model, *normalize(model, u1, u2), n, seed, threads=threads
         )
     if method == "fluid":
         return "ruin_by_horizon", mc.simulate_joint_ruin_fluid(

@@ -28,7 +28,8 @@ chunk of horizon ``H`` with ``0 < T* < H`` first draws all its blocks over
 with the same blocks and draws; then it draws, in blocks over ``[T*, H)``,
 only the paths still alive, in path order, and watches company 2 alone from
 each path's claim total at ``T*``.  A lower-cone start (``T* <= 0``) watches
-company 2 alone from ``t = 0``, and a start with ``T* >= H`` company 1 alone.
+company 2 alone from ``t = 0``, and a start with ``T* >= H`` company 1 alone;
+the conditional estimator takes a lower-cone start at ``(x2, x2)``, exactly.
 At ``s > 0`` the paths alive at ``max(T*, 0) < H`` draw, after company 1's
 blocks, one killing clock ``Exp(s)`` each, in path order and by inversion;
 company 2's window of each ends at its clock if that rings before ``H`` (see
@@ -275,17 +276,6 @@ def _path_bounds(path: np.ndarray, n: int) -> np.ndarray:
     return bounds
 
 
-def _below(ws: _Workspace, t, s, p: float, x: float) -> np.ndarray:
-    """``ws.hit = p t + x < s``: where the normalized reserve ``x + p t - s`` is negative.
-
-    IEEE subtraction keeps the sign of ``a - b``, so this is the sign of the
-    reserve without forming it.
-    """
-    a = np.multiply(t, p, out=ws.draws[:t.size])
-    a += x
-    return np.less(a, s, out=ws.hit)
-
-
 def _first_ruin_chunk(model, p, x, horizon, rng, n, ws, start=None):
     """First ruin time within ``horizon`` per path (inf if none), and its claim total.
 
@@ -300,7 +290,11 @@ def _first_ruin_chunk(model, p, x, horizon, rng, n, ws, start=None):
         path, t, s, totals[block] = _epoch_panel(
             model, horizon[block] if np.ndim(horizon) else horizon, rng,
             block.stop - block.start, ws, None if start is None else start[block])
-        idx = np.flatnonzero(_below(ws, t, s, p, x))
+        # the reserve x + p t - s is negative where p t + x < s: IEEE subtraction
+        # keeps the sign of a - b, so this is its sign without forming it
+        below = np.multiply(t, p, out=ws.draws[:t.size])
+        below += x
+        idx = np.flatnonzero(np.less(below, s, out=ws.hit))
         hit_path = path[idx]
         # a path's first hit is where the hits' path changes
         first = np.empty(idx.size, dtype=bool)
@@ -401,11 +395,15 @@ def _run(values, n: int, seed: int, threads: int, meta: dict) -> MCEstimate:
 # ---------------------------------------------------------------------------
 
 def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, n: int,
-                  s: float = 0.0) -> None:
-    """Refuse a negative or NaN reserve, a horizon or ``s`` outside ``[0, inf)``,
-    more than :data:`_MAX_MEAN_CLAIMS` expected claims by the horizon, and a
-    path count ``n`` that is not an integer of at least 1.
+                  threads: int, s: float = 0.0) -> None:
+    """Refuse a claim law that cannot be sampled, an invalid model, a negative
+    or NaN reserve, a horizon or ``s`` outside ``[0, inf)``, more than
+    :data:`_MAX_MEAN_CLAIMS` expected claims by the horizon, and a path count
+    ``n`` or a thread count that is not an integer of at least 1.
     """
+    if not isinstance(model.claim, (Exponential, PhaseType)):
+        raise UnsupportedClaimLaw(f"cannot sample {type(model.claim).__name__} claims")
+    derive(model)  # raises DomainError("invalid model: ...")
     if not (u1 >= 0 and u2 >= 0):  # NaN fails both comparisons
         raise DomainError("reserves must be nonnegative")
     if not 0 <= horizon < math.inf:
@@ -415,8 +413,9 @@ def _check_domain(model: RiskModel, u1: float, u2: float, horizon: float, n: int
                           f"exceeds the {_MAX_MEAN_CLAIMS} that a simulation holds")
     if not 0 <= s < math.inf:
         raise DomainError("discount rate must be finite and nonnegative")
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"number of paths must be an integer >= 1, got {n!r}")
+    for name, k in (("number of paths", n), ("thread count", threads)):
+        if not (isinstance(k, (int, np.integer)) and k >= 1):
+            raise DomainError(f"{name} must be an integer >= 1, got {k!r}")
 
 
 def ruin_time_lt(
@@ -442,7 +441,7 @@ def ruin_time_lt(
     ``T* + min(zeta, H - T*)``, else 0: given the path, its mean is
     ``e^{-s tau}`` on ``tau <= H``, and the estimator is unbiased.
     """
-    _check_domain(model, u1, u2, horizon, n, s)
+    _check_domain(model, u1, u2, horizon, n, threads, s)
     x1, x2 = normalize(model, u1, u2)
 
     def values(rng, size, ws):
@@ -504,13 +503,14 @@ def conditional_survival(
     Simulates only company 1 up to the crossing time
     ``T = (x2 - x1)/(p1 - p2)`` and, on survival, plugs the terminal value
     into the exact one-dimensional survival of company 2.  ``x2 = x1`` is the
-    degenerate ``T = 0`` case with zero variance; an infinite ``x2`` makes
-    ``T`` infinite and is refused.
+    degenerate ``T = 0`` case with zero variance, and a lower-cone start
+    ``x2 < x1`` reduces to it at ``(x2, x2)``: company 2's reserve is the lower
+    one from the start.  An infinite ``x2`` makes ``T`` infinite and is refused.
     """
-    if x2 < x1:
-        raise DomainError("conditional estimator requires x2 >= x1 (upper cone)")
-    T = (x2 - x1) / (model.p1 - model.p2)
-    _check_domain(model, x1, x2, T, n)
+    x1 = min(x1, x2)
+    # a valid model has p1 > p2; any other is refused below as invalid
+    T = (x2 - x1) / (model.p1 - model.p2) if model.p1 > model.p2 else math.nan
+    _check_domain(model, x1, x2, T, n, threads)
     meta = {"crossing_time": T}
     if T == 0.0:
         exact = float(survival_one_company(model, x1))
@@ -581,7 +581,7 @@ def simulate_joint_ruin_fluid(
     :func:`simulate_joint_ruin`, so the two estimate the same probability
     from differently generated paths and cross-check each other.
     """
-    _check_domain(model, u1, u2, horizon, n)
+    _check_domain(model, u1, u2, horizon, n, threads)
     meta = {"horizon": horizon, "method": "fluid"}
     return _run(lambda rng, size, ws: _fluid_ruin_chunk(model, u1, u2, horizon, rng, size),
                 n, seed, threads, meta)

@@ -19,16 +19,12 @@ from .model import Exponential, PhaseType, RiskModel, derive
 __all__ = ["ruin_prob_exp", "ruin_transform_exp", "survival_one_company"]
 
 
-def _gamma_C(model: RiskModel, company: int) -> tuple[float, float]:
-    dc = derive(model)
-    return (dc.gamma1, dc.C1) if company == 1 else (dc.gamma2, dc.C2)
-
-
 def ruin_prob_exp(model: RiskModel, x: float, company: int = 2) -> float:
     """Ultimate ruin probability ``C_i exp(-gamma_i x)`` at normalized reserve ``x``."""
     if not x >= 0:  # NaN fails too
         raise DomainError("reserve must be nonnegative")
-    gamma, C = _gamma_C(model, company)
+    dc = derive(model)
+    gamma, C = (dc.gamma1, dc.C1) if company == 1 else (dc.gamma2, dc.C2)
     return C * math.exp(-gamma * x)
 
 
@@ -68,28 +64,18 @@ def ruin_transform_exp(model: RiskModel, x, s: float):
     return (phi / mu * np.exp((phi - mu) * xa)).reshape(np.shape(x))[()]
 
 
-def _phasetype_generator(model: RiskModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(eta, B + b eta)`` for the normalized company-2 process."""
-    claim = model.claim
-    if not isinstance(claim, PhaseType):
-        raise UnsupportedClaimLaw("phase-type formula needs phase-type claims")
-    B, beta = claim.B, claim.beta
-    ones = np.ones(len(beta))
-    try:
-        eta = (model.lam / model.p2) * np.linalg.solve(-B.T, beta).T
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("phase-type subgenerator B is singular") from exc
-    return eta, B + np.outer(claim.exit_rates, eta), ones
-
-
 def _phasetype_ruin_normalized(model: RiskModel, z: np.ndarray) -> np.ndarray:
     """Vectorized ``eta exp((B + b eta) z) 1`` over normalized reserves ``z``.
 
     Diagonalizes the generator once when its eigenbasis is well conditioned;
     a defective or near-defective one falls back to per-value matrix exponentials.
     """
-    eta, gen, ones = _phasetype_generator(model)
-    z = np.asarray(z, dtype=float)
+    claim, ones = model.claim, np.ones(len(model.claim.beta))
+    try:
+        eta = (model.lam / model.p2) * np.linalg.solve(-claim.B.T, claim.beta).T
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("phase-type subgenerator B is singular") from exc
+    gen = claim.B + np.outer(claim.exit_rates, eta)
     vals, vecs = np.linalg.eig(gen)
     # a singular basis gets a huge or infinite condition number, not an error
     if np.linalg.cond(vecs) < 1e10:
@@ -110,8 +96,8 @@ def survival_one_company(model: RiskModel, z) -> np.ndarray:
     if not np.all(z >= 0):  # NaN fails too
         raise DomainError("reserve must be nonnegative")
     if isinstance(model.claim, Exponential):
-        gamma, C = _gamma_C(model, 2)
-        return 1.0 - C * np.exp(-gamma * z)
+        dc = derive(model)
+        return 1.0 - dc.C2 * np.exp(-dc.gamma2 * z)
     if isinstance(model.claim, PhaseType):
         return 1.0 - _phasetype_ruin_normalized(model, z)
     raise UnsupportedClaimLaw("exact one-dimensional survival needs exponential or phase-type claims")

@@ -58,13 +58,11 @@ def _step_factors(coeffs: GoursatCoefficients, dr: float, dw: float):
     f = dr / 2.0
     return (
         1.0 - e * coeffs.alpha,   # multiplies the new A
-        e * coeffs.beta,          # multiplies the new X (moved to the left side)
+        e * coeffs.beta,          # multiplies the new X (moved to the left side) and the old X
         1.0 + e * coeffs.alpha,   # multiplies the old A
-        e * coeffs.beta,          # multiplies the old X
         1.0 - f * coeffs.delta,
         f * coeffs.gamma,
         1.0 + f * coeffs.delta,
-        f * coeffs.gamma,
     )
 
 
@@ -84,8 +82,8 @@ def march_triangle(coeffs, n, dr, dw, top_values):
     keeps the reference march's bits.
     """
     factors = _step_factors(coeffs, dr, dw)
-    ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = factors
-    det = ca_new * xb_new - cx_new * xa_new
+    ca_new, cx, ca_old, xb_new, xa, xb_old = factors
+    det = ca_new * xb_new - cx * xa
     A = np.full((n + 1, n + 1), np.nan)
     X = np.full((n + 1, n + 1), np.nan)
     A[:, 0] = top_values
@@ -93,12 +91,10 @@ def march_triangle(coeffs, n, dr, dw, top_values):
     top = A[:, 0].tolist()
     x = [1.0]
     for i in range(1, n + 1):  # top row: A given, X from the horizontal update alone
-        x.append((xb_old * x[-1] + xa_old * top[i - 1] + xa_new * top[i]) / xb_new)
+        x.append((xb_old * x[-1] + xa * top[i - 1] + xa * top[i]) / xb_new)
     X[:, 0] = x
     # 0-d copies of the factors for the interior's ufuncs
-    Ca_new, Cx_new, Ca_old, Cx_old, Xb_new, Xa_new, Xb_old, Xa_old, Det = (
-        np.array(v) for v in (*factors, det)
-    )
+    Ca_new, Cx, Ca_old, Xb_new, Xa, Xb_old, Det = (np.array(v) for v in (*factors, det))
     Af, Xf = A.reshape(-1), X.reshape(-1)
     W = n + 1
     R1, R2, T1, T2 = np.empty((4, n + 1))
@@ -106,17 +102,17 @@ def march_triangle(coeffs, n, dr, dw, top_values):
     for s in range(2, 2 * n + 1):
         if s % 2 == 0:  # edge node (s/2, s/2): X = 1 given, A from the vertical update alone
             k = s // 2 * (n + 2)
-            Af[k] = (ca_old * Af.item(k - 1) + cx_old * Xf.item(k - 1) + cx_new) / ca_new
+            Af[k] = (ca_old * Af.item(k - 1) + cx * Xf.item(k - 1) + cx) / ca_new
         lo, hi = 1 if s <= n else s - n, (s - 1) // 2
         if hi < lo:
             continue
         # interior: solve the 2x2 pair on rows i = s - hi .. s - lo
         a, b, m = s + (s - hi) * n, s + (s - lo) * n + 1, hi - lo + 1
         r1, r2, t1, t2 = R1[:m], R2[:m], T1[:m], T2[:m]
-        add(mul(Af[a - 1:b - 1:n], Ca_old, r1), mul(Xf[a - 1:b - 1:n], Cx_old, t1), r1)
-        add(mul(Xf[a - W:b - W:n], Xb_old, r2), mul(Af[a - W:b - W:n], Xa_old, t1), r2)
-        div(add(mul(r1, Xb_new, t1), mul(r2, Cx_new, t2), t1), Det, Af[a:b:n])
-        div(add(mul(r2, Ca_new, t1), mul(r1, Xa_new, t2), t1), Det, Xf[a:b:n])
+        add(mul(Af[a - 1:b - 1:n], Ca_old, r1), mul(Xf[a - 1:b - 1:n], Cx, t1), r1)
+        add(mul(Xf[a - W:b - W:n], Xb_old, r2), mul(Af[a - W:b - W:n], Xa, t1), r2)
+        div(add(mul(r1, Xb_new, t1), mul(r2, Cx, t2), t1), Det, Af[a:b:n])
+        div(add(mul(r2, Ca_new, t1), mul(r1, Xa, t2), t1), Det, Xf[a:b:n])
     return A, X
 
 
@@ -145,34 +141,23 @@ class CharacteristicGrid:
         return self.n * self.r_step
 
     @property
-    def r_nodes(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.r_step
-
-    @property
-    def w_nodes(self) -> np.ndarray:
-        return -np.arange(self.n + 1) * self.w_step
-
-    @property
     def h(self) -> np.ndarray:
         """``e^{mu r - (lam + s) w} chi``, whose mixed derivative is ``-mu lam h``."""
         mu, lam = derive(self.model).mu, self.model.lam
-        r = self.r_nodes[:, None]
-        w = self.w_nodes[None, :]
+        r = np.arange(self.n + 1)[:, None] * self.r_step
+        w = -np.arange(self.n + 1) * self.w_step
         # in log space, so that h is finite wherever its value is; log 0 = -inf gives h = 0
         with np.errstate(divide="ignore", over="ignore"):
             return np.sign(self.chi) * np.exp(mu * r - (lam + self.s) * w + np.log(np.abs(self.chi)))
 
 
-def _chi_system(model: RiskModel, s: float) -> GoursatCoefficients:
-    mu = derive(model).mu
-    return GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=mu, delta=-mu)
-
-
 def _solve_once(model: RiskModel, s: float, r_max: float, n: int):
     dr = r_max / n
     dw = (model.delta1 / model.c1) * dr
+    mu = derive(model).mu
     top = ruin_transform_exp(model, np.arange(n + 1) * dr, s)
-    chi, xi = march_triangle(_chi_system(model, s), n, dr, dw, top)
+    coeffs = GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=mu, delta=-mu)
+    chi, xi = march_triangle(coeffs, n, dr, dw, top)
     return chi, xi, dr, dw
 
 

@@ -43,16 +43,14 @@ def reference_march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_val
     ``top_values[i]`` prescribes ``A`` on row ``j = 0`` and ``start_values[j]``
     prescribes ``X`` where row ``j`` starts; nodes left of the start stay NaN.
     """
-    ca_new, cx_new, ca_old, cx_old, xb_new, xa_new, xb_old, xa_old = pde._step_factors(
-        coeffs, dr, dw
-    )
+    ca_new, cx, ca_old, xb_new, xa, xb_old = pde._step_factors(coeffs, dr, dw)
     A = np.full((n_r + 1, n_w + 1), np.nan)
     X = np.full((n_r + 1, n_w + 1), np.nan)
     jj_all = np.arange(n_w + 1)
     starts = np.array([start_index(j) for j in jj_all])
     A[:, 0] = top_values
     X[starts, jj_all] = start_values
-    det = ca_new * xb_new - cx_new * xa_new
+    det = ca_new * xb_new - cx * xa
     for s in range(1, n_r + n_w + 1):
         i = np.arange(max(0, s - n_w), min(n_r, s) + 1)
         j = s - i
@@ -66,20 +64,20 @@ def reference_march(coeffs, n_r, n_w, dr, dw, top_values, start_index, start_val
         vi, vj = i[vert], j[vert]
         if vi.size:
             A[vi, vj] = (
-                ca_old * A[vi, vj - 1] + cx_old * X[vi, vj - 1] + cx_new * X[vi, vj]
+                ca_old * A[vi, vj - 1] + cx * X[vi, vj - 1] + cx * X[vi, vj]
             ) / ca_new
         ti = i[top]
         if ti.size:
             X[ti, 0] = (
-                xb_old * X[ti - 1, 0] + xa_old * A[ti - 1, 0] + xa_new * A[ti, 0]
+                xb_old * X[ti - 1, 0] + xa * A[ti - 1, 0] + xa * A[ti, 0]
             ) / xb_new
         inner = ~on_start & (j > 0)
         pi, pj = i[inner], j[inner]
         if pi.size:
-            r1 = ca_old * A[pi, pj - 1] + cx_old * X[pi, pj - 1]
-            r2 = xb_old * X[pi - 1, pj] + xa_old * A[pi - 1, pj]
-            A[pi, pj] = (r1 * xb_new + cx_new * r2) / det
-            X[pi, pj] = (ca_new * r2 + xa_new * r1) / det
+            r1 = ca_old * A[pi, pj - 1] + cx * X[pi, pj - 1]
+            r2 = xb_old * X[pi - 1, pj] + xa * A[pi - 1, pj]
+            A[pi, pj] = (r1 * xb_new + cx * r2) / det
+            X[pi, pj] = (ca_new * r2 + xa * r1) / det
     return A, X
 
 

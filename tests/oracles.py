@@ -14,6 +14,9 @@ path from the stream's definition (``reference_epoch_panel`` and the
 sweeps after it): the shipped kernels must reproduce them bit for bit.
 ``killed_position_frequencies`` runs on the company-1 reference sweep with
 per-path horizons, as the discounted chunk's company-2 window does.
+``ruin_prob_phasetype`` also forms ``eta`` and ``B + b eta`` itself, with
+``b = -B 1``, and takes a matrix exponential where the shipped formula
+diagonalizes.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ruin2d import mc, onedim, transform
-from ruin2d.errors import DomainError, Ruin2dError
-from ruin2d.model import DerivedConstants, Exponential, RiskModel, derive
+from ruin2d import mc, transform
+from ruin2d.errors import DomainError, Ruin2dError, UnsupportedClaimLaw
+from ruin2d.model import DerivedConstants, Exponential, PhaseType, RiskModel, derive
 
 
 class PoleError(DomainError):
@@ -231,8 +234,13 @@ def ruin_prob_phasetype(model: RiskModel, u2: float) -> float:
     """
     if u2 < 0:
         raise DomainError("reserve must be nonnegative")
-    eta, gen, ones = onedim._phasetype_generator(model)
-    return float(eta @ scipy.linalg.expm(gen * (u2 / model.delta2)) @ ones)
+    claim = model.claim
+    if not isinstance(claim, PhaseType):
+        raise UnsupportedClaimLaw("phase-type formula needs phase-type claims")
+    # eta = (lam / p2) beta (-B)^{-1}: the defective law of the first ladder height's phase
+    eta = (model.lam / model.p2) * claim.beta @ np.linalg.inv(-claim.B)
+    gen = claim.B - np.outer(claim.B.sum(axis=1), eta)
+    return float(eta @ scipy.linalg.expm(gen * (u2 / model.delta2)) @ np.ones(len(eta)))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, kstest, poisson
 
-from ruin2d import mc, pde
+from ruin2d import cli, mc, pde
 from ruin2d.closedform import survival
 from ruin2d.errors import DomainError, UnsupportedClaimLaw
 from ruin2d.mc import (
@@ -35,7 +35,7 @@ from ruin2d.mc import (
     simulate_joint_ruin_fluid,
     stream,
 )
-from ruin2d.model import Exponential, RiskModel, validate
+from ruin2d.model import Exponential, RiskModel, normalize, validate
 from ruin2d.onedim import ruin_transform_exp, survival_one_company
 
 from conftest import z_score
@@ -595,9 +595,11 @@ FOREIGN_CLAIMS = {
 }
 
 
-def test_conditional_rejects_wrong_cone_and_empirical(p0):
-    with pytest.raises(DomainError):
-        conditional_survival(p0, 2.0, 1.0, 100, seed=0)
+def test_conditional_folds_lower_cone_and_rejects_empirical(p0):
+    # a lower-cone start is company 2's one-dimensional problem at x2: exact, stderr 0
+    est = conditional_survival(p0, 2.0, 1.0, 100, seed=0)
+    assert (est.mean, est.std_error, est.meta["crossing_time"]) == (
+        float(survival_one_company(p0, 1.0)), 0.0, 0.0)
     # at x2 = x1 the estimate is exact, and still refuses a path count below 1
     with pytest.raises(DomainError):
         conditional_survival(p0, 1.0, 1.0, 0, seed=0)
@@ -607,21 +609,47 @@ def test_conditional_rejects_wrong_cone_and_empirical(p0):
         conditional_survival(m, 2.0, 2.0, 100, seed=0)
 
 
+def test_conditional_lower_cone_matches_ruin_ultimate(capsys):
+    # raw (3, 1) of SCALED is normalized (1.875, 0.8), in the lower cone
+    x1, x2 = normalize(SCALED, 3.0, 1.0)
+    assert x2 < x1
+    est = conditional_survival(SCALED, x1, x2, 20_000, seed=3)
+    assert (est.mean, est.std_error) == (float(survival_one_company(SCALED, x2)), 0.0)
+    assert cli.main(["ruin", "--lam", "1.3", "--mu", "0.7", "--c", "5", "3", "--delta", "1.6",
+                     "1.25", "--u", "3", "1", "--ultimate", "--paths", "20000", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        f"ruin = {1.0 - est.mean:.12g}  stderr=0  method=mc(conditional)  n=20000  seed=3\n")
+
+
 ESTIMATORS = {
-    "direct": lambda m, u1, u2, horizon, s, n: simulate_joint_ruin(m, u1, u2, horizon, n, 0),
-    "discounted": lambda m, u1, u2, horizon, s, n: ruin_time_lt(m, u1, u2, s, horizon, n, 0),
-    "fluid": lambda m, u1, u2, horizon, s, n: simulate_joint_ruin_fluid(m, u1, u2, horizon, n, 0),
-    "conditional": lambda m, u1, u2, horizon, s, n: conditional_survival(m, u1, u2, n, 0),
+    "direct": lambda m, u1, u2, horizon, s, n, threads:
+        simulate_joint_ruin(m, u1, u2, horizon, n, 0, threads),
+    "discounted": lambda m, u1, u2, horizon, s, n, threads:
+        ruin_time_lt(m, u1, u2, s, horizon, n, 0, threads),
+    "fluid": lambda m, u1, u2, horizon, s, n, threads:
+        simulate_joint_ruin_fluid(m, u1, u2, horizon, n, 0, threads),
+    "conditional": lambda m, u1, u2, horizon, s, n, threads:
+        conditional_survival(m, u1, u2, n, 0, threads),
 }
-TAKES = {"direct": "u1 u2 horizon n", "discounted": "u1 u2 horizon s n",
-         "fluid": "u1 u2 horizon n", "conditional": "u1 u2 n"}
-VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5, "n": 100}
+TAKES = {"direct": "m u1 u2 horizon n threads", "discounted": "m u1 u2 horizon s n threads",
+         "fluid": "m u1 u2 horizon n threads", "conditional": "m u1 u2 n threads"}
+VALID = {"u1": 1.0, "u2": 3.0, "horizon": 5.0, "s": 0.5, "n": 100, "threads": 1}
+# invalid models, which only a library caller can pass: the CLI validates first
+INVALID_MODELS = {
+    "mu=-1": RiskModel(lam=1.0, claim=Exponential(mu=-1.0), c1=3.0, c2=2.0),
+    "lam=-1": RiskModel(lam=-1.0, claim=Exponential(mu=1.0), c1=3.0, c2=2.0),
+    "lam=nan": RiskModel(lam=math.nan, claim=Exponential(mu=1.0), c1=3.0, c2=2.0),
+    "c=(2,3)": RiskModel(lam=1.0, claim=Exponential(mu=1.0), c1=2.0, c2=3.0),
+    "c=(2,2)": RiskModel(lam=1.0, claim=Exponential(mu=1.0), c1=2.0, c2=2.0),
+}
 # lam = 1: a horizon of 1e300 overflows numpy's Poisson draw, and just above
 # _MAX_MEAN_CLAIMS a path would hold over a million claims at once
 ABOVE_CAP = _MAX_MEAN_CLAIMS * (1 + 1e-9)
 BAD = [("u1", -1.0), ("u1", math.nan), ("u2", -1.0), ("u2", math.nan), ("horizon", -1.0),
        ("horizon", math.nan), ("horizon", math.inf), ("s", -0.5), ("s", math.nan), ("s", math.inf),
-       ("horizon", 1e300), ("horizon", ABOVE_CAP), ("n", 0), ("n", -5), ("n", 2.5)]
+       ("horizon", 1e300), ("horizon", ABOVE_CAP), ("n", 0), ("n", -5), ("n", 2.5),
+       ("threads", 0), ("threads", -1), ("threads", 2.5),
+       *(("m", label) for label in INVALID_MODELS)]
 # x2 sets the conditional estimator's crossing time x2 - x1 (p1 - p2 = 1)
 OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
                  for name, value in BAD if name in takes.split()] + [
@@ -631,11 +659,19 @@ OUT_OF_DOMAIN = [(estimator, name, value) for estimator, takes in TAKES.items()
 @pytest.mark.parametrize(
     "estimator, name, value", OUT_OF_DOMAIN, ids=[f"{e}-{n}={v}" for e, n, v in OUT_OF_DOMAIN]
 )
-def test_estimators_refuse_out_of_domain_input(p0, estimator, name, value):
+def test_estimators_refuse_out_of_domain_input(p0, monkeypatch, estimator, name, value):
+    def no_draws(seed, k):
+        raise AssertionError("paths were drawn before the refusal")
+
+    monkeypatch.setattr(mc, "stream", no_draws)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError):
-            ESTIMATORS[estimator](p0, **{**VALID, name: value})
+        if name == "m":
+            with pytest.raises(DomainError, match="invalid model: "):
+                ESTIMATORS[estimator](**{**VALID, "m": INVALID_MODELS[value]})
+        else:
+            with pytest.raises(DomainError):
+                ESTIMATORS[estimator](p0, **{**VALID, name: value})
 
 
 @pytest.mark.parametrize("claim", FOREIGN_CLAIMS.values(), ids=FOREIGN_CLAIMS.keys())

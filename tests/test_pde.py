@@ -27,7 +27,7 @@ def bessel_series(mu_lam: float, r: float, w: float) -> float:
 
 def test_boundary_row_is_imposed(p0):
     grid = solve(p0, s=0.0, r_max=5.0, steps=40)
-    datum = np.array([ruin_transform_exp(p0, r, 0.0) for r in grid.r_nodes])
+    datum = np.array([ruin_transform_exp(p0, r, 0.0) for r in np.arange(grid.n + 1) * grid.r_step])
     assert np.array_equal(grid.chi[:, 0], datum)
     assert abs(float(grid.chi[0, 0]) - ruin_transform_exp(p0, 0.0, 0.0)) == 0.0
 
@@ -209,7 +209,8 @@ def test_triangle_march_matches_reference_bits(request, name, s, n):
     model = request.getfixturevalue(name)
     dr = 6.0 / n
     dw = model.delta1 / model.c1 * dr
-    coeffs = pde._chi_system(model, s)
+    mu = model.claim.mu
+    coeffs = pde.GoursatCoefficients(alpha=model.lam + s, beta=-model.lam, gamma=mu, delta=-mu)
     top = ruin_transform_exp(model, np.arange(n + 1) * dr, s)
     got = pde.march_triangle(coeffs, n, dr, dw, top)
     want = triangle_reference(coeffs, n, dr, dw, top)

@@ -64,15 +64,23 @@ def test_bench_pairs_builds_a_record_from_two_runs():
     kinds = {("kind", "exact_p50_ms"): 12.5, ("kind", "mc_direct_p50_ms"): 140.0,
              ("metric", "mc_direct_s_to_se1e-3"): 0.8,
              # neither a command kind's latency nor an MC estimator's time to 1e-3
-             ("metric", "exact_query_p50_ms"): 12.5, ("raw", "wall_s"): 3.0}
+             ("metric", "exact_query_p50_ms"): 12.5, ("raw", "wall_s"): 3.0,
+             ("raw", "calibration_ms"): 20.0}
     base = bench_pairs.parse_run(canned_perfbench_stdout(True, 0, {
         "setup_s": 0.20, "wall_cal": 16.0, "cmd_p50_gmean_cal": 0.27, "peak_rss_mb": 113.0},
         kinds))
+    # the change ran on a slower machine: its calibration took 25 ms
     change = bench_pairs.parse_run(canned_perfbench_stdout(False, 2, {
         "setup_s": 0.21, "wall_cal": 8.6, "cmd_p50_gmean_cal": 0.19, "peak_rss_mb": 120.0},
-        {**kinds, ("kind", "exact_p50_ms"): 10.0, ("kind", "pde_s0_p50_ms"): 30.0}))
+        {**kinds, ("kind", "exact_p50_ms"): 10.0, ("kind", "pde_s0_p50_ms"): 30.0,
+         ("raw", "calibration_ms"): 25.0}))
+    # each figure raw and over its run's calibration
     assert base["kinds"] == {"exact_p50_ms": 12.5, "mc_direct_p50_ms": 140.0,
-                             "mc_direct_s_to_se1e-3": 0.8}
+                             "mc_direct_s_to_se1e-3": 0.8,
+                             "exact_p50_ms/calibration_ms": 12.5 / 20.0,
+                             "mc_direct_p50_ms/calibration_ms": 140.0 / 20.0,
+                             "mc_direct_s_to_se1e-3/calibration_ms": 0.8 / 20.0}
+    assert change["kinds"]["pde_s0_p50_ms/calibration_ms"] == 30.0 / 25.0
     assert base["machine"] == {"nproc": 2, "affinity": 2, "python": "3.11.7", "numpy": "2.4.6",
                                "scipy": "1.17.1", "platform": "Linux-x86_64"}
     metrics = {"setup_s": "lower", "wall_cal": "lower", "cmd_p50_gmean_cal": "lower",
@@ -91,12 +99,20 @@ def test_bench_pairs_builds_a_record_from_two_runs():
     assert row["change"]["metrics"]["wall_cal"] == 8.6
     assert row["change"]["kinds"]["pde_s0_p50_ms"] == 30.0
     # a kind that only one side reports is kept per run but not summarised
-    assert sorted(record["kind_summary"]) == ["exact_p50_ms", "mc_direct_p50_ms",
-                                              "mc_direct_s_to_se1e-3"]
+    assert sorted(record["kind_summary"]) == [
+        "exact_p50_ms", "exact_p50_ms/calibration_ms", "mc_direct_p50_ms",
+        "mc_direct_p50_ms/calibration_ms", "mc_direct_s_to_se1e-3",
+        "mc_direct_s_to_se1e-3/calibration_ms"]
     exact = record["kind_summary"]["exact_p50_ms"]
     assert (exact["better"], exact["change_wins"], exact["ratio"]["median"]) == ("lower", 1, 0.8)
     assert exact["base"] == {"median": 12.5, "q1": 12.5, "q3": 12.5}
+    # 10 ms at 25 ms a calibration against 12.5 ms at 20: 0.64 of the base per calibration
+    exact_cal = record["kind_summary"]["exact_p50_ms/calibration_ms"]
+    assert exact_cal["ratio"]["median"] == pytest.approx(0.64, rel=1e-12)
+    assert exact_cal["change_wins"] == 1
     assert record["kind_summary"]["mc_direct_s_to_se1e-3"]["change_wins"] == 0
+    # the same time on a slower machine wins once divided by the calibration
+    assert record["kind_summary"]["mc_direct_s_to_se1e-3/calibration_ms"]["change_wins"] == 1
     wall = record["summary"]["wall_cal"]
     assert wall["base"] == {"median": 16.0, "q1": 16.0, "q3": 16.0}
     assert wall["change"]["median"] == 8.6 and wall["change_wins"] == 1
